@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 from .core import (
     SeedSpec,
     Substitution,
+    first_length_mismatch,
     first_letter_cycle,
     reachable_letters,
     restrict,
@@ -74,24 +75,6 @@ def tree_shape_equal(
     return True
 
 
-def _check_length_uniform(sub: Substitution, letters: Sequence[str]) -> None:
-    """Require |mu^l| constant over ``letters``; |alphabet| samples suffice."""
-    if len(letters) < 2:
-        return
-    idx = sub.index
-    first = letters[0]
-    for exponent in range(len(sub.alphabet)):
-        row = sub.lengths.row(exponent)
-        v0 = row[idx[first]]
-        for other in letters[1:]:
-            v = row[idx[other]]
-            if v != v0:
-                raise NotLengthUniformError(
-                    f"|mu^{exponent}({first})| = {v0} but |mu^{exponent}({other})| = {v}",
-                    witness=(first, other, exponent, v0, v),
-                )
-
-
 def simplify(
     sub: Substitution, seed: SeedSpec
 ) -> tuple[Substitution, SeedSpec, dict[str, str]]:
@@ -103,7 +86,14 @@ def simplify(
     facts are verified, not assumed.
     """
     nonfinal = nonfinal_letters(sub)
-    _check_length_uniform(sub, nonfinal)
+    # |alphabet| samples suffice, as in positionality.check_positional
+    mismatch = first_length_mismatch(sub, nonfinal, range(len(sub.alphabet)))
+    if mismatch is not None:
+        first, other, exponent, v0, v = mismatch
+        raise NotLengthUniformError(
+            f"|mu^{exponent}({first})| = {v0} but |mu^{exponent}({other})| = {v}",
+            witness=mismatch,
+        )
     keep_letter = nonfinal[0] if nonfinal else None
     mapping = {
         a: (keep_letter if keep_letter is not None and a in nonfinal else a)

@@ -13,7 +13,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Literal, Optional, Union
+from typing import Iterable, Literal, Optional, Sequence, Union
 
 from .errors import (
     DslSyntaxError,
@@ -185,6 +185,8 @@ class Substitution:
             raw = data["images"]
         except (KeyError, TypeError):
             raise DslSyntaxError("JSON form needs 'alphabet' and 'images'") from None
+        if not isinstance(raw, dict) or not all(isinstance(a, str) for a in alphabet):
+            raise DslSyntaxError("JSON form needs string letters and an 'images' object")
         images = []
         for a in alphabet:
             if a not in raw:
@@ -192,6 +194,8 @@ class Substitution:
             im = raw[a]
             # string images are split per character; multi-character
             # alphabets must use list images
+            if not isinstance(im, (str, list)) or not all(isinstance(x, str) for x in im):
+                raise DslSyntaxError(f"image of {a!r} must be a string or a list of letters")
             images.append(tuple(im))
         return cls(alphabet, tuple(images))
 
@@ -280,6 +284,25 @@ def image_length(sub: Substitution, letter: str, level: int) -> int:
     if level < 0:
         raise ValueError("level must be >= 0")
     return sub.lengths.row(level)[sub.letter_index(letter)]
+
+
+def first_length_mismatch(
+    sub: Substitution, letters: Sequence[str], exponents: Iterable[int]
+) -> Optional[tuple[str, str, int, int, int]]:
+    """First ``(letters[0], other, exponent, length0, length_other)`` with
+    ``|mu^exponent|`` differing, exponents in order; None if none differs."""
+    if len(letters) < 2:
+        return None
+    idx = sub.index
+    first = letters[0]
+    for exponent in exponents:
+        row = sub.lengths.row(exponent)
+        v0 = row[idx[first]]
+        for other in letters[1:]:
+            v = row[idx[other]]
+            if v != v0:
+                return first, other, exponent, v0, v
+    return None
 
 
 def is_primitive(sub: Substitution) -> bool:

@@ -4,6 +4,10 @@ Integers map to digit words by descending the prefix-decomposition tree
 with exact image lengths; ``mu^k(seed)`` is never expanded as a string,
 so values with thousands of digits are fine. The sign digit 0/1 selects
 the non-negative/negative subtree of a two-sided system.
+
+One level search (``_level``) and one descent (``_descend_digits``)
+serve every map; a word is canonical exactly when its length is the
+level ``_level`` gives for its value, so ``val`` never re-runs ``rep``.
 """
 
 from __future__ import annotations
@@ -95,6 +99,16 @@ class DigitWord:
 # -- descent ------------------------------------------------------------------
 
 
+def _level(sub: Substitution, root: int, need: int, r: int, p: int) -> int:
+    """Least ``k >= r``, ``k ≡ r (mod p)``, with ``|mu^k(root)| >= need``
+    (``need`` is ``n + 1`` for ``n >= 0``, ``-n`` for ``n < 0``)."""
+    row = sub.lengths.row
+    k = r
+    while row(k)[root] < need:
+        k += p
+    return k
+
+
 def _descend_digits(sub: Substitution, root: int, k: int, offset: int) -> list[int]:
     """Child indices along the path left of column ``offset`` below ``root``."""
     lengths = sub.lengths
@@ -126,9 +140,9 @@ def decompose_prefix(
 ) -> AdmissibleSequence:
     """The unique admissible decomposition of the length-``n`` prefix of mu^k(root).
 
-    Computed top-down with exact lengths: at each letter the child whose
-    subtree covers the running offset is selected; the letters before it
-    form the step's prefix.
+    The digits come from the same top-down descent as ``rep``; digit
+    ``d`` at a letter splits its image into the prefix of ``d`` letters
+    and the pivot that the path enters.
     """
     root_idx = sub.letter_index(root)
     if k < 0:
@@ -138,27 +152,12 @@ def decompose_prefix(
         raise OffsetOutOfRangeError(
             f"offset {n} outside [0, |mu^{k}({root})|) = [0, {total})"
         )
-    lengths = sub.lengths
-    images = sub.images
-    image_idx = sub.image_idx
     steps_top_down: list[AdmissibleStep] = []
     x = root_idx
-    t = n
-    for level in range(k - 1, -1, -1):
-        row = lengths.row(level)
-        im = image_idx[x]
-        acc = 0
-        pos = 0
-        for i, y in enumerate(im):
-            w = row[y]
-            if t < acc + w:
-                pos = i
-                break
-            acc += w
-        letters = images[x]
-        steps_top_down.append(AdmissibleStep(letters[:pos], letters[pos]))
-        t -= acc
-        x = im[pos]
+    for d in _descend_digits(sub, root_idx, k, n):
+        letters = sub.images[x]
+        steps_top_down.append(AdmissibleStep(letters[:d], letters[d]))
+        x = sub.image_idx[x][d]
     return AdmissibleSequence(root, tuple(reversed(steps_top_down)))
 
 
@@ -169,39 +168,28 @@ def rep(ns: NumerationSystem, n: int) -> DigitWord:
     """The canonical digit word of ``n``: sign digit plus ``k`` digits with
     ``k`` congruent to the residue modulo the period."""
     sub = ns.substitution
-    p = ns.period
-    r = ns.residue
     if n >= 0:
-        if ns.right is None:
+        sign, side, need = 0, ns.right, n + 1
+        if side is None:
             raise SideMissingError("system has no right seed: cannot represent n >= 0")
-        root = sub.index[ns.right]
-        k = r
-        row = sub.lengths.row
-        while row(k)[root] <= n:
-            k += p
-        # squeeze lower bound: the top block of the decomposition is non-empty
-        assert k < p + r or row(k - p)[root] <= n
-        return DigitWord(tuple(_descend_digits(sub, root, k, n)), 0)
-    if ns.left is None:
-        raise SideMissingError("system has no left seed: cannot represent n < 0")
-    root = sub.index[ns.left]
-    need = -n
-    k = r
-    row = sub.lengths.row
-    while row(k)[root] < need:
-        k += p
-    # squeeze lower bound = the path avoiding the full left spine block
-    assert k < p + r or row(k - p)[root] < need
-    offset = row(k)[root] - need
-    return DigitWord(tuple(_descend_digits(sub, root, k, offset)), 1)
+    else:
+        sign, side, need = 1, ns.left, -n
+        if side is None:
+            raise SideMissingError("system has no left seed: cannot represent n < 0")
+    root = sub.index[side]
+    k = _level(sub, root, need, ns.residue, ns.period)
+    # a negative n is the column |mu^k(left)| + n of the left tree
+    offset = n % sub.lengths.row(k)[root]
+    return DigitWord(tuple(_descend_digits(sub, root, k, offset)), sign)
 
 
 def val(ns: NumerationSystem, word: Union[DigitWord, str]) -> tuple[int, bool]:
     """Evaluate any valid tree path and report whether it is canonical.
 
     Non-canonical words (paths reaching the column at a non-minimal
-    level) evaluate fine; canonicality is decided by re-deriving the
-    representation of the value.
+    level) evaluate fine. The path to a column at a given level is
+    unique, so a word is canonical exactly when its length is the
+    minimal admissible level of its value, read off the length table.
     """
     if isinstance(word, str):
         word = DigitWord.parse(word, signed=True)
@@ -213,8 +201,10 @@ def val(ns: NumerationSystem, word: Union[DigitWord, str]) -> tuple[int, bool]:
         raise SideMissingError(
             f"word has sign {word.sign} but the system lacks that seed side"
         )
-    value = _evaluate_path(sub, sub.index[side], word.digits, negative=word.sign == 1)
-    canonical = word == rep(ns, value)
+    root = sub.index[side]
+    value = _evaluate_path(sub, root, word.digits, negative=word.sign == 1)
+    need = value + 1 if value >= 0 else -value
+    canonical = len(word.digits) == _level(sub, root, need, ns.residue, ns.period)
     return value, canonical
 
 
@@ -242,6 +232,14 @@ def _evaluate_path(
     return total
 
 
+def _require_fixed_point(sub: Substitution, root: int) -> None:
+    letter = sub.alphabet[root]
+    if sub.images[root][0] != letter or letter not in sub.growing:
+        raise NotFixedPointSeedError(
+            f"{letter!r} is not the growing seed of a fixed point (image must start with it)"
+        )
+
+
 def rep_classic_N(sub: Substitution, root: str, n: int) -> DigitWord:
     """Unsigned representation over N for a fixed-point seed.
 
@@ -249,18 +247,10 @@ def rep_classic_N(sub: Substitution, root: str, n: int) -> DigitWord:
     shortest decomposition, whose leading digit is nonzero.
     """
     root_idx = sub.letter_index(root)
-    if sub.images[root_idx][0] != root or root not in sub.growing:
-        raise NotFixedPointSeedError(
-            f"{root!r} is not the growing seed of a fixed point (image must start with it)"
-        )
+    _require_fixed_point(sub, root_idx)
     if n < 0:
         raise ValueError("classic representation is defined for n >= 0")
-    if n == 0:
-        return DigitWord(())
-    k = 0
-    row = sub.lengths.row
-    while row(k)[root_idx] <= n:
-        k += 1
+    k = _level(sub, root_idx, n + 1, 0, 1)
     return DigitWord(tuple(_descend_digits(sub, root_idx, k, n)))
 
 
@@ -274,7 +264,8 @@ def val_classic_N(
         raise ValueError("classic words carry no sign digit")
     root_idx = sub.letter_index(root)
     value = _evaluate_path(sub, root_idx, word.digits, negative=False)
-    canonical = word == rep_classic_N(sub, root, value)
+    _require_fixed_point(sub, root_idx)
+    canonical = len(word.digits) == _level(sub, root_idx, value + 1, 0, 1)
     return value, canonical
 
 

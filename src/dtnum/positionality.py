@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .core import NumerationSystem
+from .core import NumerationSystem, first_length_mismatch
 from .errors import NotPositionalSystemError
 from .numeration import DigitWord, rep
 
@@ -248,6 +248,8 @@ def check_positional(ns: NumerationSystem, weight_count: int = 8) -> Positionali
     matrix's characteristic polynomial, so that many consecutive zero
     samples force it to vanish identically.
     """
+    if weight_count < 0:
+        raise ValueError(f"weight count must be >= 0, got {weight_count}")
     ns2, dropped = ns.restricted()
     sub = ns2.substitution
     p = ns2.period
@@ -274,45 +276,25 @@ def check_positional(ns: NumerationSystem, weight_count: int = 8) -> Positionali
             + ": only the digit 0 occurs at the matching positions"
         )
 
-    idx = sub.index
     samples = len(sub.alphabet)
-    for j in range(p):
-        letters = rs.full(j)
-        if len(letters) < 2:
-            continue
-        first = letters[0]
-        start = (r - j) % p
-        for t in range(samples):
-            exponent = start + t * p
-            row = sub.lengths.row(exponent)
-            v0 = row[idx[first]]
-            for other in letters[1:]:
-                v = row[idx[other]]
-                if v != v0:
-                    return PositionalityReport(
-                        positional=False,
-                        residue_sets=rs,
-                        weights=None,
-                        counterexample=Counterexample(
-                            "length-mismatch", j, exponent, (first, other), (v0, v)
-                        ),
-                        notes=tuple(notes),
-                    )
-    for ob in rs.obligations:
-        row = sub.lengths.row(ob.exponent)
-        target = row[idx[ob.letter]]
-        for e in ob.reference:
-            v = row[idx[e]]
-            if v != target:
-                return PositionalityReport(
-                    positional=False,
-                    residue_sets=rs,
-                    weights=None,
-                    counterexample=Counterexample(
-                        "condition-C", ob.residue, ob.exponent, (ob.letter, e), (target, v)
-                    ),
-                    notes=tuple(notes),
-                )
+    checks = [
+        ("length-mismatch", j, rs.full(j), [(r - j) % p + t * p for t in range(samples)])
+        for j in range(p)
+    ] + [
+        ("condition-C", ob.residue, (ob.letter,) + ob.reference, (ob.exponent,))
+        for ob in rs.obligations
+    ]
+    for kind, residue, letters, exponents in checks:
+        mismatch = first_length_mismatch(sub, letters, exponents)
+        if mismatch is not None:
+            a, b, exponent, la, lb = mismatch
+            return PositionalityReport(
+                positional=False,
+                residue_sets=rs,
+                weights=None,
+                counterexample=Counterexample(kind, residue, exponent, (a, b), (la, lb)),
+                notes=tuple(notes),
+            )
 
     table = _weight_table(ns2, rs, weight_count)
     return PositionalityReport(

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from dtnum.cli import main
 
 
@@ -122,6 +124,15 @@ class TestWeights:
         )
         assert (code, out) == (0, "1 3 5 13 21 55\n")
 
+    @pytest.mark.parametrize("command", ["weights", "analyze"])
+    def test_negative_count_exit_1(self, capsys, command):
+        code, out, err = run_cli(
+            capsys, command, "--sub", INTERTWINED, "--seed", "a|a",
+            "-r", "1", "--count", "-3",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: weight count must be >= 0")
+
     def test_not_positional_exit_2(self, capsys):
         code, _, err = run_cli(
             capsys, "weights", "--sub", "a->abb,b->ab", "--seed", "b|a",
@@ -184,6 +195,17 @@ class TestErrorsAndSelftest:
         )
         assert code == 2
         assert "EmptyImage" in err
+
+    def test_malformed_json_image_exit_2(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "dtnum", "classify", "--sub",
+             '{"alphabet":["a","b"],"images":{"a":5,"b":"a"}}', "--root", "a"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: SyntaxError:")
+        assert "Traceback" not in proc.stderr
 
     def test_unknown_command_exit_1(self, capsys):
         code, _, _ = run_cli(capsys, "frobnicate")

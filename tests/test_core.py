@@ -79,6 +79,20 @@ class TestParse:
         again = substitution_from_text(__import__("json").dumps(sub.to_json_dict()))
         assert again == sub
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"alphabet": ["a", "b"], "images": {"a": 5, "b": "a"}}',
+            '{"alphabet": ["a", "b"], "images": {"a": "ab", "b": null}}',
+            '{"alphabet": ["a", "b"], "images": {"a": ["a", ["b"]], "b": "a"}}',
+            '{"alphabet": ["a"], "images": ["a"]}',
+            '{"alphabet": [["a"]], "images": {"a": "aa"}}',
+        ],
+    )
+    def test_json_malformed_images(self, text):
+        with pytest.raises(DslSyntaxError):
+            substitution_from_text(text)
+
 
 class TestLengths:
     def test_tribonacci_cube(self):

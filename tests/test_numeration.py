@@ -258,3 +258,59 @@ class TestRandomSystems:
                 word = rep(ns, n)
                 assert val(ns, word) == (n, True)
                 assert len(word.digits) % ns.period == ns.residue
+
+
+def _random_path(rng: random.Random, sub, root: str, length: int) -> tuple[int, ...]:
+    """Digits of a uniformly chosen valid path of the given length below ``root``."""
+    digits = []
+    x = root
+    for _ in range(length):
+        image = sub.image(x)
+        d = rng.randrange(len(image))
+        digits.append(d)
+        x = image[d]
+    return tuple(digits)
+
+
+class TestCanonicalityRule:
+    """``val`` reads canonicality off the length table; the reference is the
+    definition: a word is canonical when it equals the representation of
+    its value."""
+
+    def test_val_matches_rep_definition_on_corpus(self):
+        from helpers import corpus_systems
+
+        rng = random.Random(20251018)
+        non_canonical = 0
+        for ns in corpus_systems():
+            signs = [s for s, side in ((0, ns.right), (1, ns.left)) if side is not None]
+            for _ in range(100):
+                sign = rng.choice(signs)
+                root = ns.right if sign == 0 else ns.left
+                word = DigitWord(
+                    _random_path(rng, ns.substitution, root, rng.randint(0, 10)), sign
+                )
+                value, canonical = val(ns, word)
+                assert canonical == (word == rep(ns, value)), (ns, word)
+                non_canonical += not canonical
+        assert non_canonical > 0
+
+    def test_val_classic_matches_rep_definition(self, golden_classic):
+        rng = random.Random(20251018)
+        for entry, sub, root in golden_classic:
+            for _ in range(200):
+                word = DigitWord(_random_path(rng, sub, root, rng.randint(0, 10)))
+                value, canonical = val_classic_N(sub, root, word)
+                assert canonical == (word == rep_classic_N(sub, root, value)), (
+                    entry["name"],
+                    word,
+                )
+
+    def test_val_classic_non_fixed_point_root_exit_2(self, capsys):
+        from dtnum.cli import main
+
+        code = main(
+            ["val", "--classic", "--sub", "a->ba,b->ab", "--seed", "_|a", "--word", "1"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: NotFixedPointSeed:")
