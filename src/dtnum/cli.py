@@ -375,6 +375,19 @@ def _join_range_flag(argv: list[str]) -> list[str]:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    # decimal I/O of any size: Python 3.11 and 3.10.7+ cap int/str conversion
+    # at 4300 digits; lift the cap for this call only, so callers keep theirs
+    if not hasattr(sys, "set_int_max_str_digits"):  # an older 3.10: no cap
+        return _main(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _main(argv: Optional[list[str]]) -> int:
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]

@@ -27,30 +27,42 @@ Domain = Literal["N", "Zneg", "Z"]
 
 DOMAINS: tuple[Domain, ...] = ("N", "Zneg", "Z")
 
-_NAME_RE = re.compile(r"^[^\s,;|.]+$")
+# a letter name: no whitespace, no separator of rules, sides or digits, no "->"
+_NAME_RE = re.compile(r"(?:(?!->)[^\s,;|.])+")
 
 
 class _LengthTable:
     """Grow-on-demand rows of ``|mu^level(x)|`` per letter index.
 
-    Rows are appended fully built and never mutated afterwards, so
-    concurrent readers at worst redo a row; the visible contract stays
-    pure.
+    An entry is its image's tail entries one level down, summed onto the
+    head entry, so a one-letter image shares the entry below it instead
+    of copying it. Rows are appended fully built and never mutated
+    afterwards: a reader holding the list from ``rows`` may index any
+    level below its current length while another call grows it. Growth
+    itself is not locked: two threads growing one table at once can
+    append the same level twice.
     """
 
-    __slots__ = ("_image_idx", "_rows")
+    __slots__ = ("_split", "_rows")
 
     def __init__(self, image_idx: tuple[tuple[int, ...], ...]):
-        self._image_idx = image_idx
+        self._split = tuple((im[0], im[1:]) for im in image_idx)
         self._rows: list[list[int]] = [[1] * len(image_idx)]
 
-    def row(self, level: int) -> list[int]:
+    def rows(self, level: int) -> list[list[int]]:
+        """The live, append-only list of rows, grown through ``level``."""
         rows = self._rows
-        img = self._image_idx
-        while len(rows) <= level:
+        if len(rows) <= level:
+            split = self._split
             prev = rows[-1]
-            rows.append([sum(prev[y] for y in im) for im in img])
-        return rows[level]
+            while len(rows) <= level:
+                get = prev.__getitem__
+                prev = [sum(map(get, tail), prev[head]) for head, tail in split]
+                rows.append(prev)
+        return rows
+
+    def row(self, level: int) -> list[int]:
+        return self.rows(level)[level]
 
 
 @dataclass(frozen=True)
@@ -69,6 +81,9 @@ class Substitution:
     def __post_init__(self):
         if not self.alphabet:
             raise DslSyntaxError("alphabet is empty")
+        for letter in self.alphabet:
+            if not _NAME_RE.fullmatch(letter):
+                raise DslSyntaxError(f"invalid letter name {letter!r}")
         if len(set(self.alphabet)) != len(self.alphabet):
             raise DslSyntaxError("duplicate letters in alphabet")
         if len(self.images) != len(self.alphabet):
@@ -163,13 +178,46 @@ class Substitution:
     # -- text forms ---------------------------------------------------------
 
     def to_dsl(self) -> str:
-        if all(len(a) == 1 for a in self.alphabet):
-            return ",".join(
-                f"{a}->{''.join(im)}" for a, im in zip(self.alphabet, self.images)
-            )
-        return ", ".join(
-            f"{a} -> {' '.join(im)}" for a, im in zip(self.alphabet, self.images)
-        )
+        """Rule text that ``parse_substitution`` reads back as this substitution.
+
+        The DSL orders letters by first appearance, so the rules are written
+        in an order that names the letters in alphabet order. Some alphabet
+        orders have no such rule order; their text keeps every image but
+        not the letter order, which only the JSON form keeps.
+        """
+        rules = [(self.alphabet[i], self.images[i]) for i in self._rule_order()]
+        if all(len(a) == 1 for a in self.alphabet) and not any(
+            "->" in "".join(im) for im in self.images
+        ):
+            return ",".join(f"{a}->{''.join(im)}" for a, im in rules)
+        return ", ".join(f"{a} -> {' '.join(im)}" for a, im in rules)
+
+    def _rule_order(self) -> list[int]:
+        """Letter indices whose rules, read in turn, first name the letters in
+        alphabet order; alphabet order when no order does.
+
+        Taking any rule that fits next never blocks a full order: its new
+        letters are the next ones of the alphabet, and it names no later one.
+        """
+        order: list[int] = []
+        pending = list(range(len(self.alphabet)))
+        named = 0  # alphabet[:named] have appeared
+        while pending:
+            for i in pending:
+                m = named
+                for y in (i,) + self.image_idx[i]:
+                    if y == m:
+                        m += 1
+                    elif y > m:
+                        break
+                else:
+                    break
+            else:
+                return list(range(len(self.alphabet)))
+            pending.remove(i)
+            order.append(i)
+            named = m
+        return order
 
     def to_json_dict(self) -> dict:
         single = all(len(a) == 1 for a in self.alphabet)
@@ -224,7 +272,7 @@ def parse_substitution(text: str) -> Substitution:
         lhs = lhs.strip()
         if not lhs:
             raise DslSyntaxError(f"rule {rt.strip()!r} is missing its letter")
-        if not _NAME_RE.match(lhs):
+        if not _NAME_RE.fullmatch(lhs):
             raise DslSyntaxError(f"invalid letter name {lhs!r}")
         pairs.append((lhs, rhs.strip()))
     declared = [l for l, _ in pairs]

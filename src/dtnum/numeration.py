@@ -102,36 +102,34 @@ class DigitWord:
 def _level(sub: Substitution, root: int, need: int, r: int, p: int) -> int:
     """Least ``k >= r``, ``k ≡ r (mod p)``, with ``|mu^k(root)| >= need``
     (``need`` is ``n + 1`` for ``n >= 0``, ``-n`` for ``n < 0``)."""
-    row = sub.lengths.row
+    lengths = sub.lengths
+    rows = lengths.rows(r)
     k = r
-    while row(k)[root] < need:
+    while rows[k][root] < need:
         k += p
+        if k >= len(rows):
+            lengths.rows(k)
     return k
 
 
 def _descend_digits(sub: Substitution, root: int, k: int, offset: int) -> list[int]:
     """Child indices along the path left of column ``offset`` below ``root``."""
-    lengths = sub.lengths
+    rows = sub.lengths.rows(k)
     image_idx = sub.image_idx
     digits: list[int] = []
     x = root
     t = offset
     for level in range(k - 1, -1, -1):
-        row = lengths.row(level)
-        im = image_idx[x]
-        acc = 0
-        pos = -1
-        for i, y in enumerate(im):
+        row = rows[level]
+        for i, y in enumerate(image_idx[x]):
             w = row[y]
-            if t < acc + w:
-                pos = i
+            if t < w:
                 break
-            acc += w
-        if pos < 0:  # only possible on an out-of-range offset
+            t -= w
+        else:  # only possible on an out-of-range offset
             raise OffsetOutOfRangeError("offset beyond row width")
-        digits.append(pos)
-        t -= acc
-        x = im[pos]
+        digits.append(i)
+        x = y
     return digits
 
 
@@ -212,6 +210,9 @@ def _evaluate_path(
     sub: Substitution, root: int, digits: tuple[int, ...], negative: bool
 ) -> int:
     lengths = sub.lengths
+    # grown on demand: the leading zeros of a long non-canonical word
+    # need no rows, and the first nonzero digit needs the highest one
+    rows = lengths.rows(0)
     image_idx = sub.image_idx
     k = len(digits)
     x = root
@@ -223,7 +224,10 @@ def _evaluate_path(
                 f"digit {d} >= |image({sub.alphabet[x]})| = {len(im)}"
             )
         if d:
-            row = lengths.row(k - 1 - i)
+            level = k - 1 - i
+            if level >= len(rows):
+                lengths.rows(level)
+            row = rows[level]
             for y in im[:d]:
                 total += row[y]
         x = im[d]

@@ -84,6 +84,15 @@ class PositionalityReport:
     counterexample: Optional[Counterexample]
     notes: tuple[str, ...]
 
+    def __post_init__(self):
+        if (self.weights is not None) != self.positional or (
+            self.counterexample is not None
+        ) == self.positional:
+            raise ValueError(
+                "a report holds weights exactly when positional and a "
+                "counterexample exactly when not"
+            )
+
     def to_json_dict(self) -> dict:
         rs = self.residue_sets
         data: dict = {
@@ -105,13 +114,11 @@ class PositionalityReport:
             ],
         }
         if self.positional:
-            assert self.weights is not None
             data["U"] = list(self.weights.U)
             data["V"] = list(self.weights.V)
             data["unconstrained"] = list(self.weights.unconstrained)
             data["counterexample"] = None
         else:
-            assert self.counterexample is not None
             ce = self.counterexample
             data["U"] = None
             data["V"] = None
@@ -356,11 +363,9 @@ def weights(ns: NumerationSystem, count: int) -> WeightTable:
     """Weight tables of a positional system; raises otherwise."""
     report = check_positional(ns, weight_count=count)
     if not report.positional:
-        assert report.counterexample is not None
         raise NotPositionalSystemError(
             "system is not positional: " + report.counterexample.describe()
         )
-    assert report.weights is not None
     return report.weights
 
 

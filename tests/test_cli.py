@@ -48,6 +48,26 @@ class TestRep:
         assert code == 0
         assert json.loads(out) == {"n": "4", "word": "020"}
 
+    def test_round_trip_beyond_4300_digits(self, capsys):
+        # the value stays a decimal string here: converting it would hit the
+        # interpreter's own 4300-digit limit on Python >= 3.11
+        n = "-" + "7" * 20000
+        get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+        limit = get_limit()
+        code, word, err = run_cli(capsys, "rep", "--sub", SUB3, "--seed", "c|a", "-n", n)
+        assert (code, err) == (0, "")
+        assert get_limit() == limit
+        code, out, err = run_cli(
+            capsys, "val", "--sub", SUB3, "--seed", "c|a", "--word", word.strip()
+        )
+        assert (code, out, err) == (0, f"{n}\tcanonical\n", "")
+        assert get_limit() == limit
+
+    def test_interpreter_without_digit_limit(self, capsys, monkeypatch):
+        monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+        code, out, _ = run_cli(capsys, "rep", "--sub", SUB3, "--seed", "c|a", "-n", "-5")
+        assert (code, out) == (0, "100\n")
+
     def test_byte_stable(self, capsys):
         args = ("rep", "--sub", INTERTWINED, "--seed", "a|a", "-r", "1",
                 "--range", "-20..20")
@@ -206,6 +226,15 @@ class TestErrorsAndSelftest:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: SyntaxError:")
         assert "Traceback" not in proc.stderr
+
+    def test_json_letter_not_a_name_exit_2(self, capsys):
+        code, _, err = run_cli(
+            capsys, "classify", "--sub",
+            '{"alphabet":["a,b","c"],"images":{"a,b":["a,b","c"],"c":["a,b"]}}',
+            "--root", "c",
+        )
+        assert code == 2
+        assert err == "error: SyntaxError: invalid letter name 'a,b'\n"
 
     def test_unknown_command_exit_1(self, capsys):
         code, _, _ = run_cli(capsys, "frobnicate")

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dtnum import (
+    Substitution,
     find_seeds,
     image_length,
     is_primitive,
@@ -219,6 +220,107 @@ class TestSeeds:
         sub = parse_substitution("a->aab,b->a")
         assert minimal_period(sub, "b", "a") == 2
         assert minimal_period(sub, None, "a") == 1
+
+
+class TestLengthTable:
+    def test_rows_match_the_naive_recursion(self):
+        from helpers import corpus_systems
+
+        subs = {ns.substitution for ns in corpus_systems()}
+        for sub in subs:
+            rows = sub.lengths.rows(60)
+            naive = [1] * len(sub.alphabet)
+            for level in range(61):
+                assert rows[level] == naive, (sub, level)
+                naive = [sum(naive[y] for y in im) for im in sub.image_idx]
+
+    def test_one_letter_image_shares_the_entry_below(self):
+        sub = parse_substitution("a->abc,b->c,c->ac")
+        rows = sub.lengths.rows(200)
+        b, c = sub.index["b"], sub.index["c"]
+        assert rows[199][c].bit_length() > 64
+        assert rows[200][b] is rows[199][c]
+
+    def test_rows_is_the_live_list(self):
+        table = parse_substitution("a->ab,b->a").lengths
+        rows = table.rows(3)
+        assert table.rows(10) is rows and len(rows) == 11
+        assert table.row(7) is rows[7]
+
+
+_NAME_CHARS = st.sampled_from("ab->|,;. \t\n") | st.characters()
+
+
+def _is_name(letter: str) -> bool:
+    """The DSL's letter names: no whitespace, none of ``,;|.``, no ``->``."""
+    return (
+        letter != ""
+        and "->" not in letter
+        and not any(c.isspace() or c in ",;|." for c in letter)
+    )
+
+
+def _expressible(sub) -> bool:
+    """Whether some order of the rules names the letters first in alphabet
+    order, by trying every order."""
+    from itertools import permutations
+
+    for order in permutations(range(len(sub.alphabet))):
+        named: list[str] = []
+        for i in order:
+            for x in (sub.alphabet[i],) + sub.images[i]:
+                if x not in named:
+                    named.append(x)
+        if tuple(named) == sub.alphabet:
+            return True
+    return False
+
+
+class TestTextForms:
+    @pytest.mark.parametrize("letter", ["a,b", "x->y", "a b", "a\n", "", "a|b", "a.b"])
+    def test_json_letter_must_be_a_name(self, letter):
+        data = {"alphabet": [letter, "c"], "images": {letter: [letter, "c"], "c": [letter]}}
+        with pytest.raises(DslSyntaxError, match="invalid letter name"):
+            Substitution.from_json_dict(data)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a->bb,c->cc,b->dd,d->d",
+            "x->xy,z->xz,y->wz,w->w",
+            "p1 -> q1, r1 -> r1 r1, q1 -> s1, s1 -> s1 p1",
+        ],
+    )
+    def test_dsl_keeps_the_letter_order(self, text):
+        # the rules are not in alphabet order, which is first-appearance order
+        sub = parse_substitution(text)
+        assert parse_substitution(sub.to_dsl()) == sub
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_round_trips(self, data):
+        names = st.text(_NAME_CHARS, min_size=1, max_size=3)
+        letters = data.draw(st.lists(names, min_size=1, max_size=5, unique=True))
+        images = data.draw(
+            st.lists(
+                st.lists(st.sampled_from(letters), min_size=1, max_size=4),
+                min_size=len(letters),
+                max_size=len(letters),
+            )
+        )
+        try:
+            sub = Substitution(tuple(letters), tuple(map(tuple, images)))
+        except DslSyntaxError:
+            assert not all(map(_is_name, letters))
+            return
+        except NoGrowingLetterError:
+            return
+        assert Substitution.from_json_dict(sub.to_json_dict()) == sub
+        again = parse_substitution(sub.to_dsl())
+        # the DSL orders letters by first appearance: every image survives,
+        # and the letter order too whenever some rule order can express it
+        assert dict(zip(again.alphabet, again.images)) == dict(zip(sub.alphabet, sub.images))
+        assert (again == sub) == _expressible(sub)
 
 
 class TestGrowth:

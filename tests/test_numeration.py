@@ -314,3 +314,35 @@ class TestCanonicalityRule:
         )
         assert code == 2
         assert capsys.readouterr().err.startswith("error: NotFixedPointSeed:")
+
+
+class TestKernel:
+    """``_level`` and ``_descend_digits`` read the table's live rows."""
+
+    def test_level_independent_of_table_height(self):
+        from dtnum.numeration import _level
+
+        text = "a->aab,b->a"
+        need = 10**40
+        # the reference: the first k ≡ 1 (mod 3) whose naive length reaches need
+        sub = parse_substitution(text)
+        row, k = [1, 1], 0
+        while not (k % 3 == 1 and row[0] >= need):
+            row = [sum(row[y] for y in im) for im in sub.image_idx]
+            k += 1
+        assert k > 40
+        assert _level(sub, 0, need, 1, 3) == k  # cold table
+        for height in (k - 5, k + 30):
+            sub = parse_substitution(text)
+            sub.lengths.rows(height)
+            assert _level(sub, 0, need, 1, 3) == k
+
+    def test_out_of_range_offset_raises(self):
+        from dtnum.numeration import _descend_digits
+
+        sub = parse_substitution("a->abc,b->c,c->ac")
+        root = sub.index["a"]
+        width = sub.lengths.row(6)[root]
+        assert len(_descend_digits(sub, root, 6, width - 1)) == 6
+        with pytest.raises(OffsetOutOfRangeError):
+            _descend_digits(sub, root, 6, width)

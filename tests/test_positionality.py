@@ -186,6 +186,21 @@ class TestCheckPositional:
         assert data2["U"] is None
         assert data2["counterexample"]["letters"] == ["a", "b"]
 
+    def test_mismatched_report_refused(self):
+        from dataclasses import replace
+
+        good = check_positional(make_system("a->aab,b->a", "b|a"))
+        bad = check_positional(make_system("a->abb,b->ab", "b|a"))
+        for fields in (
+            {"positional": False},  # weights, no counterexample
+            {"counterexample": bad.counterexample},  # both
+            {"weights": None},  # neither
+        ):
+            with pytest.raises(ValueError, match="exactly when"):
+                replace(good, **fields)
+        with pytest.raises(ValueError, match="exactly when"):
+            replace(bad, positional=True)
+
 
 class TestWeights:
     def test_intertwined_weights(self):
