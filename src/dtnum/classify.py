@@ -285,34 +285,33 @@ def parry_check(word: UPWord) -> Optional[int]:
 
 def bertrand_classify(sub: Substitution, a1: str) -> str:
     """Classify the system of a fixed-point seed against Bertrand numeration."""
-    form = fabre_form(sub, a1)
-    if form is None:
-        return NOT_FABRE_LIKE
-    word = expansion_word(form)
-    if parry_check(word) is not None:
-        return NOT_BERTRAND
-    if word.preperiod == (1,) and word.cycle == (0,):
-        return TRIVIAL
-    if not word.preperiod:
-        return CANONICAL_SIMPLE_PARRY
-    if word.cycle == (0,):
-        return NON_CANONICAL_SIMPLE_PARRY
-    return CANONICAL_PARRY
+    return classification_json(sub, a1)["class"]
 
 
 def classification_json(sub: Substitution, a1: str) -> dict:
     """Machine-readable classification record for the CLI."""
     form = fabre_form(sub, a1)
     data: dict = {"fabre": None, "d_word": None, "parry": None}
-    if form is not None:
-        word = expansion_word(form)
-        shift = parry_check(word)
-        data["fabre"] = {"digits": list(form.digits), "cycle_entry": form.cycle_entry}
-        data["d_word"] = {"preperiod": list(word.preperiod), "cycle": list(word.cycle)}
-        data["parry"] = "pass" if shift is None else f"fail@{shift}"
-    data["class"] = bertrand_classify(sub, a1)
-    if form is None and fabre_like_periodic(sub, a1):
-        data["diagnostic"] = "FabreLikePeriodic"
+    if form is None:
+        data["class"] = NOT_FABRE_LIKE
+        if fabre_like_periodic(sub, a1):
+            data["diagnostic"] = "FabreLikePeriodic"
+        return data
+    word = expansion_word(form)
+    shift = parry_check(word)
+    data["fabre"] = {"digits": list(form.digits), "cycle_entry": form.cycle_entry}
+    data["d_word"] = {"preperiod": list(word.preperiod), "cycle": list(word.cycle)}
+    data["parry"] = "pass" if shift is None else f"fail@{shift}"
+    if shift is not None:
+        data["class"] = NOT_BERTRAND
+    elif word.preperiod == (1,) and word.cycle == (0,):
+        data["class"] = TRIVIAL
+    elif not word.preperiod:
+        data["class"] = CANONICAL_SIMPLE_PARRY
+    elif word.cycle == (0,):
+        data["class"] = NON_CANONICAL_SIMPLE_PARRY
+    else:
+        data["class"] = CANONICAL_PARRY
     return data
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import re
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Literal, Optional, Sequence, Union
@@ -39,26 +40,28 @@ class _LengthTable:
     of copying it. Rows are appended fully built and never mutated
     afterwards: a reader holding the list from ``rows`` may index any
     level below its current length while another call grows it. Growth
-    itself is not locked: two threads growing one table at once can
-    append the same level twice.
+    runs under a lock, so threads growing one table at once append each
+    level exactly once.
     """
 
-    __slots__ = ("_split", "_rows")
+    __slots__ = ("_split", "_rows", "_lock")
 
     def __init__(self, image_idx: tuple[tuple[int, ...], ...]):
         self._split = tuple((im[0], im[1:]) for im in image_idx)
         self._rows: list[list[int]] = [[1] * len(image_idx)]
+        self._lock = threading.Lock()
 
     def rows(self, level: int) -> list[list[int]]:
         """The live, append-only list of rows, grown through ``level``."""
         rows = self._rows
         if len(rows) <= level:
-            split = self._split
-            prev = rows[-1]
-            while len(rows) <= level:
-                get = prev.__getitem__
-                prev = [sum(map(get, tail), prev[head]) for head, tail in split]
-                rows.append(prev)
+            with self._lock:
+                split = self._split
+                prev = rows[-1]
+                while len(rows) <= level:
+                    get = prev.__getitem__
+                    prev = [sum(map(get, tail), prev[head]) for head, tail in split]
+                    rows.append(prev)
         return rows
 
     def row(self, level: int) -> list[int]:
@@ -155,11 +158,6 @@ class Substitution:
     def lengths(self) -> _LengthTable:
         return _LengthTable(self.image_idx)
 
-    @property
-    def digit_bound(self) -> int:
-        """Largest digit value of the induced numeration: max image length - 1."""
-        return max(len(im) for im in self.images) - 1
-
     # -- letter-level helpers ----------------------------------------------
 
     def letter_index(self, letter: str) -> int:
@@ -170,10 +168,6 @@ class Substitution:
 
     def image(self, letter: str) -> tuple[str, ...]:
         return self.images[self.letter_index(letter)]
-
-    def is_growing(self, letter: str) -> bool:
-        self.letter_index(letter)
-        return letter in self.growing
 
     # -- text forms ---------------------------------------------------------
 
@@ -398,8 +392,8 @@ def _bool_row_mul(row_mask: int, base: list[int]) -> int:
 class SeedSpec:
     """Seed of a periodic point: left letter, right letter, and a period.
 
-    One side may be absent; ``domain`` is derived from which sides are
-    present. The period may be any positive multiple of the minimal one.
+    One side may be absent. The period may be any positive multiple of
+    the minimal one.
     """
 
     left: Optional[str]
@@ -411,12 +405,6 @@ class SeedSpec:
             raise InvalidSeedError("seed needs at least one side")
         if self.period < 1:
             raise InvalidSeedError("period must be >= 1")
-
-    @property
-    def domain(self) -> Domain:
-        if self.left is not None and self.right is not None:
-            return "Z"
-        return "N" if self.right is not None else "Zneg"
 
     def text(self) -> str:
         return f"{self.left or '_'}|{self.right or '_'}"
@@ -434,80 +422,58 @@ def parse_seed(text: str) -> tuple[Optional[str], Optional[str]]:
     return left, right
 
 
-def _cycle_length(step: dict[int, int], start: int, bound: int) -> Optional[int]:
-    x = start
-    for t in range(1, bound + 1):
-        x = step[x]
+def _cycle_length(sub: Substitution, letter: str, end: int) -> Optional[int]:
+    """Length of the cycle through ``letter`` of the map sending each letter
+    to the first (``end`` 0) or last (``end`` -1) letter of its image."""
+    img = sub.image_idx
+    start = x = sub.letter_index(letter)
+    for t in range(1, len(img) + 1):
+        x = img[x][end]
         if x == start:
             return t
     return None
 
 
-def _first_letter_map(sub: Substitution) -> dict[int, int]:
-    return {i: im[0] for i, im in enumerate(sub.image_idx)}
-
-
-def _last_letter_map(sub: Substitution) -> dict[int, int]:
-    return {i: im[-1] for i, im in enumerate(sub.image_idx)}
-
-
 def first_letter_cycle(sub: Substitution, letter: str) -> Optional[int]:
     """Length of the first-letter cycle through ``letter``, if it lies on one."""
-    return _cycle_length(_first_letter_map(sub), sub.letter_index(letter), len(sub.alphabet))
+    return _cycle_length(sub, letter, 0)
 
 
 def last_letter_cycle(sub: Substitution, letter: str) -> Optional[int]:
-    return _cycle_length(_last_letter_map(sub), sub.letter_index(letter), len(sub.alphabet))
-
-
-def validate_seed(sub: Substitution, seed: SeedSpec) -> None:
-    """Raise InvalidSeedError unless ``seed`` determines a periodic point."""
-    if seed.right is not None:
-        if seed.right not in sub.index:
-            raise InvalidSeedError(f"right seed letter {seed.right!r} not in alphabet")
-        if not sub.is_growing(seed.right):
-            raise InvalidSeedError(f"right seed letter {seed.right!r} is not growing")
-        t = first_letter_cycle(sub, seed.right)
-        if t is None:
-            raise InvalidSeedError(
-                f"no power of the substitution maps {seed.right!r} to a word starting with it"
-            )
-        if seed.period % t != 0:
-            raise InvalidSeedError(
-                f"period {seed.period} is not a multiple of the minimal right period {t}"
-            )
-    if seed.left is not None:
-        if seed.left not in sub.index:
-            raise InvalidSeedError(f"left seed letter {seed.left!r} not in alphabet")
-        if not sub.is_growing(seed.left):
-            raise InvalidSeedError(f"left seed letter {seed.left!r} is not growing")
-        t = last_letter_cycle(sub, seed.left)
-        if t is None:
-            raise InvalidSeedError(
-                f"no power of the substitution maps {seed.left!r} to a word ending with it"
-            )
-        if seed.period % t != 0:
-            raise InvalidSeedError(
-                f"period {seed.period} is not a multiple of the minimal left period {t}"
-            )
+    """Length of the last-letter cycle through ``letter``, if it lies on one."""
+    return _cycle_length(sub, letter, -1)
 
 
 def minimal_period(sub: Substitution, left: Optional[str], right: Optional[str]) -> int:
-    """Minimal period of the periodic point with the given seed letters."""
+    """Minimal period of the periodic point with the given seed letters.
+
+    A right seed letter must grow and lie on a cycle of the first-letter
+    map, a left one on a cycle of the last-letter map; the minimal period
+    is the lcm of the cycle lengths.
+    """
     parts = []
-    if right is not None:
-        t = first_letter_cycle(sub, right)
-        if t is None or not sub.is_growing(right):
-            raise InvalidSeedError(f"{right!r} is not a valid right seed letter")
-        parts.append(t)
-    if left is not None:
-        t = last_letter_cycle(sub, left)
-        if t is None or not sub.is_growing(left):
-            raise InvalidSeedError(f"{left!r} is not a valid left seed letter")
+    for letter, side, cycle in (
+        (right, "right", first_letter_cycle),
+        (left, "left", last_letter_cycle),
+    ):
+        if letter is None:
+            continue
+        t = cycle(sub, letter)
+        if t is None or letter not in sub.growing:
+            raise InvalidSeedError(f"{letter!r} is not a valid {side} seed letter")
         parts.append(t)
     if not parts:
         raise InvalidSeedError("seed needs at least one side")
     return math.lcm(*parts)
+
+
+def validate_seed(sub: Substitution, seed: SeedSpec) -> None:
+    """Raise InvalidSeedError unless ``seed`` determines a periodic point."""
+    p = minimal_period(sub, seed.left, seed.right)
+    if seed.period % p != 0:
+        raise InvalidSeedError(
+            f"period {seed.period} is not a multiple of the minimal period {p}"
+        )
 
 
 def find_seeds(sub: Substitution, domain: Domain) -> list[SeedSpec]:
@@ -519,18 +485,15 @@ def find_seeds(sub: Substitution, domain: Domain) -> list[SeedSpec]:
     """
     if domain not in DOMAINS:
         raise ValueError(f"domain must be one of {DOMAINS}")
-    fmap = _first_letter_map(sub)
-    gmap = _last_letter_map(sub)
-    n = len(sub.alphabet)
     rights = []
     lefts = []
-    for i, a in enumerate(sub.alphabet):
+    for a in sub.alphabet:
         if a not in sub.growing:
             continue
-        t = _cycle_length(fmap, i, n)
+        t = first_letter_cycle(sub, a)
         if t is not None:
             rights.append((a, t))
-        t = _cycle_length(gmap, i, n)
+        t = last_letter_cycle(sub, a)
         if t is not None:
             lefts.append((a, t))
     if domain == "N":
@@ -571,14 +534,6 @@ class NumerationSystem:
     @property
     def right(self) -> Optional[str]:
         return self.seed.right
-
-    @property
-    def domain(self) -> Domain:
-        return self.seed.domain
-
-    @property
-    def digit_bound(self) -> int:
-        return self.substitution.digit_bound
 
     def contains(self, n: int) -> bool:
         if n >= 0:
@@ -637,13 +592,7 @@ def make_system(
     if isinstance(seed, str):
         left, right = parse_seed(seed)
         p = minimal_period(sub, left, right)
-        if period is not None:
-            if period % p != 0:
-                raise InvalidSeedError(
-                    f"period {period} is not a multiple of the minimal period {p}"
-                )
-            p = period
-        seed = SeedSpec(left, right, p)
+        seed = SeedSpec(left, right, p if period is None else period)
     elif period is not None:
         seed = SeedSpec(seed.left, seed.right, period)
     return NumerationSystem(sub, seed, residue)

@@ -136,9 +136,7 @@ class PositionalityReport:
 # -- residue letter sets --------------------------------------------------------
 
 
-def compute_residue_sets(
-    ns: NumerationSystem, search_depth: Optional[int] = None
-) -> ResidueSets:
+def compute_residue_sets(ns: NumerationSystem) -> ResidueSets:
     """Letter sets per residue class of tree levels.
 
     Runs a closure over occurrence states (letter, level residue, kind),
@@ -146,16 +144,10 @@ def compute_residue_sets(
     chain) from all others: a spine occurrence hides its second-to-last
     child position, whose younger sibling would land on column -1. The
     column -2 adjustment is then applied at the literal levels 1..p-1.
-
-    ``search_depth`` bounds the closure's breadth-first steps; the
-    default explores to the fixpoint, which is reached within the state
-    bound 2 * |alphabet| * period.
+    Each of the 2 * |alphabet| * period states enters the frontier at
+    most once, so the closure always reaches its fixpoint.
     """
     ns, _ = ns.restricted()
-    return _residue_sets(ns, search_depth)
-
-
-def _residue_sets(ns: NumerationSystem, search_depth: Optional[int] = None) -> ResidueSets:
     sub = ns.substitution
     p = ns.period
     img = sub.image_idx
@@ -173,11 +165,7 @@ def _residue_sets(ns: NumerationSystem, search_depth: Optional[int] = None) -> R
         spine[i][0] = True
         frontier.append((True, i, 0))
 
-    steps = 0
     while frontier:
-        if search_depth is not None and steps >= search_depth:
-            break
-        steps += 1
         next_frontier: list[tuple[bool, int, int]] = []
         for is_spine, x, i in frontier:
             j = (i + 1) % p
@@ -261,7 +249,7 @@ def check_positional(ns: NumerationSystem, weight_count: int = 8) -> Positionali
     sub = ns2.substitution
     p = ns2.period
     r = ns2.residue
-    rs = _residue_sets(ns2)
+    rs = compute_residue_sets(ns2)
 
     notes = []
     if dropped:

@@ -43,10 +43,6 @@ class TreeSlice:
     def row_letters(self, level: int) -> tuple[str, ...]:
         return tuple(node.letter for node in self.levels[level])
 
-    def left_width(self, level: int) -> int:
-        row = self.levels[level]
-        return -row[0].column if row and row[0].column < 0 else 0
-
     def node_count(self) -> int:
         return sum(len(row) for row in self.levels)
 

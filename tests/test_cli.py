@@ -236,6 +236,29 @@ class TestErrorsAndSelftest:
         assert code == 2
         assert err == "error: SyntaxError: invalid letter name 'a,b'\n"
 
+    @pytest.mark.parametrize(
+        "sub, seed, extra, err",
+        [
+            (SUB3, "z|a", [], "UnknownLetter: unknown letter 'z'"),
+            (SUB3, "_|b", [], "InvalidSeed: 'b' is not a valid right seed letter"),
+            (SUB3, "b|_", [], "InvalidSeed: 'b' is not a valid left seed letter"),
+            ("a->ab,b->b", "_|b", [], "InvalidSeed: 'b' is not a valid right seed letter"),
+            (
+                "a->ab,b->a", "a|a", ["--period", "3"],
+                "InvalidSeed: period 3 is not a multiple of the minimal period 2",
+            ),
+            (
+                SUB3, "c|a", ["-r", "1"],
+                "InvalidSeed: residue 1 must satisfy 0 <= r < period 1",
+            ),
+        ],
+    )
+    def test_seed_errors_exit_2(self, capsys, sub, seed, extra, err):
+        code, out, stderr = run_cli(
+            capsys, "rep", "--sub", sub, "--seed", seed, *extra, "-n", "1"
+        )
+        assert (code, out, stderr) == (2, "", f"error: {err}\n")
+
     def test_unknown_command_exit_1(self, capsys):
         code, _, _ = run_cli(capsys, "frobnicate")
         assert code == 1

@@ -1,9 +1,15 @@
 from __future__ import annotations
 
+import math
+import random
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dtnum import (
+    SeedSpec,
     Substitution,
     find_seeds,
     image_length,
@@ -221,6 +227,66 @@ class TestSeeds:
         assert minimal_period(sub, "b", "a") == 2
         assert minimal_period(sub, None, "a") == 1
 
+    def test_seed_rule_matches_string_rewriting(self):
+        # reference: a letter grows when its word still lengthens between
+        # levels n and 2n; its period is the least t <= n with mu^t(x)
+        # starting (right side) or ending (left side) with x
+        for sub in random_substitutions(random.Random(1), 400):
+            n = len(sub.alphabet)
+
+            def period(x, end):
+                if len(expand_word(sub, x, 2 * n)) == len(expand_word(sub, x, n)):
+                    return None
+                return next(
+                    (t for t in range(1, n + 1) if expand_word(sub, x, t)[end] == x),
+                    None,
+                )
+
+            right = {x: period(x, 0) for x in sub.alphabet}
+            left = {x: period(x, -1) for x in sub.alphabet}
+            rights = [(a, t) for a, t in right.items() if t is not None]
+            lefts = [(b, t) for b, t in left.items() if t is not None]
+            expected = {
+                "N": [(None, a, t) for a, t in rights],
+                "Zneg": [(b, None, t) for b, t in lefts],
+                "Z": [(b, a, math.lcm(tb, ta)) for b, tb in lefts for a, ta in rights],
+            }
+            for domain, seeds in expected.items():
+                found = find_seeds(sub, domain)
+                assert [(s.left, s.right, s.period) for s in found] == seeds, sub
+
+            sides = (None,) + sub.alphabet
+            for b in sides:
+                for a in sides:
+                    if a is None and b is None:
+                        continue
+                    if a is not None and right[a] is None:
+                        fault = f"{a!r} is not a valid right seed letter"
+                    elif b is not None and left[b] is None:
+                        fault = f"{b!r} is not a valid left seed letter"
+                    else:
+                        fault = None
+                    if fault is not None:
+                        with pytest.raises(InvalidSeedError) as err:
+                            minimal_period(sub, b, a)
+                        assert str(err.value) == fault, sub
+                        continue
+                    p = math.lcm(*(t for t in (left.get(b), right.get(a)) if t))
+                    assert minimal_period(sub, b, a) == p, sub
+                    for q in (1, 2, 3, 6):
+                        if q % p == 0:
+                            validate_seed(sub, SeedSpec(b, a, q))
+                        else:
+                            with pytest.raises(InvalidSeedError, match="not a multiple"):
+                                validate_seed(sub, SeedSpec(b, a, q))
+
+    def test_seed_letter_outside_the_alphabet(self):
+        sub = parse_substitution("a->ab,b->a")
+        with pytest.raises(UnknownLetterError, match="unknown letter 'z'"):
+            validate_seed(sub, SeedSpec("z", "a", 2))
+        with pytest.raises(UnknownLetterError, match="unknown letter 'z'"):
+            minimal_period(sub, None, "z")
+
 
 class TestLengthTable:
     def test_rows_match_the_naive_recursion(self):
@@ -240,6 +306,28 @@ class TestLengthTable:
         b, c = sub.index["b"], sub.index["c"]
         assert rows[199][c].bit_length() > 64
         assert rows[200][b] is rows[199][c]
+
+    def test_concurrent_growth_appends_each_level_once(self):
+        text = "a->abc,b->c,c->ac"
+        expected = parse_substitution(text).lengths.rows(400)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            bad = 0
+            for _ in range(30):
+                table = parse_substitution(text).lengths
+                threads = [
+                    threading.Thread(target=table.rows, args=(400,)) for _ in range(4)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                bad += table.rows(400) != expected
+        finally:
+            sys.setswitchinterval(interval)
+        assert bad == 0
 
     def test_rows_is_the_live_list(self):
         table = parse_substitution("a->ab,b->a").lengths

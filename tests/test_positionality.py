@@ -70,14 +70,6 @@ class TestResidueSets:
         ob = rs.obligations[0]
         assert (ob.residue, ob.letter, ob.exponent, ob.reference) == (1, "c", 1, ("b",))
 
-    def test_search_depth_stability(self, golden_complement):
-        for entry, ns in golden_complement:
-            ns2, _ = ns.restricted()
-            bound = 2 * len(ns2.substitution.alphabet) * ns2.period
-            at_bound = compute_residue_sets(ns, search_depth=bound)
-            assert at_bound == compute_residue_sets(ns, search_depth=2 * bound)
-            assert at_bound == compute_residue_sets(ns)
-
     def test_tree_occurrences_subset_of_base(self, golden_complement):
         for entry, ns in golden_complement:
             ns2, _ = ns.restricted()
