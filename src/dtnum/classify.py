@@ -171,8 +171,11 @@ def fabre_like_periodic(sub: Substitution, a1: str) -> bool:
     e, with the seed sitting on a first-letter cycle of length > 1. Such
     systems fall outside the Bertrand classification here.
     """
-    if fabre_form(sub, a1) is not None:
-        return False
+    return fabre_form(sub, a1) is None and _periodic_chain_shape(sub, a1)
+
+
+def _periodic_chain_shape(sub: Substitution, a1: str) -> bool:
+    """``fabre_like_periodic`` for a root already known not to be Fabre-like."""
     reach = reachable_letters(sub, [a1])
     sub_r = restrict(sub, reach)
     nonfinal = nonfinal_letters(sub_r)
@@ -294,7 +297,7 @@ def classification_json(sub: Substitution, a1: str) -> dict:
     data: dict = {"fabre": None, "d_word": None, "parry": None}
     if form is None:
         data["class"] = NOT_FABRE_LIKE
-        if fabre_like_periodic(sub, a1):
+        if _periodic_chain_shape(sub, a1):
             data["diagnostic"] = "FabreLikePeriodic"
         return data
     word = expansion_word(form)

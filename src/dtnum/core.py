@@ -32,22 +32,38 @@ DOMAINS: tuple[Domain, ...] = ("N", "Zneg", "Z")
 _NAME_RE = re.compile(r"(?:(?!->)[^\s,;|.])+")
 
 
+# an image longer than this is summed by one ``sum`` call: the compiler
+# recurses once per ``+``, so a chain of 10,000 terms overflows its stack
+_MAX_INLINE_TERMS = 32
+
+
+def _entry_source(image: tuple[int, ...]) -> str:
+    terms = [f"p[{y}]" for y in image]
+    if len(terms) <= _MAX_INLINE_TERMS:
+        return " + ".join(terms)
+    return f"sum(({', '.join(terms[1:])},), {terms[0]})"
+
+
 class _LengthTable:
     """Grow-on-demand rows of ``|mu^level(x)|`` per letter index.
 
-    An entry is its image's tail entries one level down, summed onto the
-    head entry, so a one-letter image shares the entry below it instead
-    of copying it. Rows are appended fully built and never mutated
-    afterwards: a reader holding the list from ``rows`` may index any
-    level below its current length while another call grows it. Growth
-    runs under a lock, so threads growing one table at once append each
-    level exactly once.
+    One row is made from the row below by a step compiled once per
+    substitution: ``lambda p: [p[0] + p[1] + p[2], p[2], p[0] + p[2]]``
+    for ``a->abc,b->c,c->ac``, built from integer letter indices only. A
+    one-letter image is a bare ``p[y]``, so its entry is the entry below
+    it, shared, not copied. Rows are appended fully built and never
+    mutated afterwards: a reader holding the list from ``rows`` may index
+    any level below its current length while another call grows it.
+    Growth, by ``rows`` or by ``level``, takes the lock once and appends
+    every row it needs inside it, so threads growing one table at once
+    append each level exactly once.
     """
 
-    __slots__ = ("_split", "_rows", "_lock")
+    __slots__ = ("_step", "_rows", "_lock")
 
     def __init__(self, image_idx: tuple[tuple[int, ...], ...]):
-        self._split = tuple((im[0], im[1:]) for im in image_idx)
+        source = "lambda p: [" + ", ".join(map(_entry_source, image_idx)) + "]"
+        self._step = eval(source, {"__builtins__": {}, "sum": sum})
         self._rows: list[list[int]] = [[1] * len(image_idx)]
         self._lock = threading.Lock()
 
@@ -56,16 +72,36 @@ class _LengthTable:
         rows = self._rows
         if len(rows) <= level:
             with self._lock:
-                split = self._split
-                prev = rows[-1]
+                step = self._step
                 while len(rows) <= level:
-                    get = prev.__getitem__
-                    prev = [sum(map(get, tail), prev[head]) for head, tail in split]
-                    rows.append(prev)
+                    rows.append(step(rows[-1]))
         return rows
 
     def row(self, level: int) -> list[int]:
         return self.rows(level)[level]
+
+    def level(self, root: int, need: int, r: int, p: int) -> int:
+        """Least ``k >= r``, ``k ≡ r (mod p)``, with ``|mu^k(root)| >= need``.
+
+        Rows already built are scanned without the lock; past the top row
+        the table grows under one lock, row by row, up to the answer and
+        never beyond it.
+        """
+        rows = self._rows
+        k = r
+        top = len(rows)
+        while k < top:
+            if rows[k][root] >= need:
+                return k
+            k += p
+        with self._lock:
+            step = self._step
+            while True:
+                while len(rows) <= k:
+                    rows.append(step(rows[-1]))
+                if rows[k][root] >= need:
+                    return k
+                k += p
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,12 @@ with exact image lengths; ``mu^k(seed)`` is never expanded as a string,
 so values with thousands of digits are fine. The sign digit 0/1 selects
 the non-negative/negative subtree of a two-sided system.
 
-One level search (``_level``) and one descent (``_descend_digits``)
-serve every map; a word is canonical exactly when its length is the
-level ``_level`` gives for its value, so ``val`` never re-runs ``rep``.
+One level search and one descent serve every map. The search is the
+length table's ``level``: the least admissible ``k`` with
+``|mu^k(root)| >= need``, where ``need`` is ``n + 1`` for ``n >= 0`` and
+``-n`` for ``n < 0``. The descent is ``_descend_digits``. A word is
+canonical exactly when its length is the level the search gives for its
+value, so ``val`` never re-runs ``rep``.
 """
 
 from __future__ import annotations
@@ -99,19 +102,6 @@ class DigitWord:
 # -- descent ------------------------------------------------------------------
 
 
-def _level(sub: Substitution, root: int, need: int, r: int, p: int) -> int:
-    """Least ``k >= r``, ``k ≡ r (mod p)``, with ``|mu^k(root)| >= need``
-    (``need`` is ``n + 1`` for ``n >= 0``, ``-n`` for ``n < 0``)."""
-    lengths = sub.lengths
-    rows = lengths.rows(r)
-    k = r
-    while rows[k][root] < need:
-        k += p
-        if k >= len(rows):
-            lengths.rows(k)
-    return k
-
-
 def _descend_digits(sub: Substitution, root: int, k: int, offset: int) -> list[int]:
     """Child indices along the path left of column ``offset`` below ``root``."""
     rows = sub.lengths.rows(k)
@@ -175,7 +165,7 @@ def rep(ns: NumerationSystem, n: int) -> DigitWord:
         if side is None:
             raise SideMissingError("system has no left seed: cannot represent n < 0")
     root = sub.index[side]
-    k = _level(sub, root, need, ns.residue, ns.period)
+    k = sub.lengths.level(root, need, ns.residue, ns.period)
     # a negative n is the column |mu^k(left)| + n of the left tree
     offset = n % sub.lengths.row(k)[root]
     return DigitWord(tuple(_descend_digits(sub, root, k, offset)), sign)
@@ -202,7 +192,7 @@ def val(ns: NumerationSystem, word: Union[DigitWord, str]) -> tuple[int, bool]:
     root = sub.index[side]
     value = _evaluate_path(sub, root, word.digits, negative=word.sign == 1)
     need = value + 1 if value >= 0 else -value
-    canonical = len(word.digits) == _level(sub, root, need, ns.residue, ns.period)
+    canonical = len(word.digits) == sub.lengths.level(root, need, ns.residue, ns.period)
     return value, canonical
 
 
@@ -254,7 +244,7 @@ def rep_classic_N(sub: Substitution, root: str, n: int) -> DigitWord:
     _require_fixed_point(sub, root_idx)
     if n < 0:
         raise ValueError("classic representation is defined for n >= 0")
-    k = _level(sub, root_idx, n + 1, 0, 1)
+    k = sub.lengths.level(root_idx, n + 1, 0, 1)
     return DigitWord(tuple(_descend_digits(sub, root_idx, k, n)))
 
 
@@ -269,7 +259,7 @@ def val_classic_N(
     root_idx = sub.letter_index(root)
     value = _evaluate_path(sub, root_idx, word.digits, negative=False)
     _require_fixed_point(sub, root_idx)
-    canonical = len(word.digits) == _level(sub, root_idx, value + 1, 0, 1)
+    canonical = len(word.digits) == sub.lengths.level(root_idx, value + 1, 0, 1)
     return value, canonical
 
 

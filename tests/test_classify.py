@@ -239,6 +239,25 @@ class TestBertrandClassify:
         none = classification_json(parse_substitution("a->ab,b->ba"), "a")
         assert none["fabre"] is None and none["class"] == NOT_FABRE_LIKE
 
+    def test_fabre_form_runs_once_per_classification(self, monkeypatch):
+        import dtnum.classify as classify
+
+        calls = []
+
+        def counted(sub, a1):
+            calls.append(a1)
+            return fabre_form(sub, a1)
+
+        monkeypatch.setattr(classify, "fabre_form", counted)
+        sub = parse_substitution("a->ab,b->ba")
+        assert "diagnostic" not in classification_json(sub, "a")
+        assert calls == ["a"]
+        assert bertrand_classify(sub, "a") == NOT_FABRE_LIKE
+        assert calls == ["a", "a"]
+        periodic = classification_json(parse_substitution("a->xxa,x->a"), "a")
+        assert periodic["diagnostic"] == "FabreLikePeriodic"
+        assert len(calls) == 3
+
     def test_bertrand_classes_match_greedy(self):
         for text in ("a->ab,b->a", "a->ab,b->b", "a->aa", "a->ab,b->ac,c->c",
                      "a->aab,b->ab"):

@@ -23,6 +23,7 @@ from dtnum import (
     substitution_from_text,
     validate_seed,
 )
+from dtnum.core import _LengthTable
 from dtnum.errors import (
     DslSyntaxError,
     EmptyImageError,
@@ -307,17 +308,71 @@ class TestLengthTable:
         assert rows[199][c].bit_length() > 64
         assert rows[200][b] is rows[199][c]
 
+    def test_level_matches_a_linear_scan(self):
+        from helpers import corpus_systems
+
+        rng = random.Random(5)
+        top = 60
+        for ns in corpus_systems():
+            sub = ns.substitution
+            naive = [[1] * len(sub.alphabet)]
+            while len(naive) <= top + 7:  # room for a table built past the answer
+                naive.append([sum(naive[-1][y] for y in im) for im in sub.image_idx])
+            for side in (ns.right, ns.left):
+                if side is None:
+                    continue
+                root = sub.index[side]
+                for p in (1, 2, 3):
+                    for r in range(p):
+                        need = rng.randint(1, naive[rng.randrange(r, top + 1, p)][root])
+                        k = r
+                        while naive[k][root] < need:
+                            k += p
+                        for height in (None, k - 1, k + 7):
+                            table = _LengthTable(sub.image_idx)
+                            if height is not None:
+                                table.rows(height)
+                            assert table.level(root, need, r, p) == k, (sub, side, need, r, p)
+                            # never built past the answer
+                            built = max(k, 0 if height is None else height)
+                            assert len(table.rows(0)) == built + 1
+                            assert table.rows(0) == naive[: built + 1]
+
+    def test_long_images_grow_like_the_naive_recursion(self):
+        # 10,000 terms as one "+" chain would overflow the compiler's stack
+        sub = Substitution(
+            ("a", "b", "c"),
+            (("a", "b") * 5000, ("b",) * 32 + ("a",), ("c", "a") * 16),
+        )
+        rows = sub.lengths.rows(12)
+        naive = [1, 1, 1]
+        for level in range(13):
+            assert rows[level] == naive, level
+            naive = [sum(naive[y] for y in im) for im in sub.image_idx]
+
     def test_concurrent_growth_appends_each_level_once(self):
         text = "a->abc,b->c,c->ac"
         expected = parse_substitution(text).lengths.rows(400)
+        a = parse_substitution(text).index["a"]
+        needs = [expected[k][a] for k in (100, 250, 399, 400)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             bad = 0
             for _ in range(30):
+                # four threads grow one table by rows(400), four another by level
                 table = parse_substitution(text).lengths
                 threads = [
                     threading.Thread(target=table.rows, args=(400,)) for _ in range(4)
+                ]
+                table2 = parse_substitution(text).lengths
+                levels = []
+                threads += [
+                    threading.Thread(
+                        target=lambda need: levels.append(table2.level(a, need, 0, 1)),
+                        args=(need,),
+                    )
+                    for need in needs
                 ]
                 for t in threads:
                     t.start()
@@ -325,6 +380,8 @@ class TestLengthTable:
                     t.join(timeout=60)
                 assert not any(t.is_alive() for t in threads)
                 bad += table.rows(400) != expected
+                bad += table2.rows(0) != expected
+                assert sorted(levels) == [100, 250, 399, 400]
         finally:
             sys.setswitchinterval(interval)
         assert bad == 0

@@ -317,11 +317,9 @@ class TestCanonicalityRule:
 
 
 class TestKernel:
-    """``_level`` and ``_descend_digits`` read the table's live rows."""
+    """The level search and ``_descend_digits`` read the table's live rows."""
 
     def test_level_independent_of_table_height(self):
-        from dtnum.numeration import _level
-
         text = "a->aab,b->a"
         need = 10**40
         # the reference: the first k ≡ 1 (mod 3) whose naive length reaches need
@@ -331,11 +329,11 @@ class TestKernel:
             row = [sum(row[y] for y in im) for im in sub.image_idx]
             k += 1
         assert k > 40
-        assert _level(sub, 0, need, 1, 3) == k  # cold table
+        assert sub.lengths.level(0, need, 1, 3) == k  # cold table
         for height in (k - 5, k + 30):
             sub = parse_substitution(text)
             sub.lengths.rows(height)
-            assert _level(sub, 0, need, 1, 3) == k
+            assert sub.lengths.level(0, need, 1, 3) == k
 
     def test_out_of_range_offset_raises(self):
         from dtnum.numeration import _descend_digits
