@@ -5,15 +5,15 @@ class j of tree levels, collect the letters that occur somewhere at such
 a level with a younger sibling, track a column -2 adjustment next to the
 left spine, and decide positionality by testing that iterated image
 lengths are constant over each set (sampled finitely, which suffices by
-the characteristic polynomial of the adjacency matrix). An exact
-rational weight-fitting oracle cross-checks the verdict from collected
+the characteristic polynomial of the adjacency matrix). A weight-fitting
+oracle, exact and integer-only, cross-checks the verdict from collected
 representations alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 from typing import Optional, Union
 
 from .core import NumerationSystem, first_length_mismatch
@@ -393,12 +393,42 @@ FitResult = Union[ConsistentWeights, WeightContradiction]
 
 
 class _Row:
-    __slots__ = ("coeffs", "rhs", "sources")
+    """A solved equation ``d*pivot + sum(coeffs[v]*v) = rhs`` in integers.
 
-    def __init__(self, coeffs: dict, rhs: Fraction, sources: set):
+    Kept primitive: ``d > 0`` and the gcd of ``d``, the coefficients and
+    ``rhs`` is 1, so a row with no free coefficient holds its pivot's value
+    ``rhs/d`` in lowest terms.
+    """
+
+    __slots__ = ("d", "coeffs", "rhs", "sources")
+
+    def __init__(self, d: int, coeffs: dict, rhs: int, sources: set):
+        coeffs = {v: c for v, c in coeffs.items() if c}
+        g = gcd(d, rhs, *coeffs.values())
+        if d < 0:
+            g = -g
+        if g != 1:
+            d //= g
+            rhs //= g
+            coeffs = {v: c // g for v, c in coeffs.items()}
+        self.d = d
         self.coeffs = coeffs
         self.rhs = rhs
         self.sources = sources
+
+
+def _eliminate(coeffs: dict, rhs: int, c: int, row: _Row) -> int:
+    """Scale an equation by ``row.d`` and subtract ``c`` times ``row``, which
+    removes ``row``'s pivot, whose coefficient was ``c``. ``coeffs`` is
+    updated in place; the new right-hand side is returned."""
+    d = row.d
+    if d != 1:
+        for v in coeffs:
+            coeffs[v] *= d
+        rhs *= d
+    for v, cv in row.coeffs.items():
+        coeffs[v] = coeffs.get(v, 0) - c * cv
+    return rhs - c * row.rhs
 
 
 def _var_name(var: tuple[str, int]) -> str:
@@ -418,11 +448,12 @@ def fit_weights_oracle(ns: NumerationSystem, lo: int, hi: int) -> FitResult:
     """Fit positional weights to the representations of ``[lo, hi]`` exactly.
 
     Builds one linear equation per integer in range (over the system's
-    domain) from the positional evaluation shape, solves over the
-    rationals, and returns either the solved coordinates or a
-    contradiction certificate naming the witnessing integers. A solved
-    coordinate that is negative or non-integral is also a contradiction:
-    weights must be natural numbers.
+    domain) from the positional evaluation shape and solves the system by
+    exact, integer-only (fraction-free) elimination: each solved row keeps
+    an integer pivot coefficient and is divided by its gcd. Returns either
+    the solved coordinates or a contradiction certificate naming the
+    witnessing integers. A solved coordinate that is negative or
+    non-integral is also a contradiction: weights must be natural numbers.
     """
     pivots: dict[tuple[str, int], _Row] = {}
     for n in _domain_values(ns, lo, hi):
@@ -434,15 +465,15 @@ def fit_weights_oracle(ns: NumerationSystem, lo: int, hi: int) -> FitResult:
                 original[("U", k - 1 - i)] = d
         if word.sign == 1:
             original[("V", k)] = -1
-        coeffs = {v: Fraction(c) for v, c in original.items()}
-        rhs = Fraction(n)
+        coeffs = dict(original)
+        rhs = n
         sources = {n}
-        for var, prow in pivots.items():
-            c = coeffs.pop(var, None)
-            if c:
-                for v2, c2 in prow.coeffs.items():
-                    coeffs[v2] = coeffs.get(v2, Fraction(0)) - c * c2
-                rhs -= c * prow.rhs
+        # rows hold no pivot variable, so substituting one row never brings
+        # back another row's pivot
+        for var in original:
+            prow = pivots.get(var)
+            if prow is not None:
+                rhs = _eliminate(coeffs, rhs, coeffs.pop(var), prow)
                 sources |= prow.sources
         coeffs = {v: c for v, c in coeffs.items() if c}
         if not coeffs:
@@ -455,19 +486,17 @@ def fit_weights_oracle(ns: NumerationSystem, lo: int, hi: int) -> FitResult:
                 )
             continue
         pivot_var = min(coeffs)
-        c0 = coeffs.pop(pivot_var)
-        new_row = _Row(
-            {v: c / c0 for v, c in coeffs.items()}, rhs / c0, set(sources)
-        )
-        for prow in pivots.values():
+        new_row = _Row(coeffs.pop(pivot_var), coeffs, rhs, sources)
+        for var, prow in pivots.items():
             c = prow.coeffs.pop(pivot_var, None)
             if c:
-                for v2, c2 in new_row.coeffs.items():
-                    prow.coeffs[v2] = prow.coeffs.get(v2, Fraction(0)) - c * c2
-                    if not prow.coeffs[v2]:
-                        del prow.coeffs[v2]
-                prow.rhs -= c * new_row.rhs
-                prow.sources |= new_row.sources
+                prow_rhs = _eliminate(prow.coeffs, prow.rhs, c, new_row)
+                pivots[var] = _Row(
+                    prow.d * new_row.d,
+                    prow.coeffs,
+                    prow_rhs,
+                    prow.sources | new_row.sources,
+                )
         pivots[pivot_var] = new_row
 
     solved_u: dict[int, int] = {}
@@ -476,16 +505,16 @@ def fit_weights_oracle(ns: NumerationSystem, lo: int, hi: int) -> FitResult:
         row = pivots[var]
         if row.coeffs:
             continue  # underdetermined coordinate
-        value = row.rhs
-        if value.denominator != 1 or value < 0:
+        if not (row.rhs % row.d == 0 and row.rhs // row.d >= 0):
+            value = str(row.rhs) if row.d == 1 else f"{row.rhs}/{row.d}"
             return WeightContradiction(
                 tuple(sorted(row.sources)),
                 f"{_var_name(var)} is forced to {value}, not a natural number",
             )
         if var[0] == "U":
-            solved_u[var[1]] = int(value)
+            solved_u[var[1]] = row.rhs // row.d
         else:
-            solved_v[var[1]] = int(value)
+            solved_v[var[1]] = row.rhs // row.d
     return ConsistentWeights(solved_u, solved_v)
 
 

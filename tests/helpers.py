@@ -9,9 +9,19 @@ routes.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
-from dtnum import NumerationSystem, Substitution, find_seeds, make_system
+from dtnum import (
+    ConsistentWeights,
+    NumerationSystem,
+    Substitution,
+    WeightContradiction,
+    find_seeds,
+    make_system,
+    rep,
+)
 from dtnum.errors import NumerationError
+from dtnum.positionality import FitResult, _constraint_text, _domain_values, _var_name
 
 
 def expand_word(sub: Substitution, letter: str, level: int) -> tuple[str, ...]:
@@ -117,3 +127,93 @@ def corpus_systems(seed: int = CORPUS_SEED, min_systems: int = 200):
                     for r in range(spec.period):
                         systems.append(NumerationSystem(sub, spec, r))
     return systems
+
+
+# -- reference weight fit ----------------------------------------------------------
+
+
+class _FractionRow:
+    __slots__ = ("coeffs", "rhs", "sources")
+
+    def __init__(self, coeffs: dict, rhs: Fraction, sources: set):
+        self.coeffs = coeffs
+        self.rhs = rhs
+        self.sources = sources
+
+
+def fit_weights_reference(ns: NumerationSystem, lo: int, hi: int) -> FitResult:
+    """``fit_weights_oracle`` as it was written over ``Fraction``: the
+    reference for the library's integer-only elimination.
+
+    Fit positional weights to the representations of ``[lo, hi]`` exactly.
+
+    Builds one linear equation per integer in range (over the system's
+    domain) from the positional evaluation shape, solves over the
+    rationals, and returns either the solved coordinates or a
+    contradiction certificate naming the witnessing integers. A solved
+    coordinate that is negative or non-integral is also a contradiction:
+    weights must be natural numbers.
+    """
+    pivots: dict[tuple[str, int], _FractionRow] = {}
+    for n in _domain_values(ns, lo, hi):
+        word = rep(ns, n)
+        k = len(word.digits)
+        original: dict[tuple[str, int], int] = {}
+        for i, d in enumerate(word.digits):
+            if d:
+                original[("U", k - 1 - i)] = d
+        if word.sign == 1:
+            original[("V", k)] = -1
+        coeffs = {v: Fraction(c) for v, c in original.items()}
+        rhs = Fraction(n)
+        sources = {n}
+        for var, prow in pivots.items():
+            c = coeffs.pop(var, None)
+            if c:
+                for v2, c2 in prow.coeffs.items():
+                    coeffs[v2] = coeffs.get(v2, Fraction(0)) - c * c2
+                rhs -= c * prow.rhs
+                sources |= prow.sources
+        coeffs = {v: c for v, c in coeffs.items() if c}
+        if not coeffs:
+            if rhs != 0:
+                others = sorted(sources - {n})
+                return WeightContradiction(
+                    tuple(sorted(sources)),
+                    f"rep({n}) = {word} gives {_constraint_text(original, n)}, "
+                    f"inconsistent with the weights forced by reps of {others}",
+                )
+            continue
+        pivot_var = min(coeffs)
+        c0 = coeffs.pop(pivot_var)
+        new_row = _FractionRow(
+            {v: c / c0 for v, c in coeffs.items()}, rhs / c0, set(sources)
+        )
+        for prow in pivots.values():
+            c = prow.coeffs.pop(pivot_var, None)
+            if c:
+                for v2, c2 in new_row.coeffs.items():
+                    prow.coeffs[v2] = prow.coeffs.get(v2, Fraction(0)) - c * c2
+                    if not prow.coeffs[v2]:
+                        del prow.coeffs[v2]
+                prow.rhs -= c * new_row.rhs
+                prow.sources |= new_row.sources
+        pivots[pivot_var] = new_row
+
+    solved_u: dict[int, int] = {}
+    solved_v: dict[int, int] = {}
+    for var in sorted(pivots):
+        row = pivots[var]
+        if row.coeffs:
+            continue  # underdetermined coordinate
+        value = row.rhs
+        if value.denominator != 1 or value < 0:
+            return WeightContradiction(
+                tuple(sorted(row.sources)),
+                f"{_var_name(var)} is forced to {value}, not a natural number",
+            )
+        if var[0] == "U":
+            solved_u[var[1]] = int(value)
+        else:
+            solved_v[var[1]] = int(value)
+    return ConsistentWeights(solved_u, solved_v)

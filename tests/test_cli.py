@@ -304,3 +304,12 @@ class TestErrorsAndSelftest:
         )
         assert proc.returncode == 0
         assert proc.stdout == "010\n"
+
+    def test_import_leaves_fractions_out(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, dtnum.cli; print('fractions' in sys.modules)"],
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "False\n")

@@ -12,6 +12,7 @@ from dtnum import (
     fit_weights_oracle,
     make_system,
     rep,
+    substitution_from_text,
     val,
     weights,
 )
@@ -289,3 +290,51 @@ class TestFitOracle:
         for entry, ns in golden_complement:
             fit = fit_weights_oracle(ns, -300, 300)
             assert isinstance(fit, ConsistentWeights) == entry["positional"], entry["name"]
+
+    @pytest.mark.parametrize(
+        "sub, seed, lo, hi, witnesses, detail",
+        [
+            ("a->aba,b->bb", "a|a", 4, 5, (4, 5),
+             "U0 is forced to 3/2, not a natural number"),
+            ("a->cab,b->a,c->b", "a|a", 3, 5, (3, 4, 5),
+             "U2 is forced to -1, not a natural number"),
+        ],
+    )
+    def test_forced_value_not_natural(self, sub, seed, lo, hi, witnesses, detail):
+        fit = fit_weights_oracle(make_system(sub, seed), lo, hi)
+        assert fit == WeightContradiction(witnesses, detail)
+
+    def test_matches_fraction_reference(self, golden_complement):
+        """The integer-only elimination returns what the ``Fraction`` one
+        returned: the same coordinates, witnesses and detail text."""
+        from helpers import corpus_systems, fit_weights_reference
+
+        for ns in corpus_systems():
+            assert fit_weights_oracle(ns, -60, 60) == fit_weights_reference(ns, -60, 60), ns
+        for entry, ns in golden_complement:
+            assert fit_weights_oracle(ns, -300, 300) == fit_weights_reference(
+                ns, -300, 300
+            ), entry["name"]
+
+    def test_matches_fraction_reference_on_short_windows(self):
+        """Windows of 1 to 8 integers leave coordinates underdetermined, so
+        rows meet negative pivots and forced values that are fractions,
+        negative or zero."""
+        from crosscheck_two_letters import seeded_systems
+        from helpers import fit_weights_reference
+
+        for ns in seeded_systems(substitution_from_text("a->a,b->bab")):
+            for lo in range(-12, 13):
+                for hi in range(lo, min(lo + 8, 13)):
+                    assert fit_weights_oracle(ns, lo, hi) == fit_weights_reference(
+                        ns, lo, hi
+                    ), (ns, lo, hi)
+
+
+def test_two_letter_crosscheck_covers_every_system():
+    """The exhaustive cross-check script (run as its own CI step) still
+    enumerates every accepted substitution and every seed, period and residue."""
+    from crosscheck_two_letters import two_letter_substitutions, two_letter_systems
+
+    assert len(two_letter_substitutions()) == 188
+    assert len(two_letter_systems()) == 3996
