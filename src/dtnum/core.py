@@ -12,8 +12,10 @@ from __future__ import annotations
 import math
 import re
 import threading
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Literal, Optional, Sequence, Union
 
 from .errors import (
@@ -32,24 +34,100 @@ DOMAINS: tuple[Domain, ...] = ("N", "Zneg", "Z")
 _NAME_RE = re.compile(r"(?:(?!->)[^\s,;|.])+")
 
 
-# an image longer than this is summed by one ``sum`` call: the compiler
-# recurses once per ``+``, so a chain of 10,000 terms overflows its stack
+# an entry of more terms than this is summed by one ``sum`` call: the
+# compiler recurses once per ``+``, so a chain of 10,000 terms overflows its stack
 _MAX_INLINE_TERMS = 32
 
 
-def _entry_source(image: tuple[int, ...]) -> str:
-    terms = [f"p[{y}]" for y in image]
-    if len(terms) <= _MAX_INLINE_TERMS:
-        return " + ".join(terms)
-    return f"sum(({', '.join(terms[1:])},), {terms[0]})"
+def _shared_sums(
+    image_idx: tuple[tuple[int, ...], ...]
+) -> tuple[list[Counter], list[tuple[int, int]]]:
+    """Row entries as multisets of terms, and the temporaries they share.
+
+    Term ``y < n`` is letter ``y``'s entry in the row below; term ``n + i``
+    is temporary ``i``, the sum of the pair ``temps[i]`` of earlier terms.
+    Greedily, the pair with the most disjoint occurrences over all entries,
+    the least such pair on a tie, becomes a temporary and replaces every
+    occurrence, as long as it occurs twice or more: each occurrence past
+    the first saves one big addition per level. A pair's count changes only
+    in the entries it is replaced in, so those are recounted alone and a
+    heap of counts, stale ones skipped, yields the next pair.
+    """
+    n = len(image_idx)
+    entries = [Counter(im) for im in image_idx]
+    uses: dict[tuple[int, int], int] = {}
+
+    def tally(entry: Counter, terms, sign: int) -> set[tuple[int, int]]:
+        # add or remove the occurrences in ``entry`` of the pairs meeting ``terms``
+        pairs = {(a, b) if a <= b else (b, a) for a in terms if a in entry for b in entry}
+        for a, b in pairs:
+            m = entry[a] // 2 if a == b else min(entry[a], entry[b])
+            uses[a, b] = uses.get((a, b), 0) + sign * m
+        return pairs
+
+    for entry in entries:
+        tally(entry, entry, 1)
+    heap = [(-count, pair) for pair, count in uses.items() if count > 1]
+    heapify(heap)
+    temps: list[tuple[int, int]] = []
+    while heap:
+        count, (u, v) = heappop(heap)
+        if -count != uses[u, v]:
+            continue
+        t = n + len(temps)
+        temps.append((u, v))
+        changed: set[tuple[int, int]] = set()
+        for entry in entries:
+            if u in entry and v in entry:
+                m = entry[u] // 2 if u == v else min(entry[u], entry[v])
+                if m:
+                    changed |= tally(entry, (u, v), -1)
+                    entry[u] -= m
+                    entry[v] -= m
+                    entry[t] = m
+                    for x in (u, v):
+                        if not entry[x]:
+                            del entry[x]
+                    changed |= tally(entry, (u, v, t), 1)
+        for pair in changed:
+            if uses[pair] > 1:
+                heappush(heap, (-uses[pair], pair))
+    return entries, temps
+
+
+def _step_source(image_idx: tuple[tuple[int, ...], ...]) -> str:
+    """Source of ``step(p)``, the row above the row ``p``.
+
+    For ``a->abc,b->c,c->ac``::
+
+        def step(p):
+            t0 = p[0] + p[2]
+            return [t0 + p[1], p[2], t0]
+    """
+    entries, temps = _shared_sums(image_idx)
+    names = [f"p[{y}]" for y in range(len(image_idx))]
+    names += [f"t{i}" for i in range(len(temps))]
+    lines = ["def step(p):"]
+    for i, (u, v) in enumerate(temps):
+        lines.append(f"    t{i} = {names[u]} + {names[v]}")
+
+    def entry_source(entry: Counter) -> str:
+        terms = [names[x] for x in sorted(entry, reverse=True) for _ in range(entry[x])]
+        if len(terms) <= _MAX_INLINE_TERMS:
+            return " + ".join(terms)
+        return f"sum(({', '.join(terms[1:])},), {terms[0]})"
+
+    lines.append("    return [" + ", ".join(map(entry_source, entries)) + "]")
+    return "\n".join(lines) + "\n"
 
 
 class _LengthTable:
     """Grow-on-demand rows of ``|mu^level(x)|`` per letter index.
 
     One row is made from the row below by a step compiled once per
-    substitution: ``lambda p: [p[0] + p[1] + p[2], p[2], p[0] + p[2]]``
-    for ``a->abc,b->c,c->ac``, built from integer letter indices only. A
+    substitution from integer letter indices only (``_step_source``):
+    entries share the partial sums that two or more of them need, so
+    ``a->abc,b->c,c->ac`` takes 2 big additions per level, not 3. A
     one-letter image is a bare ``p[y]``, so its entry is the entry below
     it, shared, not copied. Rows are appended fully built and never
     mutated afterwards: a reader holding the list from ``rows`` may index
@@ -62,8 +140,9 @@ class _LengthTable:
     __slots__ = ("_step", "_rows", "_lock")
 
     def __init__(self, image_idx: tuple[tuple[int, ...], ...]):
-        source = "lambda p: [" + ", ".join(map(_entry_source, image_idx)) + "]"
-        self._step = eval(source, {"__builtins__": {}, "sum": sum})
+        namespace = {"__builtins__": {}, "sum": sum}
+        exec(_step_source(image_idx), namespace)
+        self._step = namespace["step"]
         self._rows: list[list[int]] = [[1] * len(image_idx)]
         self._lock = threading.Lock()
 

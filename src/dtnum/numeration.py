@@ -10,7 +10,8 @@ length table's ``level``: the least admissible ``k`` with
 ``|mu^k(root)| >= need``, where ``need`` is ``n + 1`` for ``n >= 0`` and
 ``-n`` for ``n < 0``. The descent is ``_descend_digits``. A word is
 canonical exactly when its length is the level the search gives for its
-value, so ``val`` never re-runs ``rep``.
+value, so ``val`` never re-runs ``rep``; ``_is_canonical`` decides that
+from one row when the table already holds it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .core import NumerationSystem, Substitution
+from .core import NumerationSystem, Substitution, _LengthTable
 from .errors import (
     DigitOutOfRangeError,
     NotFixedPointSeedError,
@@ -58,7 +59,7 @@ class DigitWord:
     def __post_init__(self):
         if self.sign not in (None, 0, 1):
             raise ValueError("sign digit must be 0, 1 or absent")
-        if any(d < 0 for d in self.digits):
+        if min(self.digits, default=0) < 0:
             raise ValueError("digits must be non-negative")
 
     def __len__(self) -> int:
@@ -177,7 +178,8 @@ def val(ns: NumerationSystem, word: Union[DigitWord, str]) -> tuple[int, bool]:
     Non-canonical words (paths reaching the column at a non-minimal
     level) evaluate fine. The path to a column at a given level is
     unique, so a word is canonical exactly when its length is the
-    minimal admissible level of its value, read off the length table.
+    minimal admissible level of its value, read off the length table
+    by ``_is_canonical``.
     """
     if isinstance(word, str):
         word = DigitWord.parse(word, signed=True)
@@ -192,8 +194,31 @@ def val(ns: NumerationSystem, word: Union[DigitWord, str]) -> tuple[int, bool]:
     root = sub.index[side]
     value = _evaluate_path(sub, root, word.digits, negative=word.sign == 1)
     need = value + 1 if value >= 0 else -value
-    canonical = len(word.digits) == sub.lengths.level(root, need, ns.residue, ns.period)
-    return value, canonical
+    k = len(word.digits)
+    return value, _is_canonical(sub.lengths, root, k, need, ns.residue, ns.period)
+
+
+def _is_canonical(
+    lengths: _LengthTable, root: int, k: int, need: int, r: int, p: int
+) -> bool:
+    """Whether ``k`` is the level ``lengths.level(root, need, r, p)``.
+
+    A word of length ``k`` evaluates inside row ``k``, so that row covers
+    ``need``. Along the class ``k ≡ r (mod p)`` the lengths never shrink,
+    as ``mu^p(root)`` starts or ends with ``root``. So ``k`` is the least
+    admissible level exactly when it is admissible and the admissible
+    level below it, ``k - p``, falls short. When row ``k - p`` is not
+    built, the level search decides: it builds no row past the answer,
+    so the leading zeros of a long word build no rows.
+    """
+    if k < r or (k - r) % p:
+        return False
+    if k - p < r:
+        return True
+    rows = lengths.rows(0)
+    if k - p < len(rows):
+        return rows[k - p][root] < need
+    return lengths.level(root, need, r, p) == k
 
 
 def _evaluate_path(
@@ -206,7 +231,8 @@ def _evaluate_path(
     image_idx = sub.image_idx
     k = len(digits)
     x = root
-    total = 0
+    widths: list[int] = []
+    add = widths.append
     for i, d in enumerate(digits):
         im = image_idx[x]
         if d >= len(im):
@@ -219,8 +245,11 @@ def _evaluate_path(
                 lengths.rows(level)
             row = rows[level]
             for y in im[:d]:
-                total += row[y]
+                add(row[y])
         x = im[d]
+    # smallest first: the running total grows with its terms instead of
+    # being copied at full size by every addition
+    total = sum(reversed(widths))
     if negative:
         return total - lengths.row(k)[root]
     return total
@@ -259,8 +288,8 @@ def val_classic_N(
     root_idx = sub.letter_index(root)
     value = _evaluate_path(sub, root_idx, word.digits, negative=False)
     _require_fixed_point(sub, root_idx)
-    canonical = len(word.digits) == sub.lengths.level(root_idx, value + 1, 0, 1)
-    return value, canonical
+    k = len(word.digits)
+    return value, _is_canonical(sub.lengths, root_idx, k, value + 1, 0, 1)
 
 
 # -- two's complement baseline --------------------------------------------------

@@ -55,6 +55,8 @@ class ExpansionOracle:
     """
 
     def __init__(self, ns: NumerationSystem, cap: int = DEFAULT_NODE_CAP):
+        if cap < 0:
+            raise ValueError("cap must be >= 0")
         self.ns = ns
         self.cap = cap
         row0 = []

@@ -182,6 +182,16 @@ class TestTreeAndClassify:
             "0\t0\ta\t",
         ]
 
+    @pytest.mark.parametrize("flag", ["--depth", "--cap"])
+    def test_tree_negative_bound_exit_1(self, capsys, flag):
+        bounds = {"--depth": "2", "--cap": "1000", flag: "-1"}
+        code, out, err = run_cli(
+            capsys, "tree", "--sub", SUB3, "--seed", "c|a",
+            "--depth", bounds["--depth"], "--cap", bounds["--cap"],
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith(f"usage error: {flag[2:]} must be >= 0")
+
     def test_classify_json(self, capsys):
         code, out, _ = run_cli(
             capsys, "classify", "--sub", "a->ab,b->a", "--root", "a"

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 import sys
 import threading
 
@@ -23,7 +24,7 @@ from dtnum import (
     substitution_from_text,
     validate_seed,
 )
-from dtnum.core import _LengthTable
+from dtnum.core import _LengthTable, _step_source
 from dtnum.errors import (
     DslSyntaxError,
     EmptyImageError,
@@ -340,15 +341,53 @@ class TestLengthTable:
 
     def test_long_images_grow_like_the_naive_recursion(self):
         # 10,000 terms as one "+" chain would overflow the compiler's stack
-        sub = Substitution(
-            ("a", "b", "c"),
-            (("a", "b") * 5000, ("b",) * 32 + ("a",), ("c", "a") * 16),
+        letters = tuple(f"x{i}" for i in range(40))
+        for sub in (
+            Substitution(
+                ("a", "b", "c"),
+                (("a", "b") * 5000, ("b",) * 32 + ("a",), ("c", "a") * 16),
+            ),
+            # two identical images, and a letter four times in one image
+            Substitution(
+                ("a", "b", "c", "d"),
+                (("a", "b", "c"), ("c", "a", "b"), ("d", "d", "a", "d", "d"), ("b",)),
+            ),
+            # 40 terms no pair of which repeats: the ``sum`` fallback
+            Substitution(letters, (letters,) + tuple((x,) for x in letters[1:])),
+        ):
+            rows = sub.lengths.rows(12)
+            naive = [1] * len(sub.alphabet)
+            for level in range(13):
+                assert rows[level] == naive, (sub, level)
+                naive = [sum(naive[y] for y in im) for im in sub.image_idx]
+        assert "sum(" in _step_source(sub.image_idx)
+
+    def test_step_shares_partial_sums(self, fixture_substitutions):
+        additions = {}
+        for sub in fixture_substitutions:
+            source = _step_source(sub.image_idx)
+            plain = sum(len(im) - 1 for im in sub.image_idx)
+            assert source.count("+") <= plain, sub
+            additions[sub.to_dsl()] = (source.count("+"), plain)
+        assert additions["a->abc,b->c,c->ac"] == (2, 3)
+        eight = parse_substitution(
+            "a1 -> b c a2, f -> b b, a2 -> a3, b -> d d, c -> d d e,"
+            " a3 -> a1, d -> f f, e -> f f f f"
         )
-        rows = sub.lengths.rows(12)
-        naive = [1, 1, 1]
-        for level in range(13):
-            assert rows[level] == naive, level
-            naive = [sum(naive[y] for y in im) for im in sub.image_idx]
+        assert additions[eight.to_dsl()] == (7, 10)
+
+    def test_step_sharing_on_random_substitutions(self):
+        from helpers import random_substitutions
+
+        plain = shared = 0
+        for sub in random_substitutions(random.Random(1), 1000):
+            source = _step_source(sub.image_idx)
+            plain += sum(len(im) - 1 for im in sub.image_idx)
+            shared += source.count("+")
+            # every temporary is read after it is assigned
+            for name in set(re.findall(r"\bt\d+\b", source)):
+                assert len(re.findall(rf"\b{name}\b", source)) >= 2, source
+        assert plain == 3253 and shared <= 2756
 
     def test_concurrent_growth_appends_each_level_once(self):
         text = "a->abc,b->c,c->ac"

@@ -44,6 +44,10 @@ class TestDigitWord:
             signed = w.sign is not None
             assert DigitWord.parse(w.text(), signed=signed) == w
 
+    def test_negative_digit_rejected(self):
+        with pytest.raises(ValueError, match="digits must be non-negative"):
+            DigitWord((1, -1))
+
     def test_parse_empty(self):
         assert DigitWord.parse("ε", signed=False) == DigitWord(())
         with pytest.raises(ValueError):
@@ -305,6 +309,15 @@ class TestCanonicalityRule:
                     entry["name"],
                     word,
                 )
+
+    def test_zero_prefixed_long_word_builds_no_rows_for_its_zeros(self):
+        # 20,001 digits after the sign digit; the value needs rows 0..1 only
+        ns = make_system("a->abc,b->c,c->ac", "c|a")
+        assert val(ns, "0" + "0" * 20_000 + "1") == (1, False)
+        assert len(ns.substitution.lengths.rows(0)) == len(rep(ns, 1).digits) + 1 == 2
+        sub = parse_substitution("a->ab,b->ac,c->a")
+        assert val_classic_N(sub, "a", "0" * 20_000 + "1") == (1, False)
+        assert len(sub.lengths.rows(0)) == len(rep_classic_N(sub, "a", 1).digits) + 1
 
     def test_val_classic_non_fixed_point_root_exit_2(self, capsys):
         from dtnum.cli import main
