@@ -10,7 +10,7 @@ whether the induced system equals a Bertrand numeration system.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .core import (
     SeedSpec,
@@ -22,7 +22,6 @@ from .core import (
     validate_seed,
 )
 from .errors import NotLengthUniformError, ShapeMismatchError
-from .numeration import DigitWord
 
 NOT_FABRE_LIKE = "NotFabreLike"
 NOT_BERTRAND = "NotBertrand"
@@ -316,22 +315,3 @@ def classification_json(sub: Substitution, a1: str) -> dict:
     else:
         data["class"] = CANONICAL_PARRY
     return data
-
-
-def greedy_rep(weights: Sequence[int], n: int) -> DigitWord:
-    """Greedy digits of ``n >= 0`` over a strictly increasing weight sequence."""
-    if n < 0:
-        raise ValueError("greedy representation is defined for n >= 0")
-    if n == 0:
-        return DigitWord(())
-    if not weights or weights[0] != 1:
-        raise ValueError("greedy weights must start at 1")
-    if weights[-1] <= n:
-        raise ValueError(f"weight sequence too short to place n = {n}")
-    top = max(i for i, u in enumerate(weights) if u <= n)
-    digits = []
-    rest = n
-    for i in range(top, -1, -1):
-        d, rest = divmod(rest, weights[i])
-        digits.append(d)
-    return DigitWord(tuple(digits))

@@ -9,28 +9,14 @@ All output is deterministic.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Optional
 
-from . import golden
+# each subcommand imports what it runs, so a `rep` child never compiles
+# the positionality, tree or classification modules, nor `json` unless
+# it prints JSON
 from .core import NumerationSystem, make_system, substitution_from_text
 from .errors import NumerationError
-from .numeration import (
-    DigitWord,
-    rep,
-    rep_classic_N,
-    val,
-    val_classic_N,
-)
-from .positionality import (
-    ConsistentWeights,
-    check_positional,
-    fit_weights_oracle,
-    weights,
-)
-from .classify import classification_json, simplify
-from .trees import ExpansionOracle, expand, to_dot, to_tsv
 
 
 class _UsageError(Exception):
@@ -119,7 +105,15 @@ def build_parser() -> argparse.ArgumentParser:
 # -- subcommands -------------------------------------------------------------------
 
 
+def _print_json(data) -> None:
+    import json
+
+    print(json.dumps(data))
+
+
 def _cmd_rep(args) -> int:
+    from .numeration import rep, rep_classic_N
+
     ns = _build_system(args)
     if (args.n is None) == (args.range_ is None):
         raise _UsageError("rep needs exactly one of -n or --range")
@@ -134,7 +128,7 @@ def _cmd_rep(args) -> int:
     if args.n is not None:
         word = one(int(args.n))
         if args.format == "json":
-            print(json.dumps({"n": args.n, "word": word}))
+            _print_json({"n": args.n, "word": word})
         else:
             print(word)
         return 0
@@ -147,7 +141,7 @@ def _cmd_rep(args) -> int:
             continue
         rows.append((n, one(n)))
     if args.format == "json":
-        print(json.dumps([{"n": str(n), "word": w} for n, w in rows]))
+        _print_json([{"n": str(n), "word": w} for n, w in rows])
     else:
         for n, w in rows:
             print(f"{n}\t{w}")
@@ -155,6 +149,8 @@ def _cmd_rep(args) -> int:
 
 
 def _cmd_val(args) -> int:
+    from .numeration import DigitWord, val, val_classic_N
+
     ns = _build_system(args)
     try:
         word = DigitWord.parse(args.word, signed=not args.classic)
@@ -167,17 +163,19 @@ def _cmd_val(args) -> int:
     else:
         value, canonical = val(ns, word)
     if args.format == "json":
-        print(json.dumps({"value": str(value), "canonical": canonical}))
+        _print_json({"value": str(value), "canonical": canonical})
     else:
         print(f"{value}\t{'canonical' if canonical else 'non-canonical'}")
     return 0
 
 
 def _cmd_analyze(args) -> int:
+    from .positionality import check_positional
+
     ns = _build_system(args)
     report = check_positional(ns, weight_count=int(args.count))
     if args.format == "json":
-        print(json.dumps(report.to_json_dict()))
+        _print_json(report.to_json_dict())
         return 0
     rs = report.residue_sets
     print(f"positional: {str(report.positional).lower()}")
@@ -209,17 +207,17 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_weights(args) -> int:
+    from .positionality import weights
+
     ns = _build_system(args)
     table = weights(ns, int(args.count))
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "U": list(table.U),
-                    "V": list(table.V),
-                    "unconstrained": list(table.unconstrained),
-                }
-            )
+        _print_json(
+            {
+                "U": list(table.U),
+                "V": list(table.V),
+                "unconstrained": list(table.unconstrained),
+            }
         )
     else:
         print(" ".join(str(u) for u in table.U))
@@ -227,6 +225,8 @@ def _cmd_weights(args) -> int:
 
 
 def _cmd_tree(args) -> int:
+    from .trees import expand, to_dot, to_tsv
+
     ns = _build_system(args)
     slice_ = expand(ns, int(args.depth), cap=int(args.cap))
     text = to_dot(slice_) if args.format == "dot" else to_tsv(slice_)
@@ -235,10 +235,12 @@ def _cmd_tree(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .classify import classification_json
+
     sub = substitution_from_text(args.sub)
     data = classification_json(sub, args.root)
     if args.format == "json":
-        print(json.dumps(data))
+        _print_json(data)
     else:
         print(f"class: {data['class']}")
         if data["fabre"] is not None:
@@ -254,18 +256,12 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_simplify(args) -> int:
+    from .classify import simplify
+
     ns = _build_system(args)
     sub2, seed2, mapping = simplify(ns.substitution, ns.seed)
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "sub": sub2.to_json_dict(),
-                    "seed": seed2.text(),
-                    "map": mapping,
-                }
-            )
-        )
+        _print_json({"sub": sub2.to_json_dict(), "seed": seed2.text(), "map": mapping})
     else:
         print(sub2.to_dsl())
         print(f"seed: {seed2.text()}")
@@ -276,6 +272,11 @@ def _cmd_simplify(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from . import golden
+    from .numeration import rep, rep_classic_N, val
+    from .positionality import ConsistentWeights, check_positional, fit_weights_oracle, weights
+    from .trees import ExpansionOracle
+
     lo, hi = _parse_range(args.range_)
     failures = 0
 

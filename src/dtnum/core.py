@@ -19,6 +19,7 @@ from heapq import heapify, heappop, heappush
 from typing import Iterable, Literal, Optional, Sequence, Union
 
 from .errors import (
+    DigitCapExceededError,
     DslSyntaxError,
     EmptyImageError,
     InvalidSeedError,
@@ -37,6 +38,11 @@ _NAME_RE = re.compile(r"(?:(?!->)[^\s,;|.])+")
 # an entry of more terms than this is summed by one ``sum`` call: the
 # compiler recurses once per ``+``, so a chain of 10,000 terms overflows its stack
 _MAX_INLINE_TERMS = 32
+
+# the highest level a length table grows to: a word has one digit per
+# level, so a longer answer, such as the 10^60 digits of 10^60 on the
+# polynomially growing a->ab,b->b, is refused instead of built
+_MAX_LEVEL = 10**6
 
 
 def _shared_sums(
@@ -134,7 +140,8 @@ class _LengthTable:
     any level below its current length while another call grows it.
     Growth, by ``rows`` or by ``level``, takes the lock once and appends
     every row it needs inside it, so threads growing one table at once
-    append each level exactly once.
+    append each level exactly once. Growth past ``_MAX_LEVEL`` raises
+    ``DigitCapExceededError``; reading built rows checks nothing.
     """
 
     __slots__ = ("_step", "_rows", "_lock")
@@ -150,6 +157,10 @@ class _LengthTable:
         """The live, append-only list of rows, grown through ``level``."""
         rows = self._rows
         if len(rows) <= level:
+            if level > _MAX_LEVEL:
+                raise DigitCapExceededError(
+                    f"level {level} is past the cap of {_MAX_LEVEL} levels"
+                )
             with self._lock:
                 step = self._step
                 while len(rows) <= level:
@@ -175,12 +186,13 @@ class _LengthTable:
             k += p
         with self._lock:
             step = self._step
-            while True:
+            while k <= _MAX_LEVEL:
                 while len(rows) <= k:
                     rows.append(step(rows[-1]))
                 if rows[k][root] >= need:
                     return k
                 k += p
+        raise DigitCapExceededError(f"the answer needs more than {_MAX_LEVEL} digits")
 
 
 @dataclass(frozen=True)

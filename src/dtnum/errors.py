@@ -56,6 +56,12 @@ class CapExceededError(NumerationError):
     code = "CapExceeded"
 
 
+class DigitCapExceededError(NumerationError):
+    """The answer needs more levels (digits per word) than ``core._MAX_LEVEL``."""
+
+    code = "DigitCapExceeded"
+
+
 class NotPositionalSystemError(NumerationError):
     code = "NotPositionalSystem"
 

@@ -290,35 +290,3 @@ def val_classic_N(
     _require_fixed_point(sub, root_idx)
     k = len(word.digits)
     return value, _is_canonical(sub.lengths, root_idx, k, value + 1, 0, 1)
-
-
-# -- two's complement baseline --------------------------------------------------
-
-
-def twos_complement_rep(n: int) -> DigitWord:
-    """The unique binary word avoiding leading 00/11 that evaluates to ``n``."""
-    if n == 0:
-        return DigitWord(())
-    if n > 0:
-        return DigitWord((0,) + tuple(int(b) for b in bin(n)[2:]))
-    k = 1
-    while -(1 << (k - 1)) > n:
-        k += 1
-    body = n + (1 << (k - 1))
-    bits = bin(body)[2:].zfill(k - 1) if k > 1 else ""
-    return DigitWord((1,) + tuple(int(b) for b in bits))
-
-
-def twos_complement_val(word: Union[DigitWord, str]) -> int:
-    """Evaluate binary digits with a negative weight on the leading one."""
-    if isinstance(word, str):
-        word = DigitWord.parse(word, signed=False)
-    digits = word.digits if word.sign is None else (word.sign,) + word.digits
-    if any(d > 1 for d in digits):
-        raise DigitOutOfRangeError("two's complement words are over {0, 1}")
-    if not digits:
-        return 0
-    k = len(digits)
-    return -digits[0] * (1 << (k - 1)) + sum(
-        d << (k - 2 - i) for i, d in enumerate(digits[1:])
-    )

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional, Union
 
-from .core import NumerationSystem, first_length_mismatch
-from .errors import NotPositionalSystemError
+from .core import _MAX_LEVEL, NumerationSystem, first_length_mismatch
+from .errors import DigitCapExceededError, NotPositionalSystemError
 from .numeration import DigitWord, rep
 
 
@@ -245,6 +245,10 @@ def check_positional(ns: NumerationSystem, weight_count: int = 8) -> Positionali
     """
     if weight_count < 0:
         raise ValueError(f"weight count must be >= 0, got {weight_count}")
+    if weight_count > _MAX_LEVEL:
+        raise DigitCapExceededError(
+            f"weight count {weight_count} is past the cap of {_MAX_LEVEL}"
+        )
     ns2, dropped = ns.restricted()
     sub = ns2.substitution
     p = ns2.period

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Sequence, Union
 
 from dtnum import (
     ConsistentWeights,
+    DigitWord,
     NumerationSystem,
     Substitution,
     WeightContradiction,
@@ -20,7 +22,7 @@ from dtnum import (
     make_system,
     rep,
 )
-from dtnum.errors import NumerationError
+from dtnum.errors import DigitOutOfRangeError, NumerationError
 from dtnum.positionality import FitResult, _constraint_text, _domain_values, _var_name
 
 
@@ -91,6 +93,57 @@ def descend_with_invariants(ns: NumerationSystem, n: int) -> list[int]:
         x = im[pos]
     assert t == 0
     return digits
+
+
+# -- baselines the systems are compared with ----------------------------------------
+
+
+def twos_complement_rep(n: int) -> DigitWord:
+    """The unique binary word avoiding leading 00/11 that evaluates to ``n``."""
+    if n == 0:
+        return DigitWord(())
+    if n > 0:
+        return DigitWord((0,) + tuple(int(b) for b in bin(n)[2:]))
+    k = 1
+    while -(1 << (k - 1)) > n:
+        k += 1
+    body = n + (1 << (k - 1))
+    bits = bin(body)[2:].zfill(k - 1) if k > 1 else ""
+    return DigitWord((1,) + tuple(int(b) for b in bits))
+
+
+def twos_complement_val(word: Union[DigitWord, str]) -> int:
+    """Evaluate binary digits with a negative weight on the leading one."""
+    if isinstance(word, str):
+        word = DigitWord.parse(word, signed=False)
+    digits = word.digits if word.sign is None else (word.sign,) + word.digits
+    if any(d > 1 for d in digits):
+        raise DigitOutOfRangeError("two's complement words are over {0, 1}")
+    if not digits:
+        return 0
+    k = len(digits)
+    return -digits[0] * (1 << (k - 1)) + sum(
+        d << (k - 2 - i) for i, d in enumerate(digits[1:])
+    )
+
+
+def greedy_rep(weights: Sequence[int], n: int) -> DigitWord:
+    """Greedy digits of ``n >= 0`` over a strictly increasing weight sequence."""
+    if n < 0:
+        raise ValueError("greedy representation is defined for n >= 0")
+    if n == 0:
+        return DigitWord(())
+    if not weights or weights[0] != 1:
+        raise ValueError("greedy weights must start at 1")
+    if weights[-1] <= n:
+        raise ValueError(f"weight sequence too short to place n = {n}")
+    top = max(i for i, u in enumerate(weights) if u <= n)
+    digits = []
+    rest = n
+    for i in range(top, -1, -1):
+        d, rest = divmod(rest, weights[i])
+        digits.append(d)
+    return DigitWord(tuple(digits))
 
 
 # -- random corpora ---------------------------------------------------------------

@@ -20,7 +20,6 @@ from dtnum import (
     expansion_word,
     fabre_form,
     fit_weights_oracle,
-    greedy_rep,
     image_length,
     make_system,
     parry_check,
@@ -36,7 +35,7 @@ from dtnum import (
     Substitution,
 )
 from dtnum.golden import classic_fixtures, complement_fixtures
-from helpers import corpus_systems, descend_with_invariants
+from helpers import corpus_systems, descend_with_invariants, greedy_rep
 
 EIGHT = (
     "a1 -> b c a2, f -> b b, a2 -> a3, b -> d d, c -> d d e, a3 -> a1, "

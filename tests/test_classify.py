@@ -13,7 +13,6 @@ from dtnum import (
     expansion_word,
     fabre_form,
     fabre_like_periodic,
-    greedy_rep,
     image_length,
     inverse_quasi_greedy,
     make_system,
@@ -37,6 +36,7 @@ from dtnum.classify import (
     TRIVIAL,
 )
 from dtnum.errors import NotLengthUniformError, ShapeMismatchError
+from helpers import greedy_rep
 
 
 class TestNonfinal:

@@ -323,3 +323,113 @@ class TestErrorsAndSelftest:
             text=True,
         )
         assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+
+# prints the exit code, then the dtnum modules and json that one call loaded
+_PROBE = """
+import sys
+from dtnum.cli import main
+code = main(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m == "json" or m.split(".")[0] == "dtnum"))
+"""
+_BASE = ("dtnum", "dtnum.cli", "dtnum.core", "dtnum.errors")
+_NUMERATION = _BASE + ("dtnum.numeration",)
+
+# every name the package exported eagerly before its namespace became lazy,
+# less the test-only baselines that moved to tests/helpers.py
+_PUBLIC_NAMES = """
+DOMAINS Domain NumerationSystem SeedSpec Substitution find_seeds first_letter_cycle
+image_length is_primitive last_letter_cycle make_system minimal_period parse_seed
+parse_substitution reachable_letters restrict substitution_from_text validate_seed
+AdmissibleSequence AdmissibleStep DigitWord decompose_prefix rep rep_classic_N val
+val_classic_N ExpansionOracle TreeNode TreeSlice expand oracle_rep to_dot to_tsv
+ConditionC ConsistentWeights Counterexample PositionalityReport ResidueSets
+WeightContradiction WeightTable check_positional compute_residue_sets
+evaluate_with_weights fit_weights_oracle weights BERTRAND_CLASSES FabreForm UPWord
+bertrand_classify classification_json expansion_word fabre_form fabre_like_periodic
+inverse_quasi_greedy nonfinal_letters parry_check quasi_greedy simplify
+tree_shape_equal errors __version__
+""".split()
+
+
+def _child(*args):
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestImports:
+    @pytest.mark.parametrize(
+        "argv, modules",
+        [
+            (("rep", "--sub", SUB3, "--seed", "c|a", "-n", "-5"), _NUMERATION),
+            (("rep", "--sub", SUB3, "--seed", "c|a", "--range", "-3..3"), _NUMERATION),
+            (("rep", "--sub", SUB3, "--seed", "c|a", "-n", "5", "--format", "json"),
+             _NUMERATION + ("json",)),
+            (("val", "--sub", SUB3, "--seed", "c|a", "--word", "100"), _NUMERATION),
+            (("tree", "--sub", SUB3, "--seed", "c|a", "--depth", "3"),
+             _NUMERATION + ("dtnum.trees",)),
+            (("classify", "--sub", "a->ab,b->a", "--root", "a"),
+             _BASE + ("dtnum.classify", "json")),
+            (("classify", "--sub", "a->ab,b->a", "--root", "a", "--format", "human"),
+             _BASE + ("dtnum.classify",)),
+            (("weights", "--sub", "a->ab,b->a", "--seed", "b|a"),
+             _NUMERATION + ("dtnum.positionality",)),
+        ],
+        ids=(
+            "rep", "rep-range", "rep-json", "val", "tree", "classify-json",
+            "classify-human", "weights",
+        ),
+    )
+    def test_each_command_loads_only_what_it_runs(self, argv, modules):
+        code, out, err = _child("-c", _PROBE, *argv)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1].split() == ["0", *sorted(modules)]
+
+    def test_names_load_their_module_on_first_use(self):
+        script = (
+            "import sys, dtnum\n"
+            "print(*sorted(m for m in sys.modules if m.startswith('dtnum.')))\n"
+            "listed = dir(dtnum)\n"
+            "for name in sys.argv[1:]:\n"
+            "    exec(f'from dtnum import {name}')\n"
+            "    assert name in listed, name\n"
+            "assert dtnum.errors.NumerationError.code == 'Error'\n"
+            "star = {}\n"
+            "exec('from dtnum import *', star)\n"
+            "assert set(sys.argv[1:]) - {'__version__'} <= set(star)\n"
+            "for name in ('twos_complement_rep', 'twos_complement_val', 'greedy_rep', 'nope'):\n"
+            "    assert not hasattr(dtnum, name) and name not in listed, name\n"
+            "print(*sorted(m for m in sys.modules if m.startswith('dtnum.')))\n"
+        )
+        code, out, err = _child("-c", script, *_PUBLIC_NAMES)
+        assert (code, err) == (0, "")
+        before, after = out.split("\n")[:2]
+        assert before == ""
+        assert after.split() == [
+            "dtnum.classify", "dtnum.core", "dtnum.errors", "dtnum.numeration",
+            "dtnum.positionality", "dtnum.trees",
+        ]
+
+    def test_unknown_name_is_an_attribute_error(self):
+        import dtnum
+
+        with pytest.raises(AttributeError, match="no attribute 'greedy_rep'"):
+            dtnum.greedy_rep
+        with pytest.raises(ImportError):
+            from dtnum import twos_complement_rep  # noqa: F401
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("rep", "--sub", "a->ab,b->b", "--seed", "_|a", "-n", str(10**60)),
+        ("weights", "--sub", "a->aab,b->a", "--seed", "b|a", "--count", "10000000000"),
+        ("analyze", "--sub", "a->aab,b->a", "--seed", "b|a", "--count", "10000000000"),
+    ],
+    ids=("rep-polynomial-growth", "weights-count", "analyze-count"),
+)
+def test_past_the_level_cap_exit_2(argv):
+    code, out, err = _child("-m", "dtnum", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: DigitCapExceeded: ")
+    assert "Traceback" not in err

@@ -24,8 +24,10 @@ from dtnum import (
     substitution_from_text,
     validate_seed,
 )
+from dtnum import core
 from dtnum.core import _LengthTable, _step_source
 from dtnum.errors import (
+    DigitCapExceededError,
     DslSyntaxError,
     EmptyImageError,
     InvalidSeedError,
@@ -430,6 +432,28 @@ class TestLengthTable:
         rows = table.rows(3)
         assert table.rows(10) is rows and len(rows) == 11
         assert table.row(7) is rows[7]
+
+    def test_growth_stops_at_the_level_cap(self, monkeypatch):
+        monkeypatch.setattr(core, "_MAX_LEVEL", 50)
+        table = parse_substitution("a->ab,b->b").lengths  # |mu^k(a)| = k + 1
+        assert table.level(0, 51, 0, 1) == 50
+        with pytest.raises(DigitCapExceededError):
+            table.level(0, 52, 0, 1)
+        with pytest.raises(DigitCapExceededError):
+            table.level(0, 52, 1, 7)
+        rows = table.rows(50)
+        assert len(rows) == 51
+        with pytest.raises(DigitCapExceededError):
+            table.rows(51)
+        assert len(rows) == 51
+        # built rows are read without a check
+        assert table.level(0, 51, 1, 7) == 50
+
+    def test_rows_past_the_cap_are_refused_before_growing(self):
+        sub = parse_substitution("a->ab,b->a")
+        with pytest.raises(DigitCapExceededError):
+            image_length(sub, "a", core._MAX_LEVEL + 1)
+        assert len(sub.lengths.rows(0)) == 1
 
 
 _NAME_CHARS = st.sampled_from("ab->|,;. \t\n") | st.characters()

@@ -15,8 +15,6 @@ from dtnum import (
     parse_substitution,
     rep,
     rep_classic_N,
-    twos_complement_rep,
-    twos_complement_val,
     val,
     val_classic_N,
     NumerationSystem,
@@ -27,7 +25,13 @@ from dtnum.errors import (
     OffsetOutOfRangeError,
     SideMissingError,
 )
-from helpers import descend_with_invariants, expand_word, random_substitutions
+from helpers import (
+    descend_with_invariants,
+    expand_word,
+    random_substitutions,
+    twos_complement_rep,
+    twos_complement_val,
+)
 
 
 class TestDigitWord:

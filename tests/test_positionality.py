@@ -16,7 +16,8 @@ from dtnum import (
     val,
     weights,
 )
-from dtnum.errors import NotPositionalSystemError
+from dtnum.core import _MAX_LEVEL
+from dtnum.errors import DigitCapExceededError, NotPositionalSystemError
 
 
 def tree_occurrences(ns, depth):
@@ -222,6 +223,12 @@ class TestWeights:
     def test_not_positional_raises(self):
         with pytest.raises(NotPositionalSystemError):
             weights(make_system("a->abb,b->ab", "b|a"), 4)
+
+    def test_count_past_the_level_cap_refused_before_any_row(self):
+        ns = make_system("a->aab,b->a", "b|a")
+        with pytest.raises(DigitCapExceededError):
+            weights(ns, _MAX_LEVEL + 1)
+        assert len(ns.substitution.lengths.rows(0)) == 1
 
     def test_soundness_on_golden(self, golden_complement):
         for entry, ns in golden_complement:
