@@ -41,6 +41,16 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _int_arg(text: str, name: str, minimum: Optional[int] = None) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise _UsageError(f"{name} must be an integer: {text!r}") from None
+    if minimum is not None and value < minimum:
+        raise _UsageError(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
 def _add_system_args(p: argparse.ArgumentParser, need_seed: bool = True) -> None:
     p.add_argument("--sub", required=True, help="substitution rules or canonical JSON")
     if need_seed:
@@ -50,8 +60,8 @@ def _add_system_args(p: argparse.ArgumentParser, need_seed: bool = True) -> None
 
 
 def _build_system(args) -> NumerationSystem:
-    residue = int(args.residue)
-    period = int(args.period) if args.period is not None else None
+    residue = _int_arg(args.residue, "residue")
+    period = _int_arg(args.period, "period") if args.period is not None else None
     return make_system(args.sub, args.seed, residue=residue, period=period)
 
 
@@ -122,11 +132,13 @@ def _cmd_rep(args) -> int:
         if args.classic:
             if ns.right is None:
                 raise _UsageError("--classic needs a right seed letter")
+            if n < 0:
+                raise _UsageError("classic representation is defined for n >= 0")
             return rep_classic_N(ns.substitution, ns.right, n).text()
         return rep(ns, n).text()
 
     if args.n is not None:
-        word = one(int(args.n))
+        word = one(_int_arg(args.n, "-n"))
         if args.format == "json":
             _print_json({"n": args.n, "word": word})
         else:
@@ -173,7 +185,7 @@ def _cmd_analyze(args) -> int:
     from .positionality import check_positional
 
     ns = _build_system(args)
-    report = check_positional(ns, weight_count=int(args.count))
+    report = check_positional(ns, weight_count=_int_arg(args.count, "weight count", 0))
     if args.format == "json":
         _print_json(report.to_json_dict())
         return 0
@@ -210,7 +222,7 @@ def _cmd_weights(args) -> int:
     from .positionality import weights
 
     ns = _build_system(args)
-    table = weights(ns, int(args.count))
+    table = weights(ns, _int_arg(args.count, "weight count", 0))
     if args.format == "json":
         _print_json(
             {
@@ -228,7 +240,8 @@ def _cmd_tree(args) -> int:
     from .trees import expand, to_dot, to_tsv
 
     ns = _build_system(args)
-    slice_ = expand(ns, int(args.depth), cap=int(args.cap))
+    depth = _int_arg(args.depth, "depth", 0)
+    slice_ = expand(ns, depth, cap=_int_arg(args.cap, "cap", 0))
     text = to_dot(slice_) if args.format == "dot" else to_tsv(slice_)
     sys.stdout.write(text)
     return 0
@@ -397,10 +410,7 @@ def _main(argv: Optional[list[str]]) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise _UsageError("a subcommand is required (see --help)")
-        try:
-            return _COMMANDS[args.command](args)
-        except ValueError as e:
-            raise _UsageError(str(e)) from None
+        return _COMMANDS[args.command](args)
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1

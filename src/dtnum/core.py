@@ -44,6 +44,12 @@ _MAX_INLINE_TERMS = 32
 # polynomially growing a->ab,b->b, is refused instead of built
 _MAX_LEVEL = 10**6
 
+# the stored rows of a table hold at most about this many bits (64 MiB);
+# above them the table keeps one checkpoint row every ``_SPAN`` levels and
+# recomputes the rows between two checkpoints when they are read
+_STORE_BITS = 2**29
+_SPAN = 128
+
 
 def _shared_sums(
     image_idx: tuple[tuple[int, ...], ...]
@@ -127,6 +133,10 @@ def _step_source(image_idx: tuple[tuple[int, ...], ...]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _row_bits(row: list[int]) -> int:
+    return sum(map(int.bit_length, row))
+
+
 class _LengthTable:
     """Grow-on-demand rows of ``|mu^level(x)|`` per letter index.
 
@@ -135,26 +145,116 @@ class _LengthTable:
     entries share the partial sums that two or more of them need, so
     ``a->abc,b->c,c->ac`` takes 2 big additions per level, not 3. A
     one-letter image is a bare ``p[y]``, so its entry is the entry below
-    it, shared, not copied. Rows are appended fully built and never
-    mutated afterwards: a reader holding the list from ``rows`` may index
-    any level below its current length while another call grows it.
-    Growth, by ``rows`` or by ``level``, takes the lock once and appends
-    every row it needs inside it, so threads growing one table at once
-    append each level exactly once. Growth past ``_MAX_LEVEL`` raises
+    it, shared, not copied.
+
+    Rows are stored, appended fully built and never mutated, until they
+    hold ``_STORE_BITS`` bits; a reader holding the list from ``rows`` may
+    index any level below its current length while another call grows
+    it. Rows never shrink entrywise, so every ``_SPAN`` stored rows the
+    newest one, times ``_SPAN``, bounds their bits. Once the budget is
+    reached the stored rows close, and the levels above them are
+    streamed: the table keeps the highest row computed (the front) and a
+    checkpoint row every ``span`` levels from the top stored row up. When
+    the checkpoints pass the budget too, every other one is dropped and
+    the span doubles. ``row`` recomputes a streamed row from the
+    checkpoint below it, or from the last streamed row it read when that
+    lies between, so ascending reads cost one step each; ``spans``
+    recomputes one span at a time, top-down. Memory is then at most two
+    budgets plus the two spans of rows a descent holds at once.
+
+    Growth, by ``rows``, ``row``, ``spans`` or ``level``, takes the lock
+    once and computes every row it needs inside it, so threads growing
+    one table at once append each level exactly once and share the
+    checkpoints. Growth past ``_MAX_LEVEL`` raises
     ``DigitCapExceededError``; reading built rows checks nothing.
     """
 
-    __slots__ = ("_step", "_rows", "_lock")
+    __slots__ = (
+        "_step", "_rows", "_counted", "_bits", "_marks", "_front", "_last", "_lock"
+    )
 
     def __init__(self, image_idx: tuple[tuple[int, ...], ...]):
         namespace = {"__builtins__": {}, "sum": sum}
         exec(_step_source(image_idx), namespace)
         self._step = namespace["step"]
         self._rows: list[list[int]] = [[1] * len(image_idx)]
+        # the bits counted against the budget: those of the first
+        # ``_counted`` stored rows until they close, then the checkpoints'
+        self._counted = 0
+        self._bits = 0
+        # once the stored rows close: (base, span, checkpoints), checkpoint
+        # i being the row at level base + i * span, and base the top stored level
+        self._marks: Optional[tuple[int, int, list[list[int]]]] = None
+        self._front: tuple[int, list[int]] = (0, self._rows[0])
+        self._last: tuple[int, list[int]] = self._front
         self._lock = threading.Lock()
 
+    # -- growth, under the lock -------------------------------------------
+
+    def _uncounted(self) -> int:
+        """Levels below this may be stored without counting their bits."""
+        if self._marks is None:
+            return self._counted + _SPAN - 1
+        return len(self._rows)
+
+    def _store(self, level: int) -> bool:
+        """Append stored rows through ``level``, counting their bits every
+        ``_SPAN`` rows; False if the budget closes the stored rows below it."""
+        rows = self._rows
+        step = self._step
+        while self._marks is None and len(rows) <= level:
+            end = min(level + 1, self._counted + _SPAN)
+            while len(rows) < end:
+                rows.append(step(rows[-1]))
+            if len(rows) - self._counted < _SPAN:
+                continue
+            # rows never shrink, so the newest bounds the bits of each row counted
+            self._bits += (len(rows) - self._counted) * _row_bits(rows[-1])
+            self._counted = len(rows)
+            if self._bits >= _STORE_BITS:
+                top = rows[-1]
+                self._marks = (len(rows) - 1, _SPAN, [top])
+                self._front = (len(rows) - 1, top)
+                self._bits = _row_bits(top)
+        return level < len(rows)
+
+    def _advance(self, level: int, row: list[int]) -> None:
+        """Record a row one level above the front."""
+        self._front = (level, row)
+        base, span, marks = self._marks
+        if (level - base) % span:
+            return
+        marks.append(row)
+        self._bits += _row_bits(row)
+        if self._bits > _STORE_BITS:
+            marks = marks[::2]  # a new list: readers keep the old one whole
+            self._marks = (base, 2 * span, marks)
+            self._bits = sum(map(_row_bits, marks))
+
+    def _reach(self, level: int) -> None:
+        """Compute rows through ``level``, stored or streamed."""
+        if level > _MAX_LEVEL:
+            raise DigitCapExceededError(
+                f"level {level} is past the cap of {_MAX_LEVEL} levels"
+            )
+        with self._lock:
+            if self._store(level):
+                return
+            lv, row = self._front
+            step = self._step
+            while lv < level:
+                lv += 1
+                row = step(row)
+                self._advance(lv, row)
+
+    # -- reads ---------------------------------------------------------------
+
     def rows(self, level: int) -> list[list[int]]:
-        """The live, append-only list of rows, grown through ``level``."""
+        """The live, append-only list of stored rows, grown through ``level``.
+
+        Raises ``DigitCapExceededError`` when ``level`` lies past the
+        store budget; the rows stored so far are kept.
+        """
         rows = self._rows
         if len(rows) <= level:
             if level > _MAX_LEVEL:
@@ -162,20 +262,73 @@ class _LengthTable:
                     f"level {level} is past the cap of {_MAX_LEVEL} levels"
                 )
             with self._lock:
-                step = self._step
-                while len(rows) <= level:
-                    rows.append(step(rows[-1]))
+                stored = self._store(level)
+            if not stored:
+                raise DigitCapExceededError(
+                    f"rows through level {level} are past the store budget of "
+                    f"{_STORE_BITS} bits ({len(rows)} levels)"
+                )
         return rows
 
+    def built(self, level: int) -> bool:
+        """Whether row ``level`` is computed, so reading it grows nothing."""
+        return level < len(self._rows) or level <= self._front[0]
+
     def row(self, level: int) -> list[int]:
-        return self.rows(level)[level]
+        rows = self._rows
+        if level < len(rows):
+            return rows[level]
+        self._reach(level)
+        if level < len(rows):
+            return rows[level]
+        lv, row = self._front
+        if lv != level:
+            base, span, marks = self._marks
+            i = (level - base) // span
+            lv, row = base + i * span, marks[i]
+            last, last_row = self._last
+            if lv < last <= level:
+                lv, row = last, last_row
+            step = self._step
+            while lv < level:
+                lv += 1
+                row = step(row)
+        self._last = (level, row)
+        return row
+
+    def spans(self, k: int):
+        """Rows ``0 .. k - 1`` in blocks, top block first; each block lists
+        its rows bottom-up. A streamed block is one span, recomputed from
+        its checkpoint and dropped when the next is asked for; the last
+        block holds the stored rows."""
+        rows = self._rows
+        if k > len(rows):
+            self._reach(k - 1)
+        if k > len(rows):
+            return self._streamed_spans(k)
+        return (rows[:k],)
+
+    def _streamed_spans(self, k: int):
+        base, span, marks = self._marks
+        step = self._step
+        for i in range((k - 2 - base) // span, -1, -1):
+            row = marks[i]
+            block = []
+            for _ in range(min(span, k - 1 - base - i * span)):
+                row = step(row)
+                block.append(row)
+            yield block
+        del block  # not held while the stored rows are walked
+        yield self._rows
 
     def level(self, root: int, need: int, r: int, p: int) -> int:
         """Least ``k >= r``, ``k ≡ r (mod p)``, with ``|mu^k(root)| >= need``.
 
-        Rows already built are scanned without the lock; past the top row
-        the table grows under one lock, row by row, up to the answer and
-        never beyond it.
+        Stored rows are scanned without the lock; past them the table
+        grows under one lock, row by row, up to the answer and never
+        beyond it. Streamed levels start from the last checkpoint that
+        falls short of ``need``: rows never shrink, so no level below it
+        can be the answer.
         """
         rows = self._rows
         k = r
@@ -186,12 +339,43 @@ class _LengthTable:
             k += p
         with self._lock:
             step = self._step
+            free = self._uncounted()
             while k <= _MAX_LEVEL:
-                while len(rows) <= k:
-                    rows.append(step(rows[-1]))
+                if k < free:
+                    while len(rows) <= k:
+                        rows.append(step(rows[-1]))
+                elif self._store(k):
+                    free = self._uncounted()
+                else:
+                    break
                 if rows[k][root] >= need:
                     return k
                 k += p
+            if k <= _MAX_LEVEL:
+                base, span, marks = self._marks
+                lv, row = self._front
+                if k <= lv:
+                    lo, hi = (k - base) // span, len(marks)
+                    while hi - lo > 1:
+                        mid = (lo + hi) // 2
+                        if marks[mid][root] < need:
+                            lo = mid
+                        else:
+                            hi = mid
+                    lv, row = base + lo * span, marks[lo]
+                    if lv > k:
+                        k -= (k - lv) // p * p  # the first candidate at or above lv
+                while k <= _MAX_LEVEL:
+                    if lv == k:
+                        if row[root] >= need:
+                            self._last = (k, row)
+                            return k
+                        k += p
+                        continue
+                    lv += 1
+                    row = step(row)
+                    if lv > self._front[0]:
+                        self._advance(lv, row)
         raise DigitCapExceededError(f"the answer needs more than {_MAX_LEVEL} digits")
 
 

@@ -57,7 +57,8 @@ class CapExceededError(NumerationError):
 
 
 class DigitCapExceededError(NumerationError):
-    """The answer needs more levels (digits per word) than ``core._MAX_LEVEL``."""
+    """The answer needs more levels (digits per word) than ``core._MAX_LEVEL``,
+    or stored rows past the table's store budget (``core._STORE_BITS``)."""
 
     code = "DigitCapExceeded"
 

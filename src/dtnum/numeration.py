@@ -2,7 +2,8 @@
 
 Integers map to digit words by descending the prefix-decomposition tree
 with exact image lengths; ``mu^k(seed)`` is never expanded as a string,
-so values with thousands of digits are fine. The sign digit 0/1 selects
+and the length table streams its rows above a fixed memory budget, so
+values with tens of thousands of digits are fine. The sign digit 0/1 selects
 the non-negative/negative subtree of a two-sided system.
 
 One level search and one descent serve every map. The search is the
@@ -105,22 +106,21 @@ class DigitWord:
 
 def _descend_digits(sub: Substitution, root: int, k: int, offset: int) -> list[int]:
     """Child indices along the path left of column ``offset`` below ``root``."""
-    rows = sub.lengths.rows(k)
     image_idx = sub.image_idx
     digits: list[int] = []
     x = root
     t = offset
-    for level in range(k - 1, -1, -1):
-        row = rows[level]
-        for i, y in enumerate(image_idx[x]):
-            w = row[y]
-            if t < w:
-                break
-            t -= w
-        else:  # only possible on an out-of-range offset
-            raise OffsetOutOfRangeError("offset beyond row width")
-        digits.append(i)
-        x = y
+    for block in sub.lengths.spans(k):
+        for row in reversed(block):
+            for i, y in enumerate(image_idx[x]):
+                w = row[y]
+                if t < w:
+                    break
+                t -= w
+            else:  # only possible on an out-of-range offset
+                raise OffsetOutOfRangeError("offset beyond row width")
+            digits.append(i)
+            x = y
     return digits
 
 
@@ -215,9 +215,8 @@ def _is_canonical(
         return False
     if k - p < r:
         return True
-    rows = lengths.rows(0)
-    if k - p < len(rows):
-        return rows[k - p][root] < need
+    if lengths.built(k - p):
+        return lengths.row(k - p)[root] < need
     return lengths.level(root, need, r, p) == k
 
 
@@ -225,31 +224,34 @@ def _evaluate_path(
     sub: Substitution, root: int, digits: tuple[int, ...], negative: bool
 ) -> int:
     lengths = sub.lengths
-    # grown on demand: the leading zeros of a long non-canonical word
-    # need no rows, and the first nonzero digit needs the highest one
-    rows = lengths.rows(0)
     image_idx = sub.image_idx
     k = len(digits)
     x = root
-    widths: list[int] = []
-    add = widths.append
-    for i, d in enumerate(digits):
-        im = image_idx[x]
-        if d >= len(im):
-            raise DigitOutOfRangeError(
-                f"digit {d} >= |image({sub.alphabet[x]})| = {len(im)}"
-            )
-        if d:
-            level = k - 1 - i
-            if level >= len(rows):
-                lengths.rows(level)
-            row = rows[level]
-            for y in im[:d]:
-                add(row[y])
-        x = im[d]
-    # smallest first: the running total grows with its terms instead of
-    # being copied at full size by every addition
-    total = sum(reversed(widths))
+    # the leading zeros of a long non-canonical word need no rows: the
+    # first nonzero digit needs the highest one
+    top = 0
+    while top < k and not digits[top]:
+        x = image_idx[x][0]
+        top += 1
+    rest = iter(digits[top:])
+    total = 0
+    for block in lengths.spans(k - top):
+        widths: list[int] = []
+        add = widths.append
+        for row, d in zip(reversed(block), rest):
+            im = image_idx[x]
+            if d >= len(im):
+                raise DigitOutOfRangeError(
+                    f"digit {d} >= |image({sub.alphabet[x]})| = {len(im)}"
+                )
+            if d:
+                for y in im[:d]:
+                    add(row[y])
+            x = im[d]
+        # smallest first: the running total grows with its terms instead of
+        # being copied at full size by every addition; a span's widths are
+        # summed before its rows are dropped
+        total += sum(reversed(widths))
     if negative:
         return total - lengths.row(k)[root]
     return total

@@ -329,23 +329,26 @@ def _weight_table(ns: NumerationSystem, rs: ResidueSets, count: int) -> WeightTa
     r = ns.residue
     p = ns.period
     condition_at = {ob.exponent: ob for ob in rs.obligations}
+    # stored rows only: a count past the store budget is refused before
+    # any row is streamed
+    rows = sub.lengths.rows(count - 1)[:count]
     U: list[int] = []
     unconstrained: list[int] = []
-    for exponent in range(count):
+    for exponent, row in enumerate(rows):
         j = (r - exponent) % p
         letters = rs.full(j)
         if letters:
-            U.append(sub.lengths.row(exponent)[idx[letters[0]]])
+            U.append(row[idx[letters[0]]])
         elif exponent in condition_at:
             ob = condition_at[exponent]
-            U.append(sub.lengths.row(exponent)[idx[ob.letter]])
+            U.append(row[idx[ob.letter]])
         else:
             # only the digit 0 ever occurs at these positions
             U.append(0)
             unconstrained.append(exponent)
     if ns.left is not None:
         left = idx[ns.left]
-        V = tuple(sub.lengths.row(exponent)[left] for exponent in range(count))
+        V = tuple(row[left] for row in rows)
     else:
         V = ()
     return WeightTable(tuple(U), V, tuple(unconstrained))

@@ -95,6 +95,75 @@ def descend_with_invariants(ns: NumerationSystem, n: int) -> list[int]:
     return digits
 
 
+class PlainRows:
+    """Every row ``|mu^level(x)|`` in one plain list, summed from the images:
+    the reference for the library's stored and streamed length rows."""
+
+    def __init__(self, sub: Substitution):
+        self.sub = sub
+        self.rows = [[1] * len(sub.alphabet)]
+
+    def __getitem__(self, level: int) -> list[int]:
+        while len(self.rows) <= level:
+            below = self.rows[-1]
+            self.rows.append([sum(below[y] for y in im) for im in self.sub.image_idx])
+        return self.rows[level]
+
+    def level(self, root: int, need: int, r: int, p: int) -> int:
+        k = r
+        while self[k][root] < need:
+            k += p
+        return k
+
+    def descend(self, root: int, k: int, offset: int) -> list[int]:
+        digits = []
+        x = root
+        for level in range(k - 1, -1, -1):
+            row = self[level]
+            for i, y in enumerate(self.sub.image_idx[x]):
+                if offset < row[y]:
+                    break
+                offset -= row[y]
+            digits.append(i)
+            x = y
+        return digits
+
+    def evaluate(self, root: int, digits: Sequence[int]) -> int:
+        """The column the path ``digits`` reaches below ``root``."""
+        k = len(digits)
+        x = root
+        total = 0
+        for i, d in enumerate(digits):
+            im = self.sub.image_idx[x]
+            if d >= len(im):
+                raise DigitOutOfRangeError(f"digit {d} out of range")
+            total += sum(self[k - 1 - i][y] for y in im[:d])
+            x = im[d]
+        return total
+
+
+def reference_rep(ns: NumerationSystem, n: int) -> DigitWord:
+    """``rep`` over a ``PlainRows`` list."""
+    sub = ns.substitution
+    plain = PlainRows(sub)
+    side, need = (ns.right, n + 1) if n >= 0 else (ns.left, -n)
+    root = sub.index[side]
+    k = plain.level(root, need, ns.residue, ns.period)
+    digits = plain.descend(root, k, n % plain[k][root])
+    return DigitWord(tuple(digits), 0 if n >= 0 else 1)
+
+
+def reference_val(ns: NumerationSystem, word: DigitWord) -> tuple[int, bool]:
+    """``val`` over a ``PlainRows`` list; canonical means ``rep`` gives the word."""
+    sub = ns.substitution
+    plain = PlainRows(sub)
+    root = sub.index[ns.right if word.sign == 0 else ns.left]
+    value = plain.evaluate(root, word.digits)
+    if word.sign == 1:
+        value -= plain[len(word.digits)][root]
+    return value, reference_rep(ns, value) == word
+
+
 # -- baselines the systems are compared with ----------------------------------------
 
 

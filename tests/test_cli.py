@@ -269,6 +269,39 @@ class TestErrorsAndSelftest:
         )
         assert (code, out, stderr) == (2, "", f"error: {err}\n")
 
+    @pytest.mark.parametrize(
+        "flag, value, err",
+        [
+            ("-n", "12x", "-n must be an integer: '12x'"),
+            ("-r", "x", "residue must be an integer: 'x'"),
+            ("--period", "2.5", "period must be an integer: '2.5'"),
+        ],
+    )
+    def test_non_integer_flag_exit_1(self, capsys, flag, value, err):
+        argv = {"-n": "5", "-r": "0", flag: value}
+        code, out, stderr = run_cli(
+            capsys, "rep", "--sub", SUB3, "--seed", "c|a", *[x for kv in argv.items() for x in kv]
+        )
+        assert (code, out, stderr) == (1, "", f"usage error: {err}\n")
+
+    def test_classic_negative_exit_1(self, capsys):
+        code, out, err = run_cli(
+            capsys, "rep", "--sub", SUB3, "--seed", "c|a", "--classic", "-n", "-1"
+        )
+        assert (code, out) == (1, "")
+        assert err == "usage error: classic representation is defined for n >= 0\n"
+
+    def test_library_value_error_is_not_a_usage_error(self, capsys, monkeypatch):
+        import dtnum.numeration
+
+        def broken(ns, n):
+            raise ValueError("an internal fault")
+
+        monkeypatch.setattr(dtnum.numeration, "rep", broken)
+        with pytest.raises(ValueError, match="an internal fault"):
+            main(["rep", "--sub", SUB3, "--seed", "c|a", "-n", "5"])
+        assert "usage error" not in capsys.readouterr().err
+
     def test_unknown_command_exit_1(self, capsys):
         code, _, _ = run_cli(capsys, "frobnicate")
         assert code == 1
@@ -425,8 +458,10 @@ class TestImports:
         ("rep", "--sub", "a->ab,b->b", "--seed", "_|a", "-n", str(10**60)),
         ("weights", "--sub", "a->aab,b->a", "--seed", "b|a", "--count", "10000000000"),
         ("analyze", "--sub", "a->aab,b->a", "--seed", "b|a", "--count", "10000000000"),
+        # within the level cap, but its rows would pass the store budget
+        ("weights", "--sub", "a->aab,b->a", "--seed", "b|a", "--count", "1000000"),
     ],
-    ids=("rep-polynomial-growth", "weights-count", "analyze-count"),
+    ids=("rep-polynomial-growth", "weights-count", "analyze-count", "weights-store-budget"),
 )
 def test_past_the_level_cap_exit_2(argv):
     code, out, err = _child("-m", "dtnum", *argv)

@@ -456,6 +456,130 @@ class TestLengthTable:
         assert len(sub.lengths.rows(0)) == 1
 
 
+class TestStreamedTable:
+    """Past the store budget: checkpoints, recomputed rows and spans."""
+
+    @pytest.fixture(autouse=True)
+    def small_budget(self, monkeypatch):
+        monkeypatch.setattr(core, "_STORE_BITS", 2000)
+        monkeypatch.setattr(core, "_SPAN", 5)
+
+    @staticmethod
+    def naive_rows(sub, top):
+        rows = [[1] * len(sub.alphabet)]
+        while len(rows) <= top:
+            rows.append([sum(rows[-1][y] for y in im) for im in sub.image_idx])
+        return rows
+
+    def test_rows_read_in_any_order_match_the_naive_recursion(self):
+        rng = random.Random(6)
+        for text in ("a->abc,b->c,c->ac", "a->ab,b->ab", "a->aab,b->a"):
+            sub = parse_substitution(text)
+            naive = self.naive_rows(sub, 400)
+            table = _LengthTable(sub.image_idx)
+            order = list(range(401))
+            for levels in (sorted(order), sorted(order, reverse=True), rng.sample(order, 401)):
+                for level in levels:
+                    assert table.row(level) == naive[level], (text, level)
+            stored = len(table.rows(0))
+            assert 5 <= stored < 400
+            assert table.rows(0) == naive[:stored]
+            for k in (0, 1, stored - 1, stored, stored + 1, 137, 401):
+                blocks = list(table.spans(k))
+                assert blocks[-1] == naive[: min(k, stored)]
+                assert all(len(b) <= table._marks[1] for b in blocks[:-1])
+                assert [row for b in reversed(blocks) for row in b] == naive[:k], (text, k)
+
+    def test_checkpoints_stay_within_the_budget(self):
+        sub = parse_substitution("a->abc,b->c,c->ac")
+        table = sub.lengths
+        table.row(3000)
+        base, span, marks = table._marks
+        assert span > core._SPAN  # thinned, every other checkpoint dropped
+        assert table._bits == sum(map(core._row_bits, marks))
+        assert table._bits <= core._STORE_BITS + core._row_bits(marks[-1])
+        naive = self.naive_rows(sub, 3000)
+        assert all(m == naive[base + i * span] for i, m in enumerate(marks))
+        assert table.row(2999) == naive[2999] and table.row(3000) == naive[3000]
+
+    def test_level_matches_a_linear_scan(self):
+        from helpers import corpus_systems
+
+        rng = random.Random(7)
+        for ns in corpus_systems()[:60]:
+            sub = ns.substitution
+            naive = self.naive_rows(sub, 260)
+            for side in (ns.right, ns.left):
+                if side is None:
+                    continue
+                root = sub.index[side]
+                for p in (1, 2, 3):
+                    r = rng.randrange(p)
+                    need = rng.randint(1, naive[rng.randrange(r, 201, p)][root])
+                    k = r
+                    while naive[k][root] < need:
+                        k += p
+                    for height in (None, k - 1, k + 7, 250):
+                        table = _LengthTable(sub.image_idx)
+                        if height is not None:
+                            table.row(height)
+                        assert table.level(root, need, r, p) == k, (sub, side, need, r, p)
+                        assert table.row(k) == naive[k]
+                        # never grown past the answer
+                        assert not table.built(max(k, height or 0) + 1)
+
+    def test_rows_past_the_budget_are_refused(self):
+        table = parse_substitution("a->abc,b->c,c->ac").lengths
+        with pytest.raises(DigitCapExceededError, match="store budget"):
+            table.rows(400)
+        rows = table.rows(0)
+        stored = len(rows)
+        assert not table.built(stored)  # refused before any row is streamed
+        assert table.rows(stored - 1) is rows
+        table.row(400)
+        assert len(table.rows(0)) == stored
+        with pytest.raises(DigitCapExceededError, match="cap"):
+            table.row(core._MAX_LEVEL + 1)
+
+    def test_concurrent_streamed_reads(self):
+        text = "a->abc,b->c,c->ac"
+        expected = self.naive_rows(parse_substitution(text), 600)
+        a = parse_substitution(text).index["a"]
+        needs = [expected[k][a] for k in (100, 250, 399, 400, 599)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                table = parse_substitution(text).lengths
+                got = []
+                calls = [(table.row, (level,)) for level in (600, 300, 450, 599)]
+                calls += [(table.level, (a, need, 0, 1)) for need in needs]
+                calls += [
+                    (lambda k: [r for b in reversed(list(table.spans(k))) for r in b], (k,))
+                    for k in (601, 350)
+                ]
+                threads = [
+                    threading.Thread(target=lambda f, args: got.append((f, args, f(*args))), args=c)
+                    for c in calls
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert len(got) == len(calls)
+                for f, args, result in got:
+                    if f == table.row:
+                        assert result == expected[args[0]]
+                    elif f == table.level:
+                        assert result == next(k for k, row in enumerate(expected) if row[a] >= args[1])
+                    else:
+                        assert result == expected[: args[0]]
+                assert [table.row(k) for k in range(601)] == expected
+        finally:
+            sys.setswitchinterval(interval)
+
+
 _NAME_CHARS = st.sampled_from("ab->|,;. \t\n") | st.characters()
 
 

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,9 +20,13 @@ from dtnum import (
     rep_classic_N,
     val,
     val_classic_N,
+    weights,
     NumerationSystem,
+    Substitution,
 )
+from dtnum import core
 from dtnum.errors import (
+    DigitCapExceededError,
     DigitOutOfRangeError,
     NotFixedPointSeedError,
     OffsetOutOfRangeError,
@@ -28,7 +35,10 @@ from dtnum.errors import (
 from helpers import (
     descend_with_invariants,
     expand_word,
+    PlainRows,
     random_substitutions,
+    reference_rep,
+    reference_val,
     twos_complement_rep,
     twos_complement_val,
 )
@@ -361,3 +371,149 @@ class TestKernel:
         assert len(_descend_digits(sub, root, 6, width - 1)) == 6
         with pytest.raises(OffsetOutOfRangeError):
             _descend_digits(sub, root, 6, width)
+
+
+@pytest.fixture(params=[(3000, 7), (400, 2)], ids=["3000-bits-span-7", "400-bits-span-2"])
+def small_budget(request, monkeypatch):
+    """A store budget of a few rows, so tables stream past the first levels."""
+    bits, span = request.param
+    monkeypatch.setattr(core, "_STORE_BITS", bits)
+    monkeypatch.setattr(core, "_SPAN", span)
+
+
+def _fresh(sub: Substitution) -> Substitution:
+    """The same substitution with a new length table, built under the
+    budget in force (the fixtures' tables may already be grown)."""
+    return Substitution(sub.alphabet, sub.images)
+
+
+def _assert_streamed(sub: Substitution, level: int) -> None:
+    with pytest.raises(DigitCapExceededError, match="store budget"):
+        sub.lengths.rows(level)
+    assert sub.lengths.built(level)
+
+
+class TestStreamedRows:
+    """Past the store budget every map equals the plain row-list reference."""
+
+    def test_rep_and_val_match_the_reference(self, small_budget, golden_complement):
+        rng = random.Random(20261018)
+        for entry, ns in golden_complement:
+            ns = NumerationSystem(_fresh(ns.substitution), ns.seed, ns.residue)
+            sub = ns.substitution
+            for exponent in (0, 1, 3, 30, 100, 300):
+                for sign in (1, -1):
+                    if not ns.contains(sign):
+                        continue
+                    n = sign * rng.randrange(10**exponent, 2 * 10**exponent)
+                    word = rep(ns, n)
+                    assert word == reference_rep(ns, n), (entry["name"], n)
+                    assert val(ns, word) == (n, True), (entry["name"], n)
+                    root = sub.alphabet[sub.index[ns.right if sign > 0 else ns.left]]
+                    for length in (len(word.digits) - 1, len(word.digits) + 5):
+                        path = DigitWord(_random_path(rng, sub, root, length), word.sign)
+                        assert val(ns, path) == reference_val(ns, path), (entry["name"], path)
+                    if sign > 0:  # p zeros lead back to the right seed
+                        padded = DigitWord((0,) * 3 * ns.period + word.digits, 0)
+                        assert val(ns, padded) == reference_val(ns, padded) == (n, False)
+                    if word.digits:
+                        i = rng.randrange(len(word.digits))
+                        x = root
+                        for d in word.digits[:i]:
+                            x = sub.image(x)[d]
+                        bad = word.digits[:i] + (len(sub.image(x)),) + word.digits[i + 1 :]
+                        with pytest.raises(DigitOutOfRangeError):
+                            reference_val(ns, DigitWord(bad, word.sign))
+                        with pytest.raises(DigitOutOfRangeError):
+                            val(ns, DigitWord(bad, word.sign))
+            _assert_streamed(sub, len(word.digits))
+
+    def test_decompose_prefix_matches_the_reference(self, small_budget, golden_complement):
+        rng = random.Random(3)
+        for entry, ns in golden_complement:
+            sub = _fresh(ns.substitution)
+            plain = PlainRows(sub)
+            for root in {ns.left, ns.right} - {None}:
+                x = sub.index[root]
+                for k in (0, 5, 90, 400):
+                    n = rng.randrange(plain[k][x])
+                    seq = decompose_prefix(sub, root, k, n)
+                    assert list(seq.digits) == plain.descend(x, k, n), (entry["name"], k)
+            _assert_streamed(sub, 400)
+
+    def test_classic_maps_match_the_reference(self, small_budget, golden_classic):
+        rng = random.Random(4)
+        for entry, sub, root in golden_classic:
+            sub = _fresh(sub)
+            plain = PlainRows(sub)
+            x = sub.index[root]
+            for exponent in (0, 2, 30, 300):
+                n = rng.randrange(10**exponent, 2 * 10**exponent)
+                word = rep_classic_N(sub, root, n)
+                digits = plain.descend(x, plain.level(x, n + 1, 0, 1), n)
+                assert word == DigitWord(tuple(digits)), (entry["name"], n)
+                assert val_classic_N(sub, root, word) == (n, True)
+                assert val_classic_N(sub, root, DigitWord((0, 0) + word.digits)) == (n, False)
+            _assert_streamed(sub, len(word.digits))
+
+    def test_weight_count_past_the_budget_is_refused_before_streaming(self, small_budget):
+        ns = make_system("a->aab,b->a", "b|a")
+        table = ns.substitution.lengths
+        with pytest.raises(DigitCapExceededError, match="store budget"):
+            weights(ns, 10_000)
+        stored = len(table.rows(0))
+        assert stored < 10_000
+        assert not table.built(stored)
+        plain = PlainRows(ns.substitution)
+        a, b = ns.substitution.index["a"], ns.substitution.index["b"]
+        table_ = weights(ns, stored)
+        assert table_.U == tuple(plain[i][a] for i in range(stored))
+        assert table_.V == tuple(plain[i][b] for i in range(stored))
+
+    def test_threads_share_one_streamed_table(self, small_budget):
+        ns = make_system("a->abc,b->c,c->ac", "c|a")
+        rng = random.Random(5)
+        values = [rng.choice((1, -1)) * rng.randrange(10**300) for _ in range(24)]
+        expected = {n: reference_rep(ns, n) for n in values}
+        got = {}
+
+        def work(chunk):
+            for n in chunk:
+                word = rep(ns, n)
+                got[n] = (word, val(ns, word))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(values[i::4],)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == {n: (expected[n], (n, True)) for n in values}
+        _assert_streamed(ns.substitution, 800)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_ten_to_the_30000_in_bounded_memory():
+    # stored, the 87,331 rows would take about 1.1 GiB. The child reports
+    # its VmHWM, the peak RSS of its own address space: Linux carries
+    # ru_maxrss across exec, so a child of this process would report at
+    # least this process's own peak.
+    script = (
+        "from dtnum import make_system, rep, val\n"
+        "ns = make_system('a->abc,b->c,c->ac', 'c|a')\n"
+        "for n in (10**30000 + 4242, -(10**30000) - 4242):\n"
+        "    word = rep(ns, n)\n"
+        "    assert len(word.digits) == 87331 and val(ns, word) == (n, True)\n"
+        "status = open('/proc/self/status').read()\n"
+        "print(status.split('VmHWM:')[1].split()[0])\n"  # KiB
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) <= 150 * 1024
