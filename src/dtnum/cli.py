@@ -127,11 +127,11 @@ def _cmd_rep(args) -> int:
     ns = _build_system(args)
     if (args.n is None) == (args.range_ is None):
         raise _UsageError("rep needs exactly one of -n or --range")
+    if args.classic and ns.right is None:
+        raise _UsageError("--classic needs a right seed letter")
 
     def one(n: int) -> str:
         if args.classic:
-            if ns.right is None:
-                raise _UsageError("--classic needs a right seed letter")
             if n < 0:
                 raise _UsageError("classic representation is defined for n >= 0")
             return rep_classic_N(ns.substitution, ns.right, n).text()
@@ -145,17 +145,15 @@ def _cmd_rep(args) -> int:
             print(word)
         return 0
     lo, hi = _parse_range(args.range_)
-    rows = []
-    for n in range(lo, hi + 1):
-        if not args.classic and not ns.contains(n):
-            continue
-        if args.classic and n < 0:
-            continue
-        rows.append((n, one(n)))
+    words = (
+        (n, one(n))
+        for n in range(lo, hi + 1)
+        if (n >= 0 if args.classic else ns.contains(n))
+    )
     if args.format == "json":
-        _print_json([{"n": str(n), "word": w} for n, w in rows])
+        _print_json([{"n": str(n), "word": w} for n, w in words])
     else:
-        for n, w in rows:
+        for n, w in words:
             print(f"{n}\t{w}")
     return 0
 

@@ -12,10 +12,12 @@ from __future__ import annotations
 import math
 import re
 import threading
-from collections import Counter
+from bisect import bisect_left
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
+from operator import itemgetter
 from typing import Iterable, Literal, Optional, Sequence, Union
 
 from .errors import (
@@ -147,105 +149,96 @@ class _LengthTable:
     one-letter image is a bare ``p[y]``, so its entry is the entry below
     it, shared, not copied.
 
-    Rows are stored, appended fully built and never mutated, until they
-    hold ``_STORE_BITS`` bits; a reader holding the list from ``rows`` may
-    index any level below its current length while another call grows
-    it. Rows never shrink entrywise, so every ``_SPAN`` stored rows the
-    newest one, times ``_SPAN``, bounds their bits. Once the budget is
-    reached the stored rows close, and the levels above them are
-    streamed: the table keeps the highest row computed (the front) and a
-    checkpoint row every ``span`` levels from the top stored row up. When
-    the checkpoints pass the budget too, every other one is dropped and
-    the span doubles. ``row`` recomputes a streamed row from the
-    checkpoint below it, or from the last streamed row it read when that
-    lies between, so ascending reads cost one step each; ``spans``
-    recomputes one span at a time, top-down. Memory is then at most two
-    budgets plus the two spans of rows a descent holds at once.
+    Every new row comes from one loop, ``_climb``, which steps up from
+    the highest row computed (the front). Rows are stored, appended
+    fully built and never mutated, until they hold ``_STORE_BITS`` bits;
+    a reader holding the list from ``rows`` may index any level below
+    its current length while another call grows it. Rows never shrink
+    entrywise, so at every count level (``(level + 1) % _SPAN == 0``) the
+    newest row, times ``_SPAN``, bounds the bits of the rows it closes.
+    Once the budget is reached the stored rows close, and the levels
+    above them are streamed: the table keeps the front and a checkpoint
+    row every ``span`` levels from the top stored row up. When the
+    checkpoints pass the budget too, every other one is dropped and the
+    span doubles. ``row`` recomputes a streamed row below the front from
+    the checkpoint below it; ``spans`` recomputes one span at a time,
+    top-down. Memory is then at most two budgets plus the two spans of
+    rows a descent holds at once.
 
     Growth, by ``rows``, ``row``, ``spans`` or ``level``, takes the lock
-    once and computes every row it needs inside it, so threads growing
-    one table at once append each level exactly once and share the
-    checkpoints. Growth past ``_MAX_LEVEL`` raises
-    ``DigitCapExceededError``; reading built rows checks nothing.
+    once and climbs inside it, so threads growing one table at once
+    append each level exactly once and share the checkpoints. Growth
+    past ``_MAX_LEVEL`` raises ``DigitCapExceededError``; reading built
+    rows checks nothing.
     """
 
-    __slots__ = (
-        "_step", "_rows", "_counted", "_bits", "_marks", "_front", "_last", "_lock"
-    )
+    __slots__ = ("_step", "_rows", "_bits", "_marks", "_front", "_lock")
 
     def __init__(self, image_idx: tuple[tuple[int, ...], ...]):
         namespace = {"__builtins__": {}, "sum": sum}
         exec(_step_source(image_idx), namespace)
         self._step = namespace["step"]
         self._rows: list[list[int]] = [[1] * len(image_idx)]
-        # the bits counted against the budget: those of the first
-        # ``_counted`` stored rows until they close, then the checkpoints'
-        self._counted = 0
+        # the bits counted against the budget: the stored rows' until
+        # they close, then the checkpoints'
         self._bits = 0
         # once the stored rows close: (base, span, checkpoints), checkpoint
         # i being the row at level base + i * span, and base the top stored level
         self._marks: Optional[tuple[int, int, list[list[int]]]] = None
         self._front: tuple[int, list[int]] = (0, self._rows[0])
-        self._last: tuple[int, list[int]] = self._front
         self._lock = threading.Lock()
 
     # -- growth, under the lock -------------------------------------------
 
-    def _uncounted(self) -> int:
-        """Levels below this may be stored without counting their bits."""
-        if self._marks is None:
-            return self._counted + _SPAN - 1
-        return len(self._rows)
-
-    def _store(self, level: int) -> bool:
-        """Append stored rows through ``level``, counting their bits every
-        ``_SPAN`` rows; False if the budget closes the stored rows below it."""
+    def _climb(self, k: int, p: int = 1, root: int = 0, need: int = 0) -> int:
+        """Step the front up to the least level ``>= k``, ``≡ k (mod p)``,
+        whose ``root`` entry reaches ``need``, and return it; ``k`` lies
+        above the front. No row past the answer or ``_MAX_LEVEL`` is built."""
+        lv, row = self._front
         rows = self._rows
         step = self._step
-        while self._marks is None and len(rows) <= level:
-            end = min(level + 1, self._counted + _SPAN)
-            while len(rows) < end:
-                rows.append(step(rows[-1]))
-            if len(rows) - self._counted < _SPAN:
-                continue
-            # rows never shrink, so the newest bounds the bits of each row counted
-            self._bits += (len(rows) - self._counted) * _row_bits(rows[-1])
-            self._counted = len(rows)
-            if self._bits >= _STORE_BITS:
-                top = rows[-1]
-                self._marks = (len(rows) - 1, _SPAN, [top])
-                self._front = (len(rows) - 1, top)
-                self._bits = _row_bits(top)
-        return level < len(rows)
-
-    def _advance(self, level: int, row: list[int]) -> None:
-        """Record a row one level above the front."""
-        self._front = (level, row)
-        base, span, marks = self._marks
-        if (level - base) % span:
-            return
-        marks.append(row)
-        self._bits += _row_bits(row)
-        if self._bits > _STORE_BITS:
-            marks = marks[::2]  # a new list: readers keep the old one whole
-            self._marks = (base, 2 * span, marks)
-            self._bits = sum(map(_row_bits, marks))
-
-    def _reach(self, level: int) -> None:
-        """Compute rows through ``level``, stored or streamed."""
-        if level > _MAX_LEVEL:
+        keep = rows.append if self._marks is None else deque(maxlen=0).append
+        count = (lv + 1) // _SPAN * _SPAN + _SPAN - 1  # the next count level
+        while k <= _MAX_LEVEL:
+            lv += 1
+            row = step(row)
+            keep(row)
+            if lv == count:
+                count += _SPAN
+                if self._count(lv, row):
+                    keep = deque(maxlen=0).append  # the store closed: keep the front only
+            if lv == k:
+                if row[root] >= need:
+                    break
+                k += p
+        self._front = (lv, row)
+        if k > _MAX_LEVEL:
             raise DigitCapExceededError(
-                f"level {level} is past the cap of {_MAX_LEVEL} levels"
+                f"the answer needs more than {_MAX_LEVEL} digits"
+                if need
+                else f"level {k} is past the cap of {_MAX_LEVEL} levels"
             )
-        with self._lock:
-            if self._store(level):
-                return
-            lv, row = self._front
-            step = self._step
-            while lv < level:
-                lv += 1
-                row = step(row)
-                self._advance(lv, row)
+        return k
+
+    def _count(self, level: int, row: list[int]) -> bool:
+        """Count the row at a count level against the budget; True if
+        this closes the stored rows."""
+        if self._marks is None:
+            self._bits += _SPAN * _row_bits(row)
+            if self._bits < _STORE_BITS:
+                return False
+            self._marks = (level, _SPAN, [row])
+            self._bits = _row_bits(row)
+            return True
+        base, span, marks = self._marks
+        if not (level - base) % span:
+            marks.append(row)
+            self._bits += _row_bits(row)
+            if self._bits > _STORE_BITS:
+                marks = marks[::2]  # a new list: readers keep the old one whole
+                self._marks = (base, 2 * span, marks)
+                self._bits = sum(map(_row_bits, marks))
+        return False
 
     # -- reads ---------------------------------------------------------------
 
@@ -262,8 +255,11 @@ class _LengthTable:
                     f"level {level} is past the cap of {_MAX_LEVEL} levels"
                 )
             with self._lock:
-                stored = self._store(level)
-            if not stored:
+                # up to one count level at a time: the store may close at
+                # each, and no row above it may be streamed
+                while self._marks is None and len(rows) <= level:
+                    self._climb(min(level, len(rows) // _SPAN * _SPAN + _SPAN - 1))
+            if len(rows) <= level:
                 raise DigitCapExceededError(
                     f"rows through level {level} are past the store budget of "
                     f"{_STORE_BITS} bits ({len(rows)} levels)"
@@ -278,7 +274,9 @@ class _LengthTable:
         rows = self._rows
         if level < len(rows):
             return rows[level]
-        self._reach(level)
+        with self._lock:
+            if level > self._front[0]:
+                self._climb(level)
         if level < len(rows):
             return rows[level]
         lv, row = self._front
@@ -286,14 +284,10 @@ class _LengthTable:
             base, span, marks = self._marks
             i = (level - base) // span
             lv, row = base + i * span, marks[i]
-            last, last_row = self._last
-            if lv < last <= level:
-                lv, row = last, last_row
             step = self._step
             while lv < level:
                 lv += 1
                 row = step(row)
-        self._last = (level, row)
         return row
 
     def spans(self, k: int):
@@ -303,7 +297,9 @@ class _LengthTable:
         block holds the stored rows."""
         rows = self._rows
         if k > len(rows):
-            self._reach(k - 1)
+            with self._lock:
+                if k - 1 > self._front[0]:
+                    self._climb(k - 1)
         if k > len(rows):
             return self._streamed_spans(k)
         return (rows[:k],)
@@ -325,10 +321,10 @@ class _LengthTable:
         """Least ``k >= r``, ``k ≡ r (mod p)``, with ``|mu^k(root)| >= need``.
 
         Stored rows are scanned without the lock; past them the table
-        grows under one lock, row by row, up to the answer and never
-        beyond it. Streamed levels start from the last checkpoint that
-        falls short of ``need``: rows never shrink, so no level below it
-        can be the answer.
+        grows under one lock up to the answer and never beyond it.
+        Streamed levels below the front start from the last checkpoint
+        that falls short of ``need``: rows never shrink, so no level
+        below it can be the answer.
         """
         rows = self._rows
         k = r
@@ -338,45 +334,27 @@ class _LengthTable:
                 return k
             k += p
         with self._lock:
-            step = self._step
-            free = self._uncounted()
-            while k <= _MAX_LEVEL:
-                if k < free:
-                    while len(rows) <= k:
-                        rows.append(step(rows[-1]))
-                elif self._store(k):
-                    free = self._uncounted()
-                else:
-                    break
+            while k < len(rows):  # rows another thread stored meanwhile
                 if rows[k][root] >= need:
                     return k
                 k += p
-            if k <= _MAX_LEVEL:
+            front = self._front[0]
+            if k <= front:
                 base, span, marks = self._marks
-                lv, row = self._front
-                if k <= lv:
-                    lo, hi = (k - base) // span, len(marks)
-                    while hi - lo > 1:
-                        mid = (lo + hi) // 2
-                        if marks[mid][root] < need:
-                            lo = mid
-                        else:
-                            hi = mid
-                    lv, row = base + lo * span, marks[lo]
-                    if lv > k:
-                        k -= (k - lv) // p * p  # the first candidate at or above lv
-                while k <= _MAX_LEVEL:
-                    if lv == k:
-                        if row[root] >= need:
-                            self._last = (k, row)
-                            return k
-                        k += p
-                        continue
-                    lv += 1
-                    row = step(row)
-                    if lv > self._front[0]:
-                        self._advance(lv, row)
-        raise DigitCapExceededError(f"the answer needs more than {_MAX_LEVEL} digits")
+                lo = (k - base) // span
+                i = max(lo, bisect_left(marks, need, lo, key=itemgetter(root)) - 1)
+                lv, row = base + i * span, marks[i]
+                if lv > k:
+                    k -= (k - lv) // p * p  # the first candidate at or above lv
+                step = self._step
+                while k <= front:
+                    while lv < k:
+                        lv += 1
+                        row = step(row)
+                    if row[root] >= need:
+                        return k
+                    k += p
+            return self._climb(k, p, root, need)
 
 
 @dataclass(frozen=True)

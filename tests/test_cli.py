@@ -291,6 +291,26 @@ class TestErrorsAndSelftest:
         assert (code, out) == (1, "")
         assert err == "usage error: classic representation is defined for n >= 0\n"
 
+    def test_classic_without_right_seed_exit_1_before_any_value(self, capsys):
+        # no value of the range is >= 0, so only an upfront check refuses it
+        code, out, err = run_cli(
+            capsys, "rep", "--sub", "a->ab,b->a", "--seed", "b|_", "--classic",
+            "--range", "-3..-1",
+        )
+        assert (code, out) == (1, "")
+        assert err == "usage error: --classic needs a right seed letter\n"
+
+    def test_range_prints_each_line_before_a_later_failure(self, capsys, monkeypatch):
+        from dtnum import core
+
+        monkeypatch.setattr(core, "_MAX_LEVEL", 50)  # |mu^k(a)| = k + 1: rep(n) has n digits
+        code, out, err = run_cli(
+            capsys, "rep", "--sub", "a->ab,b->b", "--seed", "_|a", "--range", "48..52"
+        )
+        assert code == 2
+        assert out.splitlines() == [f"{n}\t01{'0' * (n - 1)}" for n in (48, 49, 50)]
+        assert err.startswith("error: DigitCapExceeded: ")
+
     def test_library_value_error_is_not_a_usage_error(self, capsys, monkeypatch):
         import dtnum.numeration
 

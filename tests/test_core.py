@@ -304,6 +304,19 @@ class TestLengthTable:
                 assert rows[level] == naive, (sub, level)
                 naive = [sum(naive[y] for y in im) for im in sub.image_idx]
 
+    def test_rows_never_shrink_entrywise(self, fixture_substitutions):
+        # images are non-empty, so |mu^(k+1)(x)| >= |mu^k(x)|; the store's bit
+        # bound, the streamed search's starting checkpoint and the checkpoint
+        # bisection all rest on it
+        from helpers import corpus_systems
+
+        subs = set(fixture_substitutions) | {ns.substitution for ns in corpus_systems()}
+        subs |= set(random_substitutions(random.Random(8), 1000))
+        for sub in subs:
+            rows = _LengthTable(sub.image_idx).rows(60)
+            for level in range(60):
+                assert all(map(int.__le__, rows[level], rows[level + 1])), (sub, level)
+
     def test_one_letter_image_shares_the_entry_below(self):
         sub = parse_substitution("a->abc,b->c,c->ac")
         rows = sub.lengths.rows(200)
@@ -501,6 +514,26 @@ class TestStreamedTable:
         naive = self.naive_rows(sub, 3000)
         assert all(m == naive[base + i * span] for i, m in enumerate(marks))
         assert table.row(2999) == naive[2999] and table.row(3000) == naive[3000]
+
+    @pytest.mark.parametrize(
+        "bits, span, expected",
+        [
+            (2000, 5, [(35, 34, 2560, 2, 8999), (40, 39, 2560, 2, 6709), (45, 44, 2560, 2, 5300)]),
+            (3000, 7, [(42, 41, 1792, 2, 6417), (49, 48, 1792, 2, 4802), (56, 55, 1792, 2, 3808)]),
+            (400, 2, [(16, 15, 2048, 2, 7116), (18, 17, 2048, 2, 5295), (20, 19, 2048, 2, 4176)]),
+        ],
+        ids=["2000-bits-span-5", "3000-bits-span-7", "400-bits-span-2"],
+    )
+    def test_memory_policy_is_pinned(self, monkeypatch, bits, span, expected):
+        """Where the store closes, where the checkpoints sit and the bits
+        they hold after ``row(3000)``: (stored rows, base, span, checkpoints, bits)."""
+        monkeypatch.setattr(core, "_STORE_BITS", bits)
+        monkeypatch.setattr(core, "_SPAN", span)
+        for text, want in zip(("a->abc,b->c,c->ac", "a->aab,b->a", "a->ab,b->ab"), expected):
+            table = _LengthTable(parse_substitution(text).image_idx)
+            table.row(3000)
+            base, span_, marks = table._marks
+            assert (len(table.rows(0)), base, span_, len(marks), table._bits) == want, text
 
     def test_level_matches_a_linear_scan(self):
         from helpers import corpus_systems
