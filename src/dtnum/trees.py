@@ -1,9 +1,9 @@
 """Bounded explicit expansion of the one- and two-sided trees.
 
-Rows materialize the words ``mu^level(b) | mu^level(a)`` node by node.
-The expansion doubles as the visual artifact (DOT/TSV output) and as the
-independent oracle for representations: a path to the earliest suitable
-level is read off the materialized rows instead of the arithmetic
+Rows hold the words ``mu^level(b) | mu^level(a)`` as parallel index
+lists. The expansion doubles as the visual artifact (DOT/TSV output) and
+as the independent oracle for representations: a path to the earliest
+suitable level is read off the expanded rows instead of the arithmetic
 descent used by ``numeration.rep``.
 
 Level convention: the seed row is level 0, one level per application of
@@ -13,7 +13,9 @@ the substitution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import partial
+from itertools import chain, count, repeat
+from typing import NamedTuple, Optional
 
 from .core import NumerationSystem
 from .errors import CapExceededError, SideMissingError
@@ -22,12 +24,15 @@ from .numeration import DigitWord
 DEFAULT_NODE_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class TreeNode:
+class TreeNode(NamedTuple):
     column: int
     letter: str
     parent: Optional[int]  # index into the previous row; None on the seed row
     edge: Optional[int]  # digit labeling the edge from the parent
+
+
+# builds a node from a 4-tuple in C, without NamedTuple's Python-level __new__
+_node_from_tuple = partial(tuple.__new__, TreeNode)
 
 
 @dataclass(frozen=True)
@@ -52,6 +57,15 @@ class ExpansionOracle:
 
     Shared machinery behind :func:`expand` and :func:`oracle_rep`; keep an
     instance around to trace many representations off one expansion.
+
+    Level ``k`` is kept as three parallel lists, indexed by position in
+    the row: letter indices into the alphabet, the parent's position in
+    row ``k - 1`` and the digit on the edge from it (``None`` for both on
+    the seed row), plus the number of nodes left of column 0. The node at
+    position ``i`` sits at column ``i - left``. :class:`TreeNode` objects
+    are built only by :meth:`row` and :meth:`slice`, for the rows asked
+    for. :meth:`rep` reads the lists alone and calls nothing in
+    ``numeration`` or the length table.
     """
 
     def __init__(self, ns: NumerationSystem, cap: int = DEFAULT_NODE_CAP):
@@ -59,46 +73,53 @@ class ExpansionOracle:
             raise ValueError("cap must be >= 0")
         self.ns = ns
         self.cap = cap
-        row0 = []
-        if ns.left is not None:
-            row0.append(TreeNode(-1, ns.left, None, None))
-        if ns.right is not None:
-            row0.append(TreeNode(0, ns.right, None, None))
-        self._rows: list[tuple[TreeNode, ...]] = [tuple(row0)]
-        self._nodes = len(row0)
+        sub = ns.substitution
+        seed = [sub.letter_index(x) for x in (ns.left, ns.right) if x is not None]
+        self._letters: list[list[int]] = [seed]
+        self._parents: list[list[Optional[int]]] = [[None] * len(seed)]
+        self._edges: list[list[Optional[int]]] = [[None] * len(seed)]
+        self._lefts: list[int] = [0 if ns.left is None else 1]
+        self._nodes = len(seed)
 
-    def row(self, level: int) -> tuple[TreeNode, ...]:
-        while len(self._rows) <= level:
+    def _reach(self, level: int) -> None:
+        while len(self._letters) <= level:
             self._grow()
-        return self._rows[level]
 
     def _grow(self) -> None:
-        sub = self.ns.substitution
-        prev = self._rows[-1]
-        children: list[tuple[str, int, int]] = []  # (letter, parent index, edge)
-        left_count = 0
-        for idx, node in enumerate(prev):
-            im = sub.image(node.letter)
-            if node.column < 0:
-                left_count += len(im)
-            for d, letter in enumerate(im):
-                children.append((letter, idx, d))
-        if self._nodes + len(children) > self.cap:
+        images = self.ns.substitution.image_idx
+        widths = [len(im) for im in images]
+        digits = [range(w) for w in widths]
+        prev = self._letters[-1]
+        row_widths = [widths[x] for x in prev]
+        if self._nodes + sum(row_widths) > self.cap:
             raise CapExceededError(
                 f"expansion would exceed the node cap ({self.cap})"
             )
-        row = tuple(
-            TreeNode(pos - left_count, letter, parent, edge)
-            for pos, (letter, parent, edge) in enumerate(children)
+        # children in column order; a parent's index object is shared by
+        # all its children
+        self._letters.append(list(chain.from_iterable(map(images.__getitem__, prev))))
+        self._parents.append(list(chain.from_iterable(map(repeat, range(len(prev)), row_widths))))
+        self._edges.append(list(chain.from_iterable(map(digits.__getitem__, prev))))
+        self._lefts.append(sum(row_widths[: self._lefts[-1]]))
+        self._nodes += len(self._letters[-1])
+
+    def row(self, level: int) -> tuple[TreeNode, ...]:
+        """The nodes of row ``level``, built afresh on every call."""
+        self._reach(level)
+        alphabet = self.ns.substitution.alphabet
+        fields = zip(
+            count(-self._lefts[level]),
+            map(alphabet.__getitem__, self._letters[level]),
+            self._parents[level],
+            self._edges[level],
         )
-        self._rows.append(row)
-        self._nodes += len(row)
+        return tuple(map(_node_from_tuple, fields))
 
     def slice(self, depth: int) -> TreeSlice:
         if depth < 0:
             raise ValueError("depth must be >= 0")
-        self.row(depth)
-        return TreeSlice(tuple(self._rows[: depth + 1]))
+        self._reach(depth)
+        return TreeSlice(tuple(self.row(level) for level in range(depth + 1)))
 
     def rep(self, n: int) -> DigitWord:
         """Path label to the earliest level (in the residue class) whose row
@@ -110,20 +131,19 @@ class ExpansionOracle:
             raise SideMissingError("system has no left seed: cannot represent n < 0")
         k = ns.residue
         while True:
-            row = self.row(k)
-            left_width = -row[0].column if row[0].column < 0 else 0
+            self._reach(k)
+            left = self._lefts[k]
             if n >= 0:
-                if n < len(row) - left_width:
+                if n < len(self._letters[k]) - left:
                     break
-            elif -n <= left_width:
+            elif -n <= left:
                 break
             k += ns.period
-        idx = left_width + n
+        idx = left + n
         digits = []
         for level in range(k, 0, -1):
-            node = self._rows[level][idx]
-            digits.append(node.edge)
-            idx = node.parent
+            digits.append(self._edges[level][idx])
+            idx = self._parents[level][idx]
         digits.reverse()
         return DigitWord(tuple(digits), 0 if n >= 0 else 1)
 
@@ -138,29 +158,48 @@ def oracle_rep(ns: NumerationSystem, n: int, cap: int = DEFAULT_NODE_CAP) -> Dig
     return ExpansionOracle(ns, cap).rep(n)
 
 
+class _DotLabels(dict):
+    """letter -> ``[label=...]`` tail of its node line, the letter quoted
+    as a DOT string (``\\`` and ``"`` escaped)."""
+
+    def __missing__(self, letter: str) -> str:
+        quoted = letter.replace("\\", "\\\\").replace('"', '\\"')
+        tail = self[letter] = f' [label="{quoted}"];'
+        return tail
+
+
 def to_dot(slice_: TreeSlice) -> str:
-    """Deterministic Graphviz text; node ids ``L<level>C<column>``."""
+    """Deterministic Graphviz text; node ids ``L<level>C<column>``.
+
+    Every node line comes first, then every edge line, each in level and
+    column order.
+    """
     out = ["digraph tree {", "  node [shape=box];"]
+    edges: list[str] = []
+    labels = _DotLabels()
+    above: list[str] = []  # node ids of the previous level only
     for level, row in enumerate(slice_.levels):
-        for node in row:
-            out.append(f'  "L{level}C{node.column}" [label="{node.letter}"];')
-    for level in range(1, len(slice_.levels)):
-        prev = slice_.levels[level - 1]
-        for node in slice_.levels[level]:
-            parent = prev[node.parent]
-            out.append(
-                f'  "L{level - 1}C{parent.column}" -> "L{level}C{node.column}"'
-                f' [label="{node.edge}"];'
-            )
+        ids = []
+        prefix = f'"L{level}C'
+        for column, letter, parent, edge in row:
+            node_id = f'{prefix}{column}"'
+            ids.append(node_id)
+            out.append(f"  {node_id}{labels[letter]}")
+            if level:
+                edges.append(f'  {above[parent]} -> {node_id} [label="{edge}"];')
+        above = ids
+    out.extend(edges)
     out.append("}")
-    return "\n".join(out) + "\n"
+    out.append("")  # a final newline without a second copy of the text
+    return "\n".join(out)
 
 
 def to_tsv(slice_: TreeSlice) -> str:
     """Flat dump: one node per line with level, column, letter, parent edge."""
     out = ["level\tcolumn\tletter\tparent_edge"]
     for level, row in enumerate(slice_.levels):
-        for node in row:
-            edge = "" if node.edge is None else str(node.edge)
-            out.append(f"{level}\t{node.column}\t{node.letter}\t{edge}")
-    return "\n".join(out) + "\n"
+        prefix = f"{level}\t"
+        for column, letter, _, edge in row:
+            out.append(f"{prefix}{column}\t{letter}\t{'' if edge is None else edge}")
+    out.append("")  # a final newline without a second copy of the text
+    return "\n".join(out)

@@ -9,8 +9,9 @@ routes.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 from dtnum import (
     ConsistentWeights,
@@ -22,8 +23,9 @@ from dtnum import (
     make_system,
     rep,
 )
-from dtnum.errors import DigitOutOfRangeError, NumerationError
+from dtnum.errors import CapExceededError, DigitOutOfRangeError, NumerationError, SideMissingError
 from dtnum.positionality import FitResult, _constraint_text, _domain_values, _var_name
+from dtnum.trees import DEFAULT_NODE_CAP, TreeSlice
 
 
 def expand_word(sub: Substitution, letter: str, level: int) -> tuple[str, ...]:
@@ -339,3 +341,123 @@ def fit_weights_reference(ns: NumerationSystem, lo: int, hi: int) -> FitResult:
         else:
             solved_v[var[1]] = int(value)
     return ConsistentWeights(solved_u, solved_v)
+
+
+# -- reference tree expansion ------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ReferenceTreeNode:
+    column: int
+    letter: str
+    parent: Optional[int]  # index into the previous row; None on the seed row
+    edge: Optional[int]  # digit labeling the edge from the parent
+
+
+class ExpansionOracleReference:
+    """``ExpansionOracle`` as it was written node by node, one frozen
+    dataclass per node: the reference for the library's index-list rows.
+
+    Grows tree rows on demand under a node cap; rows are cached.
+    """
+
+    def __init__(self, ns: NumerationSystem, cap: int = DEFAULT_NODE_CAP):
+        if cap < 0:
+            raise ValueError("cap must be >= 0")
+        self.ns = ns
+        self.cap = cap
+        row0 = []
+        if ns.left is not None:
+            row0.append(ReferenceTreeNode(-1, ns.left, None, None))
+        if ns.right is not None:
+            row0.append(ReferenceTreeNode(0, ns.right, None, None))
+        self._rows: list[tuple[ReferenceTreeNode, ...]] = [tuple(row0)]
+        self._nodes = len(row0)
+
+    def row(self, level: int) -> tuple[ReferenceTreeNode, ...]:
+        while len(self._rows) <= level:
+            self._grow()
+        return self._rows[level]
+
+    def _grow(self) -> None:
+        sub = self.ns.substitution
+        prev = self._rows[-1]
+        children: list[tuple[str, int, int]] = []  # (letter, parent index, edge)
+        left_count = 0
+        for idx, node in enumerate(prev):
+            im = sub.image(node.letter)
+            if node.column < 0:
+                left_count += len(im)
+            for d, letter in enumerate(im):
+                children.append((letter, idx, d))
+        if self._nodes + len(children) > self.cap:
+            raise CapExceededError(
+                f"expansion would exceed the node cap ({self.cap})"
+            )
+        row = tuple(
+            ReferenceTreeNode(pos - left_count, letter, parent, edge)
+            for pos, (letter, parent, edge) in enumerate(children)
+        )
+        self._rows.append(row)
+        self._nodes += len(row)
+
+    def slice(self, depth: int) -> TreeSlice:
+        if depth < 0:
+            raise ValueError("depth must be >= 0")
+        self.row(depth)
+        return TreeSlice(tuple(self._rows[: depth + 1]))
+
+    def rep(self, n: int) -> DigitWord:
+        """Path label to the earliest level (in the residue class) whose row
+        contains column ``n``; sign digit from the side of the column."""
+        ns = self.ns
+        if n >= 0 and ns.right is None:
+            raise SideMissingError("system has no right seed: cannot represent n >= 0")
+        if n < 0 and ns.left is None:
+            raise SideMissingError("system has no left seed: cannot represent n < 0")
+        k = ns.residue
+        while True:
+            row = self.row(k)
+            left_width = -row[0].column if row[0].column < 0 else 0
+            if n >= 0:
+                if n < len(row) - left_width:
+                    break
+            elif -n <= left_width:
+                break
+            k += ns.period
+        idx = left_width + n
+        digits = []
+        for level in range(k, 0, -1):
+            node = self._rows[level][idx]
+            digits.append(node.edge)
+            idx = node.parent
+        digits.reverse()
+        return DigitWord(tuple(digits), 0 if n >= 0 else 1)
+
+
+def to_dot_reference(slice_: TreeSlice) -> str:
+    """``to_dot`` as it was written node by node, before labels were escaped."""
+    out = ["digraph tree {", "  node [shape=box];"]
+    for level, row in enumerate(slice_.levels):
+        for node in row:
+            out.append(f'  "L{level}C{node.column}" [label="{node.letter}"];')
+    for level in range(1, len(slice_.levels)):
+        prev = slice_.levels[level - 1]
+        for node in slice_.levels[level]:
+            parent = prev[node.parent]
+            out.append(
+                f'  "L{level - 1}C{parent.column}" -> "L{level}C{node.column}"'
+                f' [label="{node.edge}"];'
+            )
+    out.append("}")
+    return "\n".join(out) + "\n"
+
+
+def to_tsv_reference(slice_: TreeSlice) -> str:
+    """``to_tsv`` as it was written node by node."""
+    out = ["level\tcolumn\tletter\tparent_edge"]
+    for level, row in enumerate(slice_.levels):
+        for node in row:
+            edge = "" if node.edge is None else str(node.edge)
+            out.append(f"{level}\t{node.column}\t{node.letter}\t{edge}")
+    return "\n".join(out) + "\n"

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import re
+import tracemalloc
+
 import pytest
 
 from dtnum import (
@@ -12,7 +15,17 @@ from dtnum import (
     to_tsv,
 )
 from dtnum.errors import CapExceededError, SideMissingError
-from helpers import expand_word, mat_pow
+from helpers import (
+    ExpansionOracleReference,
+    corpus_systems,
+    expand_word,
+    mat_pow,
+    to_dot_reference,
+    to_tsv_reference,
+)
+
+REFERENCE_DEPTH = 6
+CAP_DEPTH = 4
 
 
 class TestExpand:
@@ -108,6 +121,27 @@ class TestDot:
         assert to_dot(expand(ns, 4)) == to_dot(expand(ns, 4))
         assert to_tsv(expand(ns, 4)) == to_tsv(expand(ns, 4))
 
+    def test_labels_are_escaped_dot_strings(self):
+        # the DSL accepts letters with a double quote or a backslash; each
+        # label must stay one DOT quoted string and read back as its letter
+        ns = make_system('x"->x" y\\,y\\->x"', 'x"|x"')
+        slice_ = expand(ns, 1)
+        lines = to_dot(slice_).splitlines()
+        quoted = r'"((?:[^"\\]|\\.)*)"'
+        node_line = re.compile(rf"  {quoted} \[label={quoted}\];")
+        edge_line = re.compile(rf"  {quoted} -> {quoted} \[label={quoted}\];")
+        letters = [node.letter for row in slice_.levels for node in row]
+        assert set(letters) == {'x"', "y\\"}
+        node_lines = lines[2 : 2 + len(letters)]
+        labels = []
+        for line in node_lines:
+            match = node_line.fullmatch(line)
+            assert match, line
+            labels.append(re.sub(r"\\(.)", r"\1", match.group(2)))
+        assert labels == letters
+        assert all(edge_line.fullmatch(line) for line in lines[2 + len(letters) : -1])
+        assert lines[-1] == "}"
+
     def test_tsv_columns(self):
         ns = make_system("a->abc,b->c,c->ac", "c|a")
         lines = to_tsv(expand(ns, 1)).splitlines()
@@ -139,3 +173,72 @@ class TestOracleRep:
         ns = make_system("a->abc,b->c,c->ac", "c|a")
         with pytest.raises(CapExceededError):
             oracle_rep(ns, 10**9, cap=1000)
+
+
+def _systems_under_reference(golden_complement):
+    for entry, ns in golden_complement:
+        yield entry["name"], ns
+    for i, ns in enumerate(corpus_systems()):
+        yield f"corpus #{i}", ns
+
+
+def _first_capped_depth(oracle, depth):
+    for level in range(depth + 1):
+        try:
+            oracle.slice(level)
+        except CapExceededError as exc:
+            return level, str(exc)
+    return None
+
+
+class TestAgainstReference:
+    """The index-list rows against the node-per-node expansion they replaced."""
+
+    def test_levels_dumps_and_rows(self, golden_complement):
+        for name, ns in _systems_under_reference(golden_complement):
+            oracle = ExpansionOracle(ns)
+            reference = ExpansionOracleReference(ns)
+            for depth in range(REFERENCE_DEPTH + 1):
+                got = expand(ns, depth)
+                want = reference.slice(depth)
+                assert [[tuple(node) for node in row] for row in got.levels] == [
+                    [(n.column, n.letter, n.parent, n.edge) for n in row]
+                    for row in want.levels
+                ], (name, depth)
+                assert to_dot(got) == to_dot_reference(want), (name, depth)
+                assert to_tsv(got) == to_tsv_reference(want), (name, depth)
+                assert oracle.row(depth) == got.levels[depth], (name, depth)
+
+    def test_oracle_rep(self, golden_complement):
+        for name, ns in _systems_under_reference(golden_complement):
+            oracle = ExpansionOracle(ns)
+            reference = ExpansionOracleReference(ns)
+            for n in range(-64, 65):
+                if ns.contains(n):
+                    assert oracle.rep(n) == reference.rep(n), (name, n)
+                else:
+                    with pytest.raises(SideMissingError):
+                        oracle.rep(n)
+
+    def test_cap_refused_at_the_same_depth(self, golden_complement):
+        for name, ns in _systems_under_reference(golden_complement):
+            total = expand(ns, CAP_DEPTH).node_count()
+            for cap in range(total + 1):
+                got = _first_capped_depth(ExpansionOracle(ns, cap), CAP_DEPTH)
+                want = _first_capped_depth(ExpansionOracleReference(ns, cap), CAP_DEPTH)
+                assert got == want, (name, cap)
+            assert got is None  # the full count fits
+
+
+@pytest.mark.parametrize("n", [20000, -20000])
+def test_oracle_memory_is_bounded(n):
+    # 119,831 nodes; one object per node peaked at 22.4 MiB
+    ns = make_system("a->abc,b->c,c->ac", "c|a")
+    tracemalloc.start()
+    try:
+        word = ExpansionOracle(ns).rep(n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert word == rep(ns, n)
+    assert peak < 8 * 2**20, peak
