@@ -51,12 +51,11 @@ def _int_arg(text: str, name: str, minimum: Optional[int] = None) -> int:
     return value
 
 
-def _add_system_args(p: argparse.ArgumentParser, need_seed: bool = True) -> None:
+def _add_system_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sub", required=True, help="substitution rules or canonical JSON")
-    if need_seed:
-        p.add_argument("--seed", required=True, help="seed letters: 'b|a', '_|a' or 'b|_'")
-        p.add_argument("-r", "--residue", default="0", help="residue class (default 0)")
-        p.add_argument("--period", default=None, help="override the minimal period with a multiple")
+    p.add_argument("--seed", required=True, help="seed letters: 'b|a', '_|a' or 'b|_'")
+    p.add_argument("-r", "--residue", default="0", help="residue class (default 0)")
+    p.add_argument("--period", default=None, help="override the minimal period with a multiple")
 
 
 def _build_system(args) -> NumerationSystem:
@@ -300,11 +299,9 @@ def _cmd_selftest(args) -> int:
             print(f"MISMATCH {name}: {detail}")
 
     for entry, sub, root in golden.classic_fixtures():
-        bad = [
-            (n, rep_classic_N(sub, root, int(n)).text(), w)
-            for n, w in entry["table"].items()
-            if rep_classic_N(sub, root, int(n)).text() != w
-        ]
+        table = entry["table"]
+        words = {n: rep_classic_N(sub, root, int(n)).text() for n in table}
+        bad = [(n, words[n], w) for n, w in table.items() if words[n] != w]
         report(not bad, entry["name"], f"classic table rows ({len(entry['table'])})" if not bad else f"table rows {bad}")
 
     for entry, ns in golden.complement_fixtures():

@@ -155,15 +155,16 @@ class _LengthTable:
     a reader holding the list from ``rows`` may index any level below
     its current length while another call grows it. Rows never shrink
     entrywise, so at every count level (``(level + 1) % _SPAN == 0``) the
-    newest row, times ``_SPAN``, bounds the bits of the rows it closes.
+    newest row, times ``_SPAN``, bounds the bits of the rows it closes,
+    and ``level`` finds its answer among the stored rows by bisection.
     Once the budget is reached the stored rows close, and the levels
     above them are streamed: the table keeps the front and a checkpoint
     row every ``span`` levels from the top stored row up. When the
     checkpoints pass the budget too, every other one is dropped and the
-    span doubles. ``row`` recomputes a streamed row below the front from
-    the checkpoint below it; ``spans`` recomputes one span at a time,
-    top-down. Memory is then at most two budgets plus the two spans of
-    rows a descent holds at once.
+    span doubles. ``row`` and ``level`` recompute streamed rows below the
+    front by one walk up from a checkpoint (``_walk``); ``spans``
+    recomputes one span at a time, top-down. Memory is then at most two
+    budgets plus the two spans of rows a descent holds at once.
 
     Growth, by ``rows``, ``row``, ``spans`` or ``level``, takes the lock
     once and climbs inside it, so threads growing one table at once
@@ -266,10 +267,6 @@ class _LengthTable:
                 )
         return rows
 
-    def built(self, level: int) -> bool:
-        """Whether row ``level`` is computed, so reading it grows nothing."""
-        return level < len(self._rows) or level <= self._front[0]
-
     def row(self, level: int) -> list[int]:
         rows = self._rows
         if level < len(rows):
@@ -280,15 +277,7 @@ class _LengthTable:
         if level < len(rows):
             return rows[level]
         lv, row = self._front
-        if lv != level:
-            base, span, marks = self._marks
-            i = (level - base) // span
-            lv, row = base + i * span, marks[i]
-            step = self._step
-            while lv < level:
-                lv += 1
-                row = step(row)
-        return row
+        return row if lv == level else next(self._walk(level))
 
     def spans(self, k: int):
         """Rows ``0 .. k - 1`` in blocks, top block first; each block lists
@@ -317,43 +306,52 @@ class _LengthTable:
         del block  # not held while the stored rows are walked
         yield self._rows
 
+    def _walk(self, level: int):
+        """Streamed rows ``level``, ``level + 1``, ... without end, stepped
+        up from the checkpoint at or below ``level``."""
+        base, span, marks = self._marks
+        i = (level - base) // span
+        lv, row = base + i * span, marks[i]
+        step = self._step
+        while lv < level:
+            lv += 1
+            row = step(row)
+        while True:
+            yield row
+            row = step(row)
+
     def level(self, root: int, need: int, r: int, p: int) -> int:
         """Least ``k >= r``, ``k ≡ r (mod p)``, with ``|mu^k(root)| >= need``.
 
-        Stored rows are scanned without the lock; past them the table
-        grows under one lock up to the answer and never beyond it.
-        Streamed levels below the front start from the last checkpoint
-        that falls short of ``need``: rows never shrink, so no level
-        below it can be the answer.
+        Images are non-empty, so rows never shrink entrywise from one
+        level to the next: the answer is the least level ``>= r`` whose
+        entry reaches ``need``, rounded up into the class. Stored rows
+        are bisected for that level without the lock; past them the
+        table grows under one lock up to the answer and never beyond it.
+        Streamed levels below the front are walked from the last
+        checkpoint that falls short of ``need``.
         """
         rows = self._rows
-        k = r
-        top = len(rows)
-        while k < top:
-            if rows[k][root] >= need:
-                return k
-            k += p
+        key = itemgetter(root)
+        k = bisect_left(rows, need, r, key=key)
+        k += (r - k) % p
+        if k < len(rows):
+            return k
         with self._lock:
-            while k < len(rows):  # rows another thread stored meanwhile
-                if rows[k][root] >= need:
-                    return k
-                k += p
+            k = bisect_left(rows, need, k, key=key)  # rows another thread stored meanwhile
             front = self._front[0]
-            if k <= front:
+            if len(rows) <= k <= front:
                 base, span, marks = self._marks
-                lo = (k - base) // span
-                i = max(lo, bisect_left(marks, need, lo, key=itemgetter(root)) - 1)
-                lv, row = base + i * span, marks[i]
-                if lv > k:
-                    k -= (k - lv) // p * p  # the first candidate at or above lv
-                step = self._step
-                while k <= front:
-                    while lv < k:
-                        lv += 1
-                        row = step(row)
+                i = bisect_left(marks, need, (k - base) // span, key=key) - 1
+                k = max(k, base + i * span)
+                for k, row in zip(range(k, front + 1), self._walk(k)):
                     if row[root] >= need:
-                        return k
-                    k += p
+                        break
+                else:
+                    k = front + 1
+            k += (r - k) % p
+            if k <= front:
+                return k
             return self._climb(k, p, root, need)
 
 

@@ -11,8 +11,9 @@ length table's ``level``: the least admissible ``k`` with
 ``|mu^k(root)| >= need``, where ``need`` is ``n + 1`` for ``n >= 0`` and
 ``-n`` for ``n < 0``. The descent is ``_descend_digits``. A word is
 canonical exactly when its length is the level the search gives for its
-value, so ``val`` never re-runs ``rep``; ``_is_canonical`` decides that
-from one row when the table already holds it.
+value, so ``val`` never re-runs ``rep``: it compares the two. The search
+builds no row past its answer, which is at most the word's own length,
+so the leading zeros of a long word build no rows.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .core import NumerationSystem, Substitution, _LengthTable
+from .core import NumerationSystem, Substitution
 from .errors import (
     DigitOutOfRangeError,
     NotFixedPointSeedError,
@@ -178,8 +179,7 @@ def val(ns: NumerationSystem, word: Union[DigitWord, str]) -> tuple[int, bool]:
     Non-canonical words (paths reaching the column at a non-minimal
     level) evaluate fine. The path to a column at a given level is
     unique, so a word is canonical exactly when its length is the
-    minimal admissible level of its value, read off the length table
-    by ``_is_canonical``.
+    minimal admissible level of its value, the length table's ``level``.
     """
     if isinstance(word, str):
         word = DigitWord.parse(word, signed=True)
@@ -195,29 +195,8 @@ def val(ns: NumerationSystem, word: Union[DigitWord, str]) -> tuple[int, bool]:
     value = _evaluate_path(sub, root, word.digits, negative=word.sign == 1)
     need = value + 1 if value >= 0 else -value
     k = len(word.digits)
-    return value, _is_canonical(sub.lengths, root, k, need, ns.residue, ns.period)
-
-
-def _is_canonical(
-    lengths: _LengthTable, root: int, k: int, need: int, r: int, p: int
-) -> bool:
-    """Whether ``k`` is the level ``lengths.level(root, need, r, p)``.
-
-    A word of length ``k`` evaluates inside row ``k``, so that row covers
-    ``need``. Along the class ``k ≡ r (mod p)`` the lengths never shrink,
-    as ``mu^p(root)`` starts or ends with ``root``. So ``k`` is the least
-    admissible level exactly when it is admissible and the admissible
-    level below it, ``k - p``, falls short. When row ``k - p`` is not
-    built, the level search decides: it builds no row past the answer,
-    so the leading zeros of a long word build no rows.
-    """
-    if k < r or (k - r) % p:
-        return False
-    if k - p < r:
-        return True
-    if lengths.built(k - p):
-        return lengths.row(k - p)[root] < need
-    return lengths.level(root, need, r, p) == k
+    r, p = ns.residue, ns.period
+    return value, (k - r) % p == 0 and sub.lengths.level(root, need, r, p) == k
 
 
 def _evaluate_path(
@@ -290,5 +269,4 @@ def val_classic_N(
     root_idx = sub.letter_index(root)
     value = _evaluate_path(sub, root_idx, word.digits, negative=False)
     _require_fixed_point(sub, root_idx)
-    k = len(word.digits)
-    return value, _is_canonical(sub.lengths, root_idx, k, value + 1, 0, 1)
+    return value, sub.lengths.level(root_idx, value + 1, 0, 1) == len(word.digits)

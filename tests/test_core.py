@@ -292,6 +292,19 @@ class TestSeeds:
             minimal_period(sub, None, "z")
 
 
+def _level_search_inputs(corpus: int | None = None):
+    """(substitution, root letters) pairs for the level search: the corpus
+    systems' seed sides, then 1000 random substitutions, each with one root.
+    Rows never shrink at any level, not only along a residue class, on
+    every substitution; the bisection of the stored rows rests on it."""
+    from helpers import corpus_systems
+
+    inputs = [(ns.substitution, (ns.right, ns.left)) for ns in corpus_systems()[:corpus]]
+    for i, sub in enumerate(random_substitutions(random.Random(8), 1000)):
+        inputs.append((sub, (sub.alphabet[i % len(sub.alphabet)],)))
+    return inputs
+
+
 class TestLengthTable:
     def test_rows_match_the_naive_recursion(self):
         from helpers import corpus_systems
@@ -305,9 +318,10 @@ class TestLengthTable:
                 naive = [sum(naive[y] for y in im) for im in sub.image_idx]
 
     def test_rows_never_shrink_entrywise(self, fixture_substitutions):
-        # images are non-empty, so |mu^(k+1)(x)| >= |mu^k(x)|; the store's bit
-        # bound, the streamed search's starting checkpoint and the checkpoint
-        # bisection all rest on it
+        # images are non-empty, so |mu^(k+1)(x)| >= |mu^k(x)| at every level,
+        # not only along a residue class; the store's bit bound, the level
+        # search's bisection of the stored rows and of the checkpoints, and
+        # its walk from the last checkpoint short of the need all rest on it
         from helpers import corpus_systems
 
         subs = set(fixture_substitutions) | {ns.substitution for ns in corpus_systems()}
@@ -325,26 +339,29 @@ class TestLengthTable:
         assert rows[200][b] is rows[199][c]
 
     def test_level_matches_a_linear_scan(self):
-        from helpers import corpus_systems
-
         rng = random.Random(5)
         top = 60
-        for ns in corpus_systems():
-            sub = ns.substitution
+        rounded_past_the_top = 0
+        for sub, sides in _level_search_inputs():
             naive = [[1] * len(sub.alphabet)]
             while len(naive) <= top + 7:  # room for a table built past the answer
                 naive.append([sum(naive[-1][y] for y in im) for im in sub.image_idx])
-            for side in (ns.right, ns.left):
+            for side in sides:
                 if side is None:
                     continue
                 root = sub.index[side]
                 for p in (1, 2, 3):
                     for r in range(p):
                         need = rng.randint(1, naive[rng.randrange(r, top + 1, p)][root])
-                        k = r
+                        k = reach = r  # the answer, and the least level >= r that reaches
                         while naive[k][root] < need:
                             k += p
-                        for height in (None, k - 1, k + 7):
+                        while naive[reach][root] < need:
+                            reach += 1
+                        # at height ``reach`` the bisection finds a stored
+                        # level that rounds up past the top stored row
+                        rounded_past_the_top += reach < k
+                        for height in (None, k - 1, k + 7, reach):
                             table = _LengthTable(sub.image_idx)
                             if height is not None:
                                 table.rows(height)
@@ -353,6 +370,7 @@ class TestLengthTable:
                             built = max(k, 0 if height is None else height)
                             assert len(table.rows(0)) == built + 1
                             assert table.rows(0) == naive[: built + 1]
+        assert rounded_past_the_top > 0
 
     def test_long_images_grow_like_the_naive_recursion(self):
         # 10,000 terms as one "+" chain would overflow the compiler's stack
@@ -536,30 +554,29 @@ class TestStreamedTable:
             assert (len(table.rows(0)), base, span_, len(marks), table._bits) == want, text
 
     def test_level_matches_a_linear_scan(self):
-        from helpers import corpus_systems
-
         rng = random.Random(7)
-        for ns in corpus_systems()[:60]:
-            sub = ns.substitution
+        for sub, sides in _level_search_inputs(corpus=60):
             naive = self.naive_rows(sub, 260)
-            for side in (ns.right, ns.left):
+            for side in sides:
                 if side is None:
                     continue
                 root = sub.index[side]
                 for p in (1, 2, 3):
                     r = rng.randrange(p)
                     need = rng.randint(1, naive[rng.randrange(r, 201, p)][root])
-                    k = r
+                    k = reach = r
                     while naive[k][root] < need:
                         k += p
-                    for height in (None, k - 1, k + 7, 250):
+                    while naive[reach][root] < need:
+                        reach += 1
+                    for height in (None, k - 1, k + 7, 250, reach):
                         table = _LengthTable(sub.image_idx)
                         if height is not None:
                             table.row(height)
                         assert table.level(root, need, r, p) == k, (sub, side, need, r, p)
                         assert table.row(k) == naive[k]
                         # never grown past the answer
-                        assert not table.built(max(k, height or 0) + 1)
+                        assert table._front[0] <= max(k, height or 0)
 
     def test_rows_past_the_budget_are_refused(self):
         table = parse_substitution("a->abc,b->c,c->ac").lengths
@@ -567,7 +584,7 @@ class TestStreamedTable:
             table.rows(400)
         rows = table.rows(0)
         stored = len(rows)
-        assert not table.built(stored)  # refused before any row is streamed
+        assert table._front[0] < stored  # refused before any row is streamed
         assert table.rows(stored - 1) is rows
         table.row(400)
         assert len(table.rows(0)) == stored

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from dtnum import (
     decompose_prefix,
     evaluate_with_weights,
     find_seeds,
+    image_length,
     make_system,
     oracle_rep,
     parse_substitution,
@@ -29,6 +31,7 @@ from dtnum.errors import (
     DigitCapExceededError,
     DigitOutOfRangeError,
     NotFixedPointSeedError,
+    NumerationError,
     OffsetOutOfRangeError,
     SideMissingError,
 )
@@ -333,6 +336,17 @@ class TestCanonicalityRule:
         assert val_classic_N(sub, "a", "0" * 20_000 + "1") == (1, False)
         assert len(sub.lengths.rows(0)) == len(rep_classic_N(sub, "a", 1).digits) + 1
 
+    def test_word_of_inadmissible_length_at_the_level_cap(self, monkeypatch):
+        # the value needs level 50, but odd levels are admissible: its
+        # level, 51, lies past the cap, yet the 50-digit word is simply
+        # non-canonical
+        monkeypatch.setattr(core, "_MAX_LEVEL", 50)
+        ns = make_system("a->abc,b->c,c->ac", "c|a", residue=1, period=2)
+        value = image_length(ns.substitution, "a", 49)
+        assert val(ns, "01" + "0" * 49) == (value, False)
+        with pytest.raises(DigitCapExceededError):
+            rep(ns, value)
+
     def test_val_classic_non_fixed_point_root_exit_2(self, capsys):
         from dtnum.cli import main
 
@@ -390,7 +404,7 @@ def _fresh(sub: Substitution) -> Substitution:
 def _assert_streamed(sub: Substitution, level: int) -> None:
     with pytest.raises(DigitCapExceededError, match="store budget"):
         sub.lengths.rows(level)
-    assert sub.lengths.built(level)
+    assert level <= sub.lengths._front[0]
 
 
 class TestStreamedRows:
@@ -463,7 +477,7 @@ class TestStreamedRows:
             weights(ns, 10_000)
         stored = len(table.rows(0))
         assert stored < 10_000
-        assert not table.built(stored)
+        assert table._front[0] < stored
         plain = PlainRows(ns.substitution)
         a, b = ns.substitution.index["a"], ns.substitution.index["b"]
         table_ = weights(ns, stored)
@@ -495,6 +509,49 @@ class TestStreamedRows:
         assert not any(t.is_alive() for t in threads)
         assert got == {n: (expected[n], (n, True)) for n in values}
         _assert_streamed(ns.substitution, 800)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except NumerationError as e:
+        return e.code
+
+
+@pytest.mark.parametrize(
+    "budget", [None, (3000, 7), (400, 2)], ids=["default", "3000-bits-span-7", "400-bits-span-2"]
+)
+def test_rep_and_val_sweep_is_pinned(monkeypatch, golden_complement, budget):
+    """``rep`` and ``val`` on every golden and corpus system, each with a
+    new length table, hashed together: the words, their values and
+    verdicts, and those of three non-canonical variants of each word. A
+    change to any of them changes the hash, which is the same under every
+    store budget."""
+    from helpers import corpus_systems
+
+    if budget is not None:
+        monkeypatch.setattr(core, "_STORE_BITS", budget[0])
+        monkeypatch.setattr(core, "_SPAN", budget[1])
+    big = [s * (10**e + 4242) for e in (30, 200) for s in (1, -1)]
+    systems = [(ns, big) for _, ns in golden_complement]
+    systems += [(ns, []) for ns in corpus_systems()]
+    digest = hashlib.md5()
+    cases = 0
+    for ns, extra in systems:
+        ns = NumerationSystem(_fresh(ns.substitution), ns.seed, ns.residue)
+        for n in [*range(-64, 65), *extra]:
+            if not ns.contains(n):
+                continue
+            word = _outcome(rep, ns, n)
+            seen = [n, str(word)]
+            if isinstance(word, DigitWord):
+                d, sign = word.digits, word.sign
+                for digits in (d, (0,) * ns.period + d, d[1:], d[:-1]):
+                    seen.append(_outcome(val, ns, DigitWord(digits, sign)))
+            digest.update(repr(seen).encode())
+            cases += 1
+    assert cases == 27_503
+    assert digest.hexdigest() == "f76694db0f17e5e5974df73b4d169004"
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
