@@ -325,17 +325,19 @@ class _LengthTable:
 
         Images are non-empty, so rows never shrink entrywise from one
         level to the next: the answer is the least level ``>= r`` whose
-        entry reaches ``need``, rounded up into the class. Stored rows
-        are bisected for that level without the lock; past them the
+        entry reaches ``need``, rounded up into the class. The rows stored
+        when the call reads their count are bisected for that level
+        without the lock; past them the
         table grows under one lock up to the answer and never beyond it.
         Streamed levels below the front are walked from the last
         checkpoint that falls short of ``need``.
         """
         rows = self._rows
         key = itemgetter(root)
-        k = bisect_left(rows, need, r, key=key)
+        top = len(rows)  # read once: rows stored after it were never bisected
+        k = bisect_left(rows, need, r, top, key=key)
         k += (r - k) % p
-        if k < len(rows):
+        if k < top:
             return k
         with self._lock:
             k = bisect_left(rows, need, k, key=key)  # rows another thread stored meanwhile

@@ -458,6 +458,29 @@ class TestLengthTable:
             sys.setswitchinterval(interval)
         assert bad == 0
 
+    def test_rows_stored_during_the_unlocked_bisection_are_rechecked(self):
+        # another thread may store rows between the unlocked bisection and
+        # the test of its answer: here ``len`` grows the table once, as such
+        # a thread would, just after it reads the count the bisection uses
+        sub = parse_substitution("a->abc,b->c,c->ac")
+        need = sub.lengths.rows(100)[100][0]
+        for p in (1, 2, 3):
+            table = _LengthTable(sub.image_idx)
+
+            class GrowsOnce(list):
+                grown = False
+
+                def __len__(self):
+                    n = list.__len__(self)
+                    if not self.grown:
+                        self.grown = True
+                        table.rows(120)
+                    return n
+
+            table._rows = GrowsOnce(table._rows)
+            assert table.level(0, need, 0, p) == -(-100 // p) * p
+            assert len(table.rows(0)) == 121
+
     def test_rows_is_the_live_list(self):
         table = parse_substitution("a->ab,b->a").lengths
         rows = table.rows(3)
