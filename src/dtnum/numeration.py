@@ -80,21 +80,22 @@ class DigitWord:
 
     @classmethod
     def parse(cls, text: str, signed: bool) -> "DigitWord":
-        """Parse the text form; dot-separated components when any digit >= 10."""
+        """Parse the text form; dot-separated components when any digit >= 10.
+
+        Every component is one or more ASCII digits ``0-9``; any other word
+        raises ``ValueError("bad digit word ...")``.
+        """
         text = text.strip()
         if text in ("", "ε", "eps", "epsilon"):
             if signed:
                 raise ValueError("a signed word needs at least the sign digit")
             return cls(())
-        if "." in text:
-            try:
-                parts = [int(p) for p in text.split(".")]
-            except ValueError:
-                raise ValueError(f"bad digit word {text!r}") from None
-        else:
-            if not text.isdigit():
-                raise ValueError(f"bad digit word {text!r}")
-            parts = [int(ch) for ch in text]
+        parts = text.split(".") if "." in text else list(text)
+        # ASCII decimal digits only: ``str.isdigit`` also takes '²', and
+        # ``int`` also reads '０', '٣', '1_0', '+1' and ' 1'
+        if not all(p.isascii() and p.isdigit() for p in parts):
+            raise ValueError(f"bad digit word {text!r}")
+        parts = [int(p) for p in parts]
         if signed:
             if parts[0] not in (0, 1):
                 raise ValueError("sign digit must be 0 or 1")
@@ -105,22 +106,45 @@ class DigitWord:
 # -- descent ------------------------------------------------------------------
 
 
+def _word(digits: tuple[int, ...], sign: Optional[int]) -> DigitWord:
+    """A :class:`DigitWord` built without ``__post_init__``'s checks.
+
+    Only for words this package derives itself: descent digits are child
+    indices, so ``>= 0``, and the sign is 0, 1 or ``None`` by construction.
+    The result is indistinguishable from ``DigitWord(digits, sign)``.
+    """
+    word = object.__new__(DigitWord)
+    object.__setattr__(word, "digits", digits)
+    object.__setattr__(word, "sign", sign)
+    return word
+
+
 def _descend_digits(sub: Substitution, root: int, k: int, offset: int) -> list[int]:
-    """Child indices along the path left of column ``offset`` below ``root``."""
+    """Child indices along the path left of column ``offset`` below ``root``.
+
+    One level per digit, so the loop body is the cost on stored rows: each
+    block is read by index, top row first, and the child digit is counted
+    by hand, which builds no ``reversed`` iterator per block and no
+    ``enumerate`` per level. The blocks are ``spans()``'s, unchanged.
+    """
     image_idx = sub.image_idx
     digits: list[int] = []
+    add = digits.append
     x = root
     t = offset
     for block in sub.lengths.spans(k):
-        for row in reversed(block):
-            for i, y in enumerate(image_idx[x]):
+        for j in range(len(block) - 1, -1, -1):
+            row = block[j]
+            i = 0
+            for y in image_idx[x]:
                 w = row[y]
                 if t < w:
                     break
                 t -= w
+                i += 1
             else:  # only possible on an out-of-range offset
                 raise OffsetOutOfRangeError("offset beyond row width")
-            digits.append(i)
+            add(i)
             x = y
     return digits
 
@@ -170,7 +194,7 @@ def rep(ns: NumerationSystem, n: int) -> DigitWord:
     k = sub.lengths.level(root, need, ns.residue, ns.period)
     # a negative n is the column |mu^k(left)| + n of the left tree
     offset = n % sub.lengths.row(k)[root]
-    return DigitWord(tuple(_descend_digits(sub, root, k, offset)), sign)
+    return _word(tuple(_descend_digits(sub, root, k, offset)), sign)
 
 
 def val(ns: NumerationSystem, word: Union[DigitWord, str]) -> tuple[int, bool]:
@@ -255,7 +279,7 @@ def rep_classic_N(sub: Substitution, root: str, n: int) -> DigitWord:
     if n < 0:
         raise ValueError("classic representation is defined for n >= 0")
     k = sub.lengths.level(root_idx, n + 1, 0, 1)
-    return DigitWord(tuple(_descend_digits(sub, root_idx, k, n)))
+    return _word(tuple(_descend_digits(sub, root_idx, k, n)), None)
 
 
 def val_classic_N(

@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 
 from .core import NumerationSystem
 from .errors import CapExceededError, SideMissingError
-from .numeration import DigitWord
+from .numeration import DigitWord, _word
 
 DEFAULT_NODE_CAP = 10**6
 
@@ -64,8 +64,9 @@ class ExpansionOracle:
     the seed row), plus the number of nodes left of column 0. The node at
     position ``i`` sits at column ``i - left``. :class:`TreeNode` objects
     are built only by :meth:`row` and :meth:`slice`, for the rows asked
-    for. :meth:`rep` reads the lists alone and calls nothing in
-    ``numeration`` or the length table.
+    for. :meth:`rep` reads the lists alone: it calls neither the descent
+    in ``numeration`` nor the length table, and only builds its word with
+    ``numeration._word``.
     """
 
     def __init__(self, ns: NumerationSystem, cap: int = DEFAULT_NODE_CAP):
@@ -145,7 +146,7 @@ class ExpansionOracle:
             digits.append(self._edges[level][idx])
             idx = self._parents[level][idx]
         digits.reverse()
-        return DigitWord(tuple(digits), 0 if n >= 0 else 1)
+        return _word(tuple(digits), 0 if n >= 0 else 1)
 
 
 def expand(ns: NumerationSystem, depth: int, cap: int = DEFAULT_NODE_CAP) -> TreeSlice:

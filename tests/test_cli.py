@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import dtnum
 from dtnum.cli import main
 
 
@@ -114,6 +117,18 @@ class TestVal:
         )
         assert code == 2
         assert "DigitOutOfRange" in err
+
+    @pytest.mark.parametrize(
+        "word",
+        ["0²", "０２", "0.٣", "0.1_0", "01_0"],
+        ids=("superscript", "fullwidth", "arabic-indic", "dotted-underscore", "underscore"),
+    )
+    def test_non_ascii_digit_word_exit_1(self, capsys, word):
+        code, out, err = run_cli(
+            capsys, "val", "--sub", SUB3, "--seed", "c|a", "--word", word
+        )
+        assert (code, out) == (1, "")
+        assert err == f"usage error: bad digit word {word!r}\n"
 
 
 class TestAnalyze:
@@ -488,3 +503,17 @@ def test_past_the_level_cap_exit_2(argv):
     assert (code, out) == (2, "")
     assert err.startswith("error: DigitCapExceeded: ")
     assert "Traceback" not in err
+
+
+def test_no_assert_statement_in_the_package():
+    """``python -O`` strips ``assert``, so no invariant of the package may
+    rest on one."""
+    modules = sorted(Path(dtnum.__file__).parent.rglob("*.py"))
+    assert len(modules) >= 10
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import random
 import subprocess
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from dtnum import (
     DigitWord,
+    ExpansionOracle,
     decompose_prefix,
     evaluate_with_weights,
     find_seeds,
@@ -36,6 +38,7 @@ from dtnum.errors import (
     SideMissingError,
 )
 from helpers import (
+    corpus_systems,
     descend_with_invariants,
     expand_word,
     PlainRows,
@@ -69,6 +72,82 @@ class TestDigitWord:
         assert DigitWord.parse("ε", signed=False) == DigitWord(())
         with pytest.raises(ValueError):
             DigitWord.parse("", signed=True)
+
+    @pytest.mark.parametrize(
+        "text, signed",
+        [
+            ("0²", True),  # '²'.isdigit(), but int('²') fails
+            ("０２", True),  # fullwidth digits, which int() reads
+            ("0.٣", True),  # an Arabic-Indic three, which int() reads
+            ("0.1_0", True),  # int('1_0') == 10
+            ("01_0", True),
+            ("0. 1", True),  # int(' 1') == 1
+            ("0.+1", True),
+            ("0..1", True),
+            ("²", False),
+            ("1.", False),
+        ],
+        ids=(
+            "superscript", "fullwidth", "arabic-indic", "dotted-underscore",
+            "underscore", "dotted-blank", "dotted-plus", "empty-component",
+            "unsigned-superscript", "trailing-dot",
+        ),
+    )
+    def test_parse_takes_ascii_decimal_digits_only(self, text, signed):
+        with pytest.raises(ValueError, match="^bad digit word "):
+            DigitWord.parse(text, signed=signed)
+
+
+def _assert_like_a_validated_word(word: DigitWord) -> None:
+    """``word`` cannot be told apart from the same word built by ``DigitWord``."""
+    assert type(word) is DigitWord
+    twin = DigitWord(word.digits, word.sign)
+    assert word == twin
+    assert (hash(word), repr(word), vars(word)) == (hash(twin), repr(twin), vars(twin))
+    assert type(word.digits) is tuple
+    for name in ("digits", "sign"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(word, name, None)
+
+
+class TestTrustedWords:
+    """``rep``, ``rep_classic_N`` and ``ExpansionOracle.rep`` build their
+    words without ``DigitWord``'s checks; the words must still be the same
+    objects in every observable way."""
+
+    def test_golden_complement(self, golden_complement):
+        for _entry, ns in golden_complement:
+            oracle = ExpansionOracle(ns)
+            for n in range(-64, 65):
+                if ns.contains(n):
+                    _assert_like_a_validated_word(rep(ns, n))
+                    _assert_like_a_validated_word(oracle.rep(n))
+            for n in (10**30 + 4242, -(10**30 + 4242)):
+                if ns.contains(n):
+                    _assert_like_a_validated_word(rep(ns, n))
+
+    def test_golden_classic(self, golden_classic):
+        for _entry, sub, root in golden_classic:
+            for n in [*range(65), 10**30 + 4242]:
+                _assert_like_a_validated_word(rep_classic_N(sub, root, n))
+
+    def test_corpus(self):
+        classic = 0
+        for ns in corpus_systems():
+            oracle = ExpansionOracle(ns)
+            for n in range(-16, 17):
+                if ns.contains(n):
+                    _assert_like_a_validated_word(rep(ns, n))
+                    _assert_like_a_validated_word(oracle.rep(n))
+            if ns.right is not None:
+                try:
+                    words = [rep_classic_N(ns.substitution, ns.right, n) for n in range(17)]
+                except NotFixedPointSeedError:
+                    continue
+                classic += 1
+                for word in words:
+                    _assert_like_a_validated_word(word)
+        assert classic
 
 
 class TestDecompose:
