@@ -1,14 +1,15 @@
 """Command-line surface: every library operation behind one scriptable tool.
 
 Exit codes: 0 success, 1 usage error, 2 domain error (the module error
-code is printed on stderr), 3 selftest mismatch. Numbers cross the
-boundary as decimal strings, so arbitrary-precision arguments survive.
-All output is deterministic.
+code is printed on stderr), 3 selftest mismatch, 141 stdout closed early
+by its reader. Numbers cross the boundary as decimal strings, so
+arbitrary-precision arguments survive. All output is deterministic.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional
 
@@ -412,6 +413,14 @@ def _main(argv: Optional[list[str]]) -> int:
     except NumerationError as e:
         print(f"error: {e.code}: {e}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout: point it at the null device so the
+        # interpreter's final flush stays silent, and exit with the status a
+        # shell gives a tool killed by SIGPIPE, so truncated output is no pass
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

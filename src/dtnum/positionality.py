@@ -95,7 +95,9 @@ class PositionalityReport:
 
     def to_json_dict(self) -> dict:
         rs = self.residue_sets
-        data: dict = {
+        w = self.weights
+        ce = self.counterexample
+        return {
             "positional": self.positional,
             "E": {str(j): list(rs.full(j)) for j in range(rs.period)},
             "c2_added": {
@@ -112,25 +114,17 @@ class PositionalityReport:
                 }
                 for ob in rs.obligations
             ],
-        }
-        if self.positional:
-            data["U"] = list(self.weights.U)
-            data["V"] = list(self.weights.V)
-            data["unconstrained"] = list(self.weights.unconstrained)
-            data["counterexample"] = None
-        else:
-            ce = self.counterexample
-            data["U"] = None
-            data["V"] = None
-            data["unconstrained"] = None
-            data["counterexample"] = {
+            "U": None if w is None else list(w.U),
+            "V": None if w is None else list(w.V),
+            "unconstrained": None if w is None else list(w.unconstrained),
+            "counterexample": None if ce is None else {
                 "kind": ce.kind,
                 "j": ce.residue,
                 "exponent": ce.exponent,
                 "letters": list(ce.letters),
                 "lengths": list(ce.lengths),
-            }
-        return data
+            },
+        }
 
 
 # -- residue letter sets --------------------------------------------------------
@@ -139,96 +133,84 @@ class PositionalityReport:
 def compute_residue_sets(ns: NumerationSystem) -> ResidueSets:
     """Letter sets per residue class of tree levels.
 
-    Runs a closure over occurrence states (letter, level residue, kind),
-    where kind distinguishes nodes on the left spine (the column -1
-    chain) from all others: a spine occurrence hides its second-to-last
-    child position, whose younger sibling would land on column -1. The
+    Runs one closure over occurrence states (on_spine, letter, level
+    residue), where on_spine marks nodes of the left spine (the column -1
+    chain). Each state adds the letters of its node's children that have
+    a younger sibling to the next residue, except a spine node's
+    second-to-last child, whose younger sibling sits on column -1. The
     column -2 adjustment is then applied at the literal levels 1..p-1.
-    Each of the 2 * |alphabet| * period states enters the frontier at
-    most once, so the closure always reaches its fixpoint.
+    Each of the 2 * |alphabet| * period states is pushed at most once, so
+    the closure always reaches its fixpoint.
     """
     ns, _ = ns.restricted()
     sub = ns.substitution
+    names = sub.alphabet
     p = ns.period
     img = sub.image_idx
-    n = len(sub.alphabet)
 
-    general = [[False] * p for _ in range(n)]
-    spine = [[False] * p for _ in range(n)]
-    frontier: list[tuple[bool, int, int]] = []  # (is_spine, letter, residue)
+    todo: list[tuple[bool, int, int]] = []
     if ns.right is not None:
-        i = sub.index[ns.right]
-        general[i][0] = True
-        frontier.append((False, i, 0))
+        todo.append((False, sub.index[ns.right], 0))
     if ns.left is not None:
-        i = sub.index[ns.left]
-        spine[i][0] = True
-        frontier.append((True, i, 0))
-
-    while frontier:
-        next_frontier: list[tuple[bool, int, int]] = []
-        for is_spine, x, i in frontier:
-            j = (i + 1) % p
-            im = img[x]
-            if is_spine:
-                last = im[-1]
-                if not spine[last][j]:
-                    spine[last][j] = True
-                    next_frontier.append((True, last, j))
-                body = im[:-1]
-            else:
-                body = im
-            for y in body:
-                if not general[y][j]:
-                    general[y][j] = True
-                    next_frontier.append((False, y, j))
-        frontier = next_frontier
-
+        todo.append((True, sub.index[ns.left], 0))
+    seen = set(todo)
     base_sets: list[set[int]] = [set() for _ in range(p)]
-    for x in range(n):
+    while todo:
+        on_spine, x, i = todo.pop()
+        j = (i + 1) % p
         im = img[x]
-        for i in range(p):
-            j = (i + 1) % p
-            if general[x][i]:
-                base_sets[j].update(im[:-1])
-            if spine[x][i]:
-                # the position next to the spine child is excluded: its
-                # younger sibling sits on column -1
-                base_sets[j].update(im[: len(im) - 2])
+        base_sets[j].update(im[: len(im) - 2] if on_spine else im[:-1])
+        # the last child inherits its parent's place on or off the spine
+        for state in [(False, y, j) for y in im[:-1]] + [(on_spine, im[-1], j)]:
+            if state not in seen:
+                seen.add(state)
+                todo.append(state)
+    base = tuple(tuple(names[i] for i in sorted(s)) for s in base_sets)
 
-    added_sets: list[set[int]] = [set() for _ in range(p)]
+    added: list[tuple[str, ...]] = [()] * p
     obligations: list[ConditionC] = []
-    if ns.left is not None:
-        spine_letter = sub.index[ns.left]
-        for j in range(1, p):
-            parent = spine_letter
-            im = img[parent]
-            spine_letter = im[-1]
-            if len(im) < 2:
-                continue  # column -2 node (if any) hangs off a different parent
-            c, d = im[-2], im[-1]
-            if sub.lengths.row(p - j)[d] > 1:
-                if c not in base_sets[j]:
-                    added_sets[j].add(c)
-            elif j <= ns.residue:
-                obligations.append(
-                    ConditionC(
-                        residue=j,
-                        letter=sub.alphabet[c],
-                        exponent=ns.residue - j,
-                        reference=tuple(
-                            sub.alphabet[i] for i in sorted(base_sets[j])
-                        ),
-                    )
+    for j, im, c in _left_spine(ns, p):
+        if len(im) < 2:
+            continue  # column -2 node (if any) hangs off a different parent
+        if sub.lengths.row(p - j)[im[-1]] > 1:
+            if c not in base_sets[j]:
+                added[j] = (names[c],)
+        elif j <= ns.residue:
+            obligations.append(
+                ConditionC(
+                    residue=j,
+                    letter=names[c],
+                    exponent=ns.residue - j,
+                    reference=base[j],
                 )
+            )
 
-    names = sub.alphabet
     return ResidueSets(
         period=p,
-        base=tuple(tuple(names[i] for i in sorted(s)) for s in base_sets),
-        added=tuple(tuple(names[i] for i in sorted(s)) for s in added_sets),
+        base=base,
+        added=tuple(added),
         obligations=tuple(obligations),
     )
+
+
+def _left_spine(ns: NumerationSystem, level_bound: int):
+    """Walk the left spine: for each level 1..level_bound-1, yield the level,
+    the image (letter indices) of the spine node one level up, whose last
+    letter is the spine node, and the column -2 letter index, or None while
+    no spine image has had two letters."""
+    if ns.left is None:
+        return
+    img = ns.substitution.image_idx
+    x = ns.substitution.index[ns.left]
+    col2: Optional[int] = None
+    for level in range(1, level_bound):
+        im = img[x]
+        if len(im) >= 2:
+            col2 = im[-2]
+        elif col2 is not None:
+            col2 = img[col2][-1]
+        x = im[-1]
+        yield level, im, col2
 
 
 # -- the decision ----------------------------------------------------------------
@@ -265,8 +247,9 @@ def check_positional(ns: NumerationSystem, weight_count: int = 8) -> Positionali
         f"length constancy sampled at {len(sub.alphabet)} exponents per residue; "
         "sufficient by the adjacency characteristic polynomial"
     )
-    for level, letter in _column_minus2_letters(ns2, 2 * p):
-        notes.append(f"column -2 letter at level {level}: {letter}")
+    for level, _, c in _left_spine(ns2, 2 * p):
+        if c is not None:
+            notes.append(f"column -2 letter at level {level}: {sub.alphabet[c]}")
     empty = [j for j in range(p) if not rs.full(j)]
     if empty:
         notes.append(
@@ -303,24 +286,6 @@ def check_positional(ns: NumerationSystem, weight_count: int = 8) -> Positionali
         counterexample=None,
         notes=tuple(notes),
     )
-
-
-def _column_minus2_letters(ns: NumerationSystem, level_bound: int):
-    """Diagnostic: the column -2 letter of each left row below ``level_bound``."""
-    if ns.left is None:
-        return
-    sub = ns.substitution
-    spine = ns.left
-    col2: Optional[str] = None
-    for level in range(1, level_bound):
-        im = sub.image(spine)
-        if len(im) >= 2:
-            col2 = im[-2]
-        elif col2 is not None:
-            col2 = sub.image(col2)[-1]
-        spine = im[-1]
-        if col2 is not None:
-            yield level, col2
 
 
 def _weight_table(ns: NumerationSystem, rs: ResidueSets, count: int) -> WeightTable:

@@ -98,6 +98,12 @@ class TestSimplify:
         assert witness[:2] == ("a", "c")
         assert witness[3:] == (3, 2)
 
+    def test_mismatch_past_exponent_zero_found(self):
+        # every letter has length 1 at exponent 0; the lengths part at 1
+        with pytest.raises(NotLengthUniformError) as exc:
+            simplify(parse_substitution("a->bab,b->a"), SeedSpec("a", "a", 2))
+        assert exc.value.witness == ("a", "b", 1, 3, 1)
+
     def test_preserves_representations(self):
         for text, seed_text in (("a->ab,b->ba", "a|a"), ("a->ba,b->ab", "b|a")):
             ns = make_system(text, seed_text)

@@ -216,6 +216,13 @@ class TestTreeAndClassify:
         assert data["class"] == "CanonicalSimpleParry"
         assert data["parry"] == "pass"
 
+    def test_simplify_not_length_uniform_exit_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simplify", "--sub", "a->bab,b->a", "--seed", "a|a"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: NotLengthUniform: |mu^1(a)| = 3 but |mu^1(b)| = 1\n"
+
     def test_simplify_human(self, capsys):
         code, out, _ = run_cli(
             capsys, "simplify", "--sub", "a->ab,b->ba", "--seed", "_|a"
@@ -382,6 +389,24 @@ class TestErrorsAndSelftest:
         )
         assert proc.returncode == 0
         assert proc.stdout == "010\n"
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_stdout_closed_early_exit_141(self, monkeypatch, unbuffered):
+        # megabytes of output, so the child writes after the reader is gone
+        # whether its stdout is block-buffered or not
+        monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "dtnum", "rep", "--sub", SUB3,
+             "--seed", "c|a", "--range", "0..200000"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        assert [proc.stdout.readline() for _ in range(2)] == ["0\t0\n", "1\t01\n"]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (141, "")
 
     def test_import_leaves_fractions_out(self):
         proc = subprocess.run(

@@ -1,14 +1,21 @@
 from __future__ import annotations
 
+import hashlib
+import json
+import random
+
 import pytest
 
 from dtnum import (
     ConsistentWeights,
+    NumerationSystem,
+    SeedSpec,
     WeightContradiction,
     check_positional,
     compute_residue_sets,
     evaluate_with_weights,
     expand,
+    find_seeds,
     fit_weights_oracle,
     make_system,
     rep,
@@ -345,3 +352,26 @@ def test_two_letter_crosscheck_covers_every_system():
 
     assert len(two_letter_substitutions()) == 188
     assert len(two_letter_systems()) == 3996
+
+
+def test_analysis_sweep_is_pinned(golden_complement):
+    """``check_positional`` on the golden, corpus and random systems, each
+    seed at its period and at twice it, hashed together: the JSON report
+    and the notes. A change to any letter set, obligation, verdict, weight
+    or note changes the hash."""
+    from helpers import corpus_systems, random_substitutions
+
+    systems = [ns for _, ns in golden_complement] + corpus_systems()
+    for sub in random_substitutions(random.Random(8), 200):
+        for domain in ("Z", "N", "Zneg"):
+            for spec in find_seeds(sub, domain):
+                for period in (spec.period, 2 * spec.period):
+                    seed = SeedSpec(spec.left, spec.right, period)
+                    systems += [NumerationSystem(sub, seed, r) for r in range(period)]
+    digest = hashlib.md5()
+    for ns in systems:
+        report = check_positional(ns)
+        digest.update(json.dumps(report.to_json_dict()).encode())
+        digest.update(repr(report.notes).encode())
+    assert len(systems) == 7_657
+    assert digest.hexdigest() == "ff6d620b774a72413ea45f74025f17ca"
