@@ -174,18 +174,15 @@ def fabre_like_periodic(sub: Substitution, a1: str) -> bool:
 
 
 def _periodic_chain_shape(sub: Substitution, a1: str) -> bool:
-    """``fabre_like_periodic`` for a root already known not to be Fabre-like."""
-    reach = reachable_letters(sub, [a1])
-    sub_r = restrict(sub, reach)
-    nonfinal = nonfinal_letters(sub_r)
-    if len(nonfinal) != 1:
+    """``fabre_like_periodic`` for a root already known not to be Fabre-like.
+
+    Decided on the letters reachable from ``a1`` without restricting the
+    substitution to them: the restriction need not grow, as on root ``a``
+    of ``a->a,b->baa``, and building it would raise."""
+    bodies = {x for a in reachable_letters(sub, [a1]) for x in sub.image(a)[:-1]}
+    if len(bodies) != 1:
         return False
-    e = nonfinal[0]
-    for a in sub_r.alphabet:
-        im = sub_r.image(a)
-        if any(x != e for x in im[:-1]):
-            return False
-    cycle = first_letter_cycle(sub_r, a1)
+    cycle = first_letter_cycle(sub, a1)
     return cycle is not None and cycle > 1
 
 

@@ -29,12 +29,21 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _int(text: str) -> int:
+    """An optional sign and ASCII digits ``0-9``, as ``int``; ``int`` alone
+    also reads ' 12 ', '1_000' and '٣'."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _parse_range(text: str) -> tuple[int, int]:
     if ".." not in text:
         raise _UsageError(f"range {text!r} must look like LO..HI")
     lo_s, hi_s = text.split("..", 1)
     try:
-        lo, hi = int(lo_s), int(hi_s)
+        lo, hi = _int(lo_s), _int(hi_s)
     except ValueError:
         raise _UsageError(f"range bounds must be integers: {text!r}") from None
     if lo > hi:
@@ -44,7 +53,7 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def _int_arg(text: str, name: str, minimum: Optional[int] = None) -> int:
     try:
-        value = int(text)
+        value = _int(text)
     except ValueError:
         raise _UsageError(f"{name} must be an integer: {text!r}") from None
     if minimum is not None and value < minimum:
@@ -138,9 +147,10 @@ def _cmd_rep(args) -> int:
         return rep(ns, n).text()
 
     if args.n is not None:
-        word = one(_int_arg(args.n, "-n"))
+        n = _int_arg(args.n, "-n")
+        word = one(n)
         if args.format == "json":
-            _print_json({"n": args.n, "word": word})
+            _print_json({"n": str(n), "word": word})
         else:
             print(word)
         return 0

@@ -17,6 +17,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
+from itertools import islice
 from operator import itemgetter
 from typing import Iterable, Literal, Optional, Sequence, Union
 
@@ -152,21 +153,21 @@ class _LengthTable:
     Every new row comes from one loop, ``_climb``, which steps up from
     the highest row computed (the front). Rows are stored, appended
     fully built and never mutated, until they hold ``_STORE_BITS`` bits;
-    a reader holding the list from ``rows`` may index any level below
-    its current length while another call grows it. Rows never shrink
-    entrywise, so at every count level (``(level + 1) % _SPAN == 0``) the
-    newest row, times ``_SPAN``, bounds the bits of the rows it closes,
-    and ``level`` finds its answer among the stored rows by bisection.
-    Once the budget is reached the stored rows close, and the levels
-    above them are streamed: the table keeps the front and a checkpoint
-    row every ``span`` levels from the top stored row up. When the
-    checkpoints pass the budget too, every other one is dropped and the
-    span doubles. ``row`` and ``level`` recompute streamed rows below the
-    front by one walk up from a checkpoint (``_walk``); ``spans``
-    recomputes one span at a time, top-down. Memory is then at most two
-    budgets plus the two spans of rows a descent holds at once.
+    a reader holding the list may index any level below its current
+    length while another call grows it. Rows never shrink entrywise, so
+    at every count level (``(level + 1) % _SPAN == 0``) the newest row,
+    times ``_SPAN``, bounds the bits of the rows it closes, and ``level``
+    finds its answer among the stored rows by bisection. Once the budget
+    is reached the stored rows close, and the levels above them are
+    streamed: the table keeps the front and a checkpoint row every
+    ``span`` levels from the top stored row up. When the checkpoints pass
+    the budget too, every other one is dropped and the span doubles.
+    ``row``, ``level`` and ``spans`` recompute streamed rows below the
+    front by walks up from a checkpoint (``_walk``), ``spans`` one span
+    at a time, top-down. Memory is then at most two budgets plus the two
+    spans of rows a descent holds at once.
 
-    Growth, by ``rows``, ``row``, ``spans`` or ``level``, takes the lock
+    Growth, by ``row``, ``spans`` or ``level``, takes the lock
     once and climbs inside it, so threads growing one table at once
     append each level exactly once and share the checkpoints. Growth
     past ``_MAX_LEVEL`` raises ``DigitCapExceededError``; reading built
@@ -243,30 +244,6 @@ class _LengthTable:
 
     # -- reads ---------------------------------------------------------------
 
-    def rows(self, level: int) -> list[list[int]]:
-        """The live, append-only list of stored rows, grown through ``level``.
-
-        Raises ``DigitCapExceededError`` when ``level`` lies past the
-        store budget; the rows stored so far are kept.
-        """
-        rows = self._rows
-        if len(rows) <= level:
-            if level > _MAX_LEVEL:
-                raise DigitCapExceededError(
-                    f"level {level} is past the cap of {_MAX_LEVEL} levels"
-                )
-            with self._lock:
-                # up to one count level at a time: the store may close at
-                # each, and no row above it may be streamed
-                while self._marks is None and len(rows) <= level:
-                    self._climb(min(level, len(rows) // _SPAN * _SPAN + _SPAN - 1))
-            if len(rows) <= level:
-                raise DigitCapExceededError(
-                    f"rows through level {level} are past the store budget of "
-                    f"{_STORE_BITS} bits ({len(rows)} levels)"
-                )
-        return rows
-
     def row(self, level: int) -> list[int]:
         rows = self._rows
         if level < len(rows):
@@ -295,15 +272,8 @@ class _LengthTable:
 
     def _streamed_spans(self, k: int):
         base, span, marks = self._marks
-        step = self._step
-        for i in range((k - 2 - base) // span, -1, -1):
-            row = marks[i]
-            block = []
-            for _ in range(min(span, k - 1 - base - i * span)):
-                row = step(row)
-                block.append(row)
-            yield block
-        del block  # not held while the stored rows are walked
+        for lo in range(base + (k - 2 - base) // span * span, base - 1, -span):
+            yield list(islice(self._walk(lo + 1), min(span, k - 1 - lo)))
         yield self._rows
 
     def _walk(self, level: int):

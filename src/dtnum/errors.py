@@ -58,7 +58,7 @@ class CapExceededError(NumerationError):
 
 class DigitCapExceededError(NumerationError):
     """The answer needs more levels (digits per word) than ``core._MAX_LEVEL``,
-    or stored rows past the table's store budget (``core._STORE_BITS``)."""
+    or weights holding more bits than ``positionality._MAX_WEIGHT_BITS``."""
 
     code = "DigitCapExceeded"
 

@@ -288,18 +288,25 @@ def check_positional(ns: NumerationSystem, weight_count: int = 8) -> Positionali
     )
 
 
+# the weights emitted hold at most this many bits (64 MiB): U alone has
+# about 0.69 bits per level on Fibonacci, so a count near the level cap
+# would hold tens of gigabytes
+_MAX_WEIGHT_BITS = 2**29
+
+
 def _weight_table(ns: NumerationSystem, rs: ResidueSets, count: int) -> WeightTable:
     sub = ns.substitution
     idx = sub.index
     r = ns.residue
     p = ns.period
+    left = None if ns.left is None else idx[ns.left]
     condition_at = {ob.exponent: ob for ob in rs.obligations}
-    # stored rows only: a count past the store budget is refused before
-    # any row is streamed
-    rows = sub.lengths.rows(count - 1)[:count]
     U: list[int] = []
+    V: list[int] = []
     unconstrained: list[int] = []
-    for exponent, row in enumerate(rows):
+    bits = 0
+    for exponent in range(count):
+        row = sub.lengths.row(exponent)
         j = (r - exponent) % p
         letters = rs.full(j)
         if letters:
@@ -311,12 +318,16 @@ def _weight_table(ns: NumerationSystem, rs: ResidueSets, count: int) -> WeightTa
             # only the digit 0 ever occurs at these positions
             U.append(0)
             unconstrained.append(exponent)
-    if ns.left is not None:
-        left = idx[ns.left]
-        V = tuple(row[left] for row in rows)
-    else:
-        V = ()
-    return WeightTable(tuple(U), V, tuple(unconstrained))
+        bits += U[-1].bit_length()
+        if left is not None:
+            V.append(row[left])
+            bits += V[-1].bit_length()
+        if bits > _MAX_WEIGHT_BITS:
+            raise DigitCapExceededError(
+                f"{count} weights hold more than {_MAX_WEIGHT_BITS} bits "
+                f"(the first {exponent + 1} already do)"
+            )
+    return WeightTable(tuple(U), tuple(V), tuple(unconstrained))
 
 
 def weights(ns: NumerationSystem, count: int) -> WeightTable:

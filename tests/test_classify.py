@@ -20,6 +20,7 @@ from dtnum import (
     parry_check,
     parse_substitution,
     quasi_greedy,
+    reachable_letters,
     rep,
     rep_classic_N,
     simplify,
@@ -28,6 +29,7 @@ from dtnum import (
     Substitution,
 )
 from dtnum.classify import (
+    BERTRAND_CLASSES,
     CANONICAL_PARRY,
     CANONICAL_SIMPLE_PARRY,
     NON_CANONICAL_SIMPLE_PARRY,
@@ -263,6 +265,20 @@ class TestBertrandClassify:
         periodic = classification_json(parse_substitution("a->xxa,x->a"), "a")
         assert periodic["diagnostic"] == "FabreLikePeriodic"
         assert len(calls) == 3
+
+    def test_every_root_is_classified(self):
+        # 1059 of these roots reach no growing letter, such as ``a`` of
+        # a->a,b->baa; restricting the substitution to them would raise
+        from helpers import random_substitutions
+
+        stuck = 0
+        for sub in random_substitutions(random.Random(3), 3000):
+            for a in sub.alphabet:
+                assert classification_json(sub, a)["class"] in BERTRAND_CLASSES, (sub, a)
+                stuck += not sub.growing & set(reachable_letters(sub, [a]))
+        assert stuck == 1059
+        data = classification_json(parse_substitution("a->a,b->baa"), "a")
+        assert data == {"fabre": None, "d_word": None, "parry": None, "class": NOT_FABRE_LIKE}
 
     def test_bertrand_classes_match_greedy(self):
         for text in ("a->ab,b->a", "a->ab,b->b", "a->aa", "a->ab,b->ac,c->c",

@@ -51,6 +51,26 @@ class TestRep:
         assert code == 0
         assert json.loads(out) == {"n": "4", "word": "020"}
 
+    @pytest.mark.parametrize("text, n", [("007", "7"), ("+4", "4"), ("-0", "0"), ("-12", "-12")])
+    def test_json_prints_the_integer_read(self, capsys, text, n):
+        code, out, _ = run_cli(
+            capsys, "rep", "--sub", SUB3, "--seed", "c|a", "-n", text, "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out)["n"] == n
+
+    @pytest.mark.parametrize("text", ["1_000", " 12 ", "12\n", "٣", "１２", "+-1", "0x10", ""])
+    def test_integers_are_ascii_digits_only(self, capsys, text):
+        # int() alone reads the first four as 1000, 12, 12 and 3
+        code, out, err = run_cli(capsys, "rep", "--sub", SUB3, "--seed", "c|a", "-n", text)
+        assert (code, out, err) == (1, "", f"usage error: -n must be an integer: {text!r}\n")
+        for bounds in (f"{text}..5", f"0..{text}"):
+            code, out, err = run_cli(
+                capsys, "rep", "--sub", SUB3, "--seed", "c|a", "--range", bounds
+            )
+            assert (code, out) == (1, "")
+            assert err == f"usage error: range bounds must be integers: {bounds!r}\n"
+
     def test_round_trip_beyond_4300_digits(self, capsys):
         # the value stays a decimal string here: converting it would hit the
         # interpreter's own 4300-digit limit on Python >= 3.11
@@ -215,6 +235,12 @@ class TestTreeAndClassify:
         data = json.loads(out)
         assert data["class"] == "CanonicalSimpleParry"
         assert data["parry"] == "pass"
+
+    def test_classify_root_reaching_no_growing_letter(self, capsys):
+        # only b grows; the letters reachable from a do not
+        code, out, _ = run_cli(capsys, "classify", "--sub", "a->a,b->baa", "--root", "a")
+        assert code == 0
+        assert json.loads(out)["class"] == "NotFabreLike"
 
     def test_simplify_not_length_uniform_exit_2(self, capsys):
         code, out, err = run_cli(
@@ -518,7 +544,7 @@ class TestImports:
         ("rep", "--sub", "a->ab,b->b", "--seed", "_|a", "-n", str(10**60)),
         ("weights", "--sub", "a->aab,b->a", "--seed", "b|a", "--count", "10000000000"),
         ("analyze", "--sub", "a->aab,b->a", "--seed", "b|a", "--count", "10000000000"),
-        # within the level cap, but its rows would pass the store budget
+        # within the level cap, but its weights would hold more than 64 MiB
         ("weights", "--sub", "a->aab,b->a", "--seed", "b|a", "--count", "1000000"),
     ],
     ids=("rep-polynomial-growth", "weights-count", "analyze-count", "weights-store-budget"),

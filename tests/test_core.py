@@ -311,7 +311,8 @@ class TestLengthTable:
 
         subs = {ns.substitution for ns in corpus_systems()}
         for sub in subs:
-            rows = sub.lengths.rows(60)
+            sub.lengths.row(60)
+            rows = sub.lengths._rows
             naive = [1] * len(sub.alphabet)
             for level in range(61):
                 assert rows[level] == naive, (sub, level)
@@ -327,16 +328,20 @@ class TestLengthTable:
         subs = set(fixture_substitutions) | {ns.substitution for ns in corpus_systems()}
         subs |= set(random_substitutions(random.Random(8), 1000))
         for sub in subs:
-            rows = _LengthTable(sub.image_idx).rows(60)
+            table = _LengthTable(sub.image_idx)
+            table.row(60)
+            rows = table._rows
             for level in range(60):
                 assert all(map(int.__le__, rows[level], rows[level + 1])), (sub, level)
 
     def test_one_letter_image_shares_the_entry_below(self):
         sub = parse_substitution("a->abc,b->c,c->ac")
-        rows = sub.lengths.rows(200)
+        sub.lengths.row(200)
+        rows = sub.lengths._rows
         b, c = sub.index["b"], sub.index["c"]
         assert rows[199][c].bit_length() > 64
         assert rows[200][b] is rows[199][c]
+        assert sub.lengths.row(200) is rows[200]  # a stored row is read, not copied
 
     def test_level_matches_a_linear_scan(self):
         rng = random.Random(5)
@@ -364,12 +369,12 @@ class TestLengthTable:
                         for height in (None, k - 1, k + 7, reach):
                             table = _LengthTable(sub.image_idx)
                             if height is not None:
-                                table.rows(height)
+                                table.row(height)
                             assert table.level(root, need, r, p) == k, (sub, side, need, r, p)
                             # never built past the answer
                             built = max(k, 0 if height is None else height)
-                            assert len(table.rows(0)) == built + 1
-                            assert table.rows(0) == naive[: built + 1]
+                            assert len(table._rows) == built + 1
+                            assert table._rows == naive[: built + 1]
         assert rounded_past_the_top > 0
 
     def test_long_images_grow_like_the_naive_recursion(self):
@@ -388,7 +393,8 @@ class TestLengthTable:
             # 40 terms no pair of which repeats: the ``sum`` fallback
             Substitution(letters, (letters,) + tuple((x,) for x in letters[1:])),
         ):
-            rows = sub.lengths.rows(12)
+            sub.lengths.row(12)
+            rows = sub.lengths._rows
             naive = [1] * len(sub.alphabet)
             for level in range(13):
                 assert rows[level] == naive, (sub, level)
@@ -424,7 +430,9 @@ class TestLengthTable:
 
     def test_concurrent_growth_appends_each_level_once(self):
         text = "a->abc,b->c,c->ac"
-        expected = parse_substitution(text).lengths.rows(400)
+        grown = parse_substitution(text).lengths
+        grown.row(400)
+        expected = grown._rows
         a = parse_substitution(text).index["a"]
         needs = [expected[k][a] for k in (100, 250, 399, 400)]
         interval = sys.getswitchinterval()
@@ -432,10 +440,10 @@ class TestLengthTable:
         try:
             bad = 0
             for _ in range(30):
-                # four threads grow one table by rows(400), four another by level
+                # four threads grow one table by row(400), four another by level
                 table = parse_substitution(text).lengths
                 threads = [
-                    threading.Thread(target=table.rows, args=(400,)) for _ in range(4)
+                    threading.Thread(target=table.row, args=(400,)) for _ in range(4)
                 ]
                 table2 = parse_substitution(text).lengths
                 levels = []
@@ -451,8 +459,8 @@ class TestLengthTable:
                 for t in threads:
                     t.join(timeout=60)
                 assert not any(t.is_alive() for t in threads)
-                bad += table.rows(400) != expected
-                bad += table2.rows(0) != expected
+                bad += table._rows != expected
+                bad += table2._rows != expected
                 assert sorted(levels) == [100, 250, 399, 400]
         finally:
             sys.setswitchinterval(interval)
@@ -463,7 +471,7 @@ class TestLengthTable:
         # the test of its answer: here ``len`` grows the table once, as such
         # a thread would, just after it reads the count the bisection uses
         sub = parse_substitution("a->abc,b->c,c->ac")
-        need = sub.lengths.rows(100)[100][0]
+        need = sub.lengths.row(100)[0]
         for p in (1, 2, 3):
             table = _LengthTable(sub.image_idx)
 
@@ -474,18 +482,12 @@ class TestLengthTable:
                     n = list.__len__(self)
                     if not self.grown:
                         self.grown = True
-                        table.rows(120)
+                        table.row(120)
                     return n
 
             table._rows = GrowsOnce(table._rows)
             assert table.level(0, need, 0, p) == -(-100 // p) * p
-            assert len(table.rows(0)) == 121
-
-    def test_rows_is_the_live_list(self):
-        table = parse_substitution("a->ab,b->a").lengths
-        rows = table.rows(3)
-        assert table.rows(10) is rows and len(rows) == 11
-        assert table.row(7) is rows[7]
+            assert len(table._rows) == 121
 
     def test_growth_stops_at_the_level_cap(self, monkeypatch):
         monkeypatch.setattr(core, "_MAX_LEVEL", 50)
@@ -495,10 +497,11 @@ class TestLengthTable:
             table.level(0, 52, 0, 1)
         with pytest.raises(DigitCapExceededError):
             table.level(0, 52, 1, 7)
-        rows = table.rows(50)
+        table.row(50)
+        rows = table._rows
         assert len(rows) == 51
         with pytest.raises(DigitCapExceededError):
-            table.rows(51)
+            table.row(51)
         assert len(rows) == 51
         # built rows are read without a check
         assert table.level(0, 51, 1, 7) == 50
@@ -507,7 +510,7 @@ class TestLengthTable:
         sub = parse_substitution("a->ab,b->a")
         with pytest.raises(DigitCapExceededError):
             image_length(sub, "a", core._MAX_LEVEL + 1)
-        assert len(sub.lengths.rows(0)) == 1
+        assert len(sub.lengths._rows) == 1
 
 
 class TestStreamedTable:
@@ -535,9 +538,9 @@ class TestStreamedTable:
             for levels in (sorted(order), sorted(order, reverse=True), rng.sample(order, 401)):
                 for level in levels:
                     assert table.row(level) == naive[level], (text, level)
-            stored = len(table.rows(0))
+            stored = len(table._rows)
             assert 5 <= stored < 400
-            assert table.rows(0) == naive[:stored]
+            assert table._rows == naive[:stored]
             for k in (0, 1, stored - 1, stored, stored + 1, 137, 401):
                 blocks = list(table.spans(k))
                 assert blocks[-1] == naive[: min(k, stored)]
@@ -555,6 +558,8 @@ class TestStreamedTable:
         naive = self.naive_rows(sub, 3000)
         assert all(m == naive[base + i * span] for i, m in enumerate(marks))
         assert table.row(2999) == naive[2999] and table.row(3000) == naive[3000]
+        with pytest.raises(DigitCapExceededError, match="cap"):
+            table.row(core._MAX_LEVEL + 1)
 
     @pytest.mark.parametrize(
         "bits, span, expected",
@@ -574,7 +579,7 @@ class TestStreamedTable:
             table = _LengthTable(parse_substitution(text).image_idx)
             table.row(3000)
             base, span_, marks = table._marks
-            assert (len(table.rows(0)), base, span_, len(marks), table._bits) == want, text
+            assert (len(table._rows), base, span_, len(marks), table._bits) == want, text
 
     def test_level_matches_a_linear_scan(self):
         rng = random.Random(7)
@@ -600,19 +605,6 @@ class TestStreamedTable:
                         assert table.row(k) == naive[k]
                         # never grown past the answer
                         assert table._front[0] <= max(k, height or 0)
-
-    def test_rows_past_the_budget_are_refused(self):
-        table = parse_substitution("a->abc,b->c,c->ac").lengths
-        with pytest.raises(DigitCapExceededError, match="store budget"):
-            table.rows(400)
-        rows = table.rows(0)
-        stored = len(rows)
-        assert table._front[0] < stored  # refused before any row is streamed
-        assert table.rows(stored - 1) is rows
-        table.row(400)
-        assert len(table.rows(0)) == stored
-        with pytest.raises(DigitCapExceededError, match="cap"):
-            table.row(core._MAX_LEVEL + 1)
 
     def test_concurrent_streamed_reads(self):
         text = "a->abc,b->c,c->ac"

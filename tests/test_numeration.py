@@ -410,10 +410,10 @@ class TestCanonicalityRule:
         # 20,001 digits after the sign digit; the value needs rows 0..1 only
         ns = make_system("a->abc,b->c,c->ac", "c|a")
         assert val(ns, "0" + "0" * 20_000 + "1") == (1, False)
-        assert len(ns.substitution.lengths.rows(0)) == len(rep(ns, 1).digits) + 1 == 2
+        assert len(ns.substitution.lengths._rows) == len(rep(ns, 1).digits) + 1 == 2
         sub = parse_substitution("a->ab,b->ac,c->a")
         assert val_classic_N(sub, "a", "0" * 20_000 + "1") == (1, False)
-        assert len(sub.lengths.rows(0)) == len(rep_classic_N(sub, "a", 1).digits) + 1
+        assert len(sub.lengths._rows) == len(rep_classic_N(sub, "a", 1).digits) + 1
 
     def test_word_of_inadmissible_length_at_the_level_cap(self, monkeypatch):
         # the value needs level 50, but odd levels are admissible: its
@@ -452,7 +452,7 @@ class TestKernel:
         assert sub.lengths.level(0, need, 1, 3) == k  # cold table
         for height in (k - 5, k + 30):
             sub = parse_substitution(text)
-            sub.lengths.rows(height)
+            sub.lengths.row(height)
             assert sub.lengths.level(0, need, 1, 3) == k
 
     def test_out_of_range_offset_raises(self):
@@ -481,9 +481,8 @@ def _fresh(sub: Substitution) -> Substitution:
 
 
 def _assert_streamed(sub: Substitution, level: int) -> None:
-    with pytest.raises(DigitCapExceededError, match="store budget"):
-        sub.lengths.rows(level)
-    assert level <= sub.lengths._front[0]
+    table = sub.lengths
+    assert len(table._rows) <= level <= table._front[0]
 
 
 class TestStreamedRows:
@@ -549,19 +548,14 @@ class TestStreamedRows:
                 assert val_classic_N(sub, root, DigitWord((0, 0) + word.digits)) == (n, False)
             _assert_streamed(sub, len(word.digits))
 
-    def test_weight_count_past_the_budget_is_refused_before_streaming(self, small_budget):
+    def test_weights_past_the_stored_rows(self, small_budget):
         ns = make_system("a->aab,b->a", "b|a")
-        table = ns.substitution.lengths
-        with pytest.raises(DigitCapExceededError, match="store budget"):
-            weights(ns, 10_000)
-        stored = len(table.rows(0))
-        assert stored < 10_000
-        assert table._front[0] < stored
+        table = weights(ns, 10_000)
+        _assert_streamed(ns.substitution, 9_999)
         plain = PlainRows(ns.substitution)
         a, b = ns.substitution.index["a"], ns.substitution.index["b"]
-        table_ = weights(ns, stored)
-        assert table_.U == tuple(plain[i][a] for i in range(stored))
-        assert table_.V == tuple(plain[i][b] for i in range(stored))
+        assert table.U == tuple(plain[i][a] for i in range(10_000))
+        assert table.V == tuple(plain[i][b] for i in range(10_000))
 
     def test_threads_share_one_streamed_table(self, small_budget):
         ns = make_system("a->abc,b->c,c->ac", "c|a")

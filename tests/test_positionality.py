@@ -235,7 +235,32 @@ class TestWeights:
         ns = make_system("a->aab,b->a", "b|a")
         with pytest.raises(DigitCapExceededError):
             weights(ns, _MAX_LEVEL + 1)
-        assert len(ns.substitution.lengths.rows(0)) == 1
+        assert len(ns.substitution.lengths._rows) == 1
+
+    def test_weights_past_the_bit_bound_refused_before_any_output(self, monkeypatch, capsys):
+        from itertools import accumulate
+
+        from dtnum import positionality
+        from dtnum.cli import main
+
+        text, seed = "a->aab,b->a", "b|a"
+        full = weights(make_system(text, seed), 60)
+        bits = accumulate(u.bit_length() + v.bit_length() for u, v in zip(full.U, full.V))
+        held = sum(b <= 1000 for b in bits)  # the most weights within 1000 bits
+        assert 0 < held < 60
+        monkeypatch.setattr(positionality, "_MAX_WEIGHT_BITS", 1000)
+        table = weights(make_system(text, seed), held)
+        assert (table.U, table.V) == (full.U[:held], full.V[:held])
+        for count in (held + 1, _MAX_LEVEL):
+            ns = make_system(text, seed)
+            with pytest.raises(DigitCapExceededError, match="more than 1000 bits"):
+                weights(ns, count)
+            # refused at the first weight past the bound: no row above it is stepped
+            assert ns.substitution.lengths._front[0] == held
+            code = main(["weights", "--sub", text, "--seed", seed, "--count", str(count)])
+            out, err = capsys.readouterr()
+            assert (code, out) == (2, "")
+            assert err.startswith("error: DigitCapExceeded: ")
 
     def test_soundness_on_golden(self, golden_complement):
         for entry, ns in golden_complement:
