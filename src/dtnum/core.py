@@ -16,8 +16,7 @@ from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
-from heapq import heapify, heappop, heappush
-from itertools import islice
+from itertools import combinations_with_replacement, islice
 from operator import itemgetter
 from typing import Iterable, Literal, Optional, Sequence, Union
 
@@ -61,53 +60,36 @@ def _shared_sums(
 
     Term ``y < n`` is letter ``y``'s entry in the row below; term ``n + i``
     is temporary ``i``, the sum of the pair ``temps[i]`` of earlier terms.
-    Greedily, the pair with the most disjoint occurrences over all entries,
-    the least such pair on a tie, becomes a temporary and replaces every
-    occurrence, as long as it occurs twice or more: each occurrence past
-    the first saves one big addition per level. A pair's count changes only
-    in the entries it is replaced in, so those are recounted alone and a
-    heap of counts, stale ones skipped, yields the next pair.
+    Each round recounts every pair's disjoint occurrences over all
+    entries; the pair with the most, the least such pair on a tie,
+    becomes a temporary and replaces every occurrence, as long as it
+    occurs twice or more: each occurrence past the first saves one big
+    addition per level. Every round passes over all the pairs again, so
+    compiling takes time quadratic in the number of distinct pairs.
     """
     n = len(image_idx)
     entries = [Counter(im) for im in image_idx]
-    uses: dict[tuple[int, int], int] = {}
-
-    def tally(entry: Counter, terms, sign: int) -> set[tuple[int, int]]:
-        # add or remove the occurrences in ``entry`` of the pairs meeting ``terms``
-        pairs = {(a, b) if a <= b else (b, a) for a in terms if a in entry for b in entry}
-        for a, b in pairs:
-            m = entry[a] // 2 if a == b else min(entry[a], entry[b])
-            uses[a, b] = uses.get((a, b), 0) + sign * m
-        return pairs
-
-    for entry in entries:
-        tally(entry, entry, 1)
-    heap = [(-count, pair) for pair, count in uses.items() if count > 1]
-    heapify(heap)
     temps: list[tuple[int, int]] = []
-    while heap:
-        count, (u, v) = heappop(heap)
-        if -count != uses[u, v]:
-            continue
-        t = n + len(temps)
-        temps.append((u, v))
-        changed: set[tuple[int, int]] = set()
+    while True:
+        uses: dict[tuple[int, int], int] = {}
         for entry in entries:
-            if u in entry and v in entry:
-                m = entry[u] // 2 if u == v else min(entry[u], entry[v])
-                if m:
-                    changed |= tally(entry, (u, v), -1)
-                    entry[u] -= m
-                    entry[v] -= m
-                    entry[t] = m
-                    for x in (u, v):
-                        if not entry[x]:
-                            del entry[x]
-                    changed |= tally(entry, (u, v, t), 1)
-        for pair in changed:
-            if uses[pair] > 1:
-                heappush(heap, (-uses[pair], pair))
-    return entries, temps
+            for (a, i), (b, j) in combinations_with_replacement(sorted(entry.items()), 2):
+                uses[a, b] = uses.get((a, b), 0) + (i // 2 if a == b else min(i, j))
+        most = max(uses.values())
+        if most < 2:
+            return entries, temps
+        u, v = pair = min(q for q, c in uses.items() if c == most)
+        t = n + len(temps)
+        temps.append(pair)
+        for entry in entries:
+            m = entry[u] // 2 if u == v else min(entry[u], entry[v])
+            if m:
+                entry[u] -= m
+                entry[v] -= m
+                entry[t] = m
+                for x in (u, v):
+                    if not entry[x]:
+                        del entry[x]
 
 
 def _step_source(image_idx: tuple[tuple[int, ...], ...]) -> str:
@@ -390,28 +372,14 @@ class Substitution:
     def growing(self) -> frozenset[str]:
         """Letters whose iterated image lengths diverge.
 
-        A letter grows exactly when it reaches, in the directed image
-        graph, a letter with image length >= 2 that lies on a cycle.
+        A letter grows exactly when it reaches, in one step or more of the
+        directed image graph, a letter with image length >= 2 that reaches
+        itself, that is, lies on a cycle.
         """
-        n = len(self.alphabet)
         img = self.image_idx
-        reach = [set(im) for im in img]  # reachable in >= 1 steps
-        changed = True
-        while changed:
-            changed = False
-            for i in range(n):
-                extra: set[int] = set()
-                for j in reach[i]:
-                    extra |= set(img[j])
-                if not extra <= reach[i]:
-                    reach[i] |= extra
-                    changed = True
-        targets = {i for i in range(n) if i in reach[i] and len(img[i]) >= 2}
-        return frozenset(
-            self.alphabet[a]
-            for a in range(n)
-            if a in targets or reach[a] & targets
-        )
+        reach = [_reach(img, im) for im in img]  # reachable in >= 1 steps
+        targets = {x for x, im in enumerate(img) if len(im) >= 2 and x in reach[x]}
+        return frozenset(a for a, r in zip(self.alphabet, reach) if r & targets)
 
     @cached_property
     def lengths(self) -> _LengthTable:
@@ -482,12 +450,18 @@ class Substitution:
     @classmethod
     def from_json_dict(cls, data: dict) -> "Substitution":
         try:
-            alphabet = tuple(data["alphabet"])
+            alphabet = data["alphabet"]
             raw = data["images"]
         except (KeyError, TypeError):
             raise DslSyntaxError("JSON form needs 'alphabet' and 'images'") from None
-        if not isinstance(raw, dict) or not all(isinstance(a, str) for a in alphabet):
-            raise DslSyntaxError("JSON form needs string letters and an 'images' object")
+        if not isinstance(alphabet, list) or not isinstance(raw, dict) or not all(
+            isinstance(a, str) for a in alphabet
+        ):
+            raise DslSyntaxError("JSON form needs a list of string letters and an 'images' object")
+        known = set(alphabet)
+        for a in raw:
+            if a not in known:
+                raise DslSyntaxError(f"image given for {a!r}, which is not in the alphabet")
         images = []
         for a in alphabet:
             if a not in raw:
@@ -498,7 +472,7 @@ class Substitution:
             if not isinstance(im, (str, list)) or not all(isinstance(x, str) for x in im):
                 raise DslSyntaxError(f"image of {a!r} must be a string or a list of letters")
             images.append(tuple(im))
-        return cls(alphabet, tuple(images))
+        return cls(tuple(alphabet), tuple(images))
 
 
 def parse_substitution(text: str) -> Substitution:
@@ -607,41 +581,22 @@ def first_length_mismatch(
 
 
 def is_primitive(sub: Substitution) -> bool:
-    """Whether some power of the adjacency matrix is entrywise positive.
+    """Whether some power ``mu^k`` puts every letter in every image, that
+    is, whether a power of the adjacency matrix is entrywise positive.
 
-    Powers up to the Wielandt bound ``(n-1)^2 + 1`` are tested; beyond it
-    a primitive matrix must already be positive.
+    The letters of ``mu^(k+1)(x)`` are those of the images of the letters
+    of ``mu^k(x)``, so one set per letter is kept for k = 1, 2, ... up to
+    the Wielandt bound ``(n-1)^2 + 1``, by which a primitive matrix is
+    already positive.
     """
-    n = len(sub.alphabet)
-    full = (1 << n) - 1
-    base = [0] * n
-    for i, row in enumerate(sub.adjacency):
-        mask = 0
-        for j, c in enumerate(row):
-            if c:
-                mask |= 1 << j
-        base[i] = mask
-    power = list(base)
-    bound = (n - 1) ** 2 + 1
-    for _ in range(bound):
-        if all(r == full for r in power):
+    img = sub.image_idx
+    n = len(img)
+    sets = [set(im) for im in img]
+    for _ in range((n - 1) ** 2 + 1):
+        if all(len(s) == n for s in sets):
             return True
-        power = [
-            _bool_row_mul(power[i], base) for i in range(n)
-        ]
-    return all(r == full for r in power)
-
-
-def _bool_row_mul(row_mask: int, base: list[int]) -> int:
-    out = 0
-    k = 0
-    m = row_mask
-    while m:
-        if m & 1:
-            out |= base[k]
-        m >>= 1
-        k += 1
-    return out
+        sets = [{y for z in s for y in img[z]} for s in sets]
+    return False
 
 
 # -- seeds -------------------------------------------------------------------
@@ -810,16 +765,22 @@ class NumerationSystem:
         return NumerationSystem(sub, self.seed, self.residue), dropped
 
 
-def reachable_letters(sub: Substitution, roots: Iterable[str]) -> tuple[str, ...]:
-    """Letters reachable from ``roots`` through iterated images, in alphabet order."""
-    todo = [sub.letter_index(r) for r in roots]
+def _reach(image_idx: tuple[tuple[int, ...], ...], starts: Iterable[int]) -> set[int]:
+    """Letter indices reachable from ``starts``, themselves included,
+    through iterated images."""
+    todo = list(starts)
     seen = set(todo)
     while todo:
-        x = todo.pop()
-        for y in sub.image_idx[x]:
+        for y in image_idx[todo.pop()]:
             if y not in seen:
                 seen.add(y)
                 todo.append(y)
+    return seen
+
+
+def reachable_letters(sub: Substitution, roots: Iterable[str]) -> tuple[str, ...]:
+    """Letters reachable from ``roots`` through iterated images, in alphabet order."""
+    seen = _reach(sub.image_idx, [sub.letter_index(r) for r in roots])
     return tuple(a for i, a in enumerate(sub.alphabet) if i in seen)
 
 

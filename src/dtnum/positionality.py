@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional, Union
 
-from .core import _MAX_LEVEL, NumerationSystem, first_length_mismatch
+from .core import _MAX_LEVEL, NumerationSystem, first_length_mismatch, reachable_letters
 from .errors import DigitCapExceededError, NotPositionalSystemError
 from .numeration import DigitWord, rep
 
@@ -142,7 +142,6 @@ def compute_residue_sets(ns: NumerationSystem) -> ResidueSets:
     Each of the 2 * |alphabet| * period states is pushed at most once, so
     the closure always reaches its fixpoint.
     """
-    ns, _ = ns.restricted()
     sub = ns.substitution
     names = sub.alphabet
     p = ns.period
@@ -219,11 +218,13 @@ def _left_spine(ns: NumerationSystem, level_bound: int):
 def check_positional(ns: NumerationSystem, weight_count: int = 8) -> PositionalityReport:
     """Decide positionality; emit weights or a counterexample.
 
-    Length constancy over a residue set need only be sampled at
-    |alphabet| exponents per arithmetic progression: the difference of
-    two length sequences satisfies the recurrence of the adjacency
-    matrix's characteristic polynomial, so that many consecutive zero
-    samples force it to vanish identically.
+    Every letter the analysis meets is reachable from the seed, and
+    length constancy over a residue set need only be sampled at as many
+    exponents per arithmetic progression as there are such letters: the
+    difference of two of their length sequences satisfies the recurrence
+    of the characteristic polynomial of the adjacency matrix restricted
+    to them, so that many consecutive zero samples force it to vanish
+    identically.
     """
     if weight_count < 0:
         raise ValueError(f"weight count must be >= 0, got {weight_count}")
@@ -231,11 +232,12 @@ def check_positional(ns: NumerationSystem, weight_count: int = 8) -> Positionali
         raise DigitCapExceededError(
             f"weight count {weight_count} is past the cap of {_MAX_LEVEL}"
         )
-    ns2, dropped = ns.restricted()
-    sub = ns2.substitution
-    p = ns2.period
-    r = ns2.residue
-    rs = compute_residue_sets(ns2)
+    sub = ns.substitution
+    p = ns.period
+    r = ns.residue
+    rs = compute_residue_sets(ns)
+    keep = reachable_letters(sub, [x for x in (ns.left, ns.right) if x is not None])
+    dropped = [a for a in sub.alphabet if a not in keep]
 
     notes = []
     if dropped:
@@ -244,10 +246,10 @@ def check_positional(ns: NumerationSystem, weight_count: int = 8) -> Positionali
             + ", ".join(dropped)
         )
     notes.append(
-        f"length constancy sampled at {len(sub.alphabet)} exponents per residue; "
+        f"length constancy sampled at {len(keep)} exponents per residue; "
         "sufficient by the adjacency characteristic polynomial"
     )
-    for level, _, c in _left_spine(ns2, 2 * p):
+    for level, _, c in _left_spine(ns, 2 * p):
         if c is not None:
             notes.append(f"column -2 letter at level {level}: {sub.alphabet[c]}")
     empty = [j for j in range(p) if not rs.full(j)]
@@ -258,7 +260,7 @@ def check_positional(ns: NumerationSystem, weight_count: int = 8) -> Positionali
             + ": only the digit 0 occurs at the matching positions"
         )
 
-    samples = len(sub.alphabet)
+    samples = len(keep)
     checks = [
         ("length-mismatch", j, rs.full(j), [(r - j) % p + t * p for t in range(samples)])
         for j in range(p)
@@ -278,7 +280,7 @@ def check_positional(ns: NumerationSystem, weight_count: int = 8) -> Positionali
                 notes=tuple(notes),
             )
 
-    table = _weight_table(ns2, rs, weight_count)
+    table = _weight_table(ns, rs, weight_count)
     return PositionalityReport(
         positional=True,
         residue_sets=rs,

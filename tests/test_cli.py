@@ -285,6 +285,20 @@ class TestErrorsAndSelftest:
         assert proc.stderr.startswith("error: SyntaxError:")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "sub, err",
+        [
+            ('{"alphabet":["a","b"],"images":{"a":"ab","b":"a","z":"zz"}}',
+             "error: SyntaxError: image given for 'z', which is not in the alphabet\n"),
+            ('{"alphabet":"ab","images":{"a":"ab","b":"a"}}',
+             "error: SyntaxError: JSON form needs a list of string letters and an 'images' object\n"),
+        ],
+        ids=["image-outside-the-alphabet", "string-alphabet"],
+    )
+    def test_json_outside_the_form_exit_2(self, capsys, sub, err):
+        code, out, got = run_cli(capsys, "rep", "--sub", sub, "--seed", "_|a", "-n", "5")
+        assert (code, out, got) == (2, "", err)
+
     def test_json_letter_not_a_name_exit_2(self, capsys):
         code, _, err = run_cli(
             capsys, "classify", "--sub",

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 import re
@@ -34,7 +35,7 @@ from dtnum.errors import (
     NoGrowingLetterError,
     UnknownLetterError,
 )
-from helpers import expand_word, mat_pow, random_substitutions
+from helpers import PlainRows, expand_word, mat_pow, random_substitutions
 
 
 class TestParse:
@@ -98,6 +99,10 @@ class TestParse:
             '{"alphabet": ["a", "b"], "images": {"a": ["a", ["b"]], "b": "a"}}',
             '{"alphabet": ["a"], "images": ["a"]}',
             '{"alphabet": [["a"]], "images": {"a": "aa"}}',
+            # an image for a letter outside the alphabet
+            '{"alphabet": ["a", "b"], "images": {"a": "ab", "b": "a", "z": "zz"}}',
+            # a string alphabet, which would be split into letters
+            '{"alphabet": "ab", "images": {"a": "ab", "b": "a"}}',
         ],
     )
     def test_json_malformed_images(self, text):
@@ -175,6 +180,17 @@ class TestPrimitivity:
             n = len(sub.alphabet)
             power = mat_pow([list(r) for r in sub.adjacency], (n - 1) ** 2 + 1)
             assert all(v > 0 for row in power for v in row)
+
+    def test_matches_the_matrix_power_at_the_wielandt_exponent(self):
+        # a matrix with a positive power has a positive power at the bound
+        primitive = 0
+        for sub in random_substitutions(random.Random(9), 2000):
+            n = len(sub.alphabet)
+            power = mat_pow([list(r) for r in sub.adjacency], (n - 1) ** 2 + 1)
+            expected = all(v > 0 for row in power for v in row)
+            assert is_primitive(sub) == expected, sub
+            primitive += expected
+        assert primitive == 759  # both verdicts occur
 
 
 class TestSeeds:
@@ -305,6 +321,24 @@ def _level_search_inputs(corpus: int | None = None):
     return inputs
 
 
+def _long_image_substitutions() -> list[Substitution]:
+    letters = tuple(f"x{i}" for i in range(40))
+    return [
+        # 10,000 terms as one "+" chain would overflow the compiler's stack
+        Substitution(
+            ("a", "b", "c"),
+            (("a", "b") * 5000, ("b",) * 32 + ("a",), ("c", "a") * 16),
+        ),
+        # two identical images, and a letter four times in one image
+        Substitution(
+            ("a", "b", "c", "d"),
+            (("a", "b", "c"), ("c", "a", "b"), ("d", "d", "a", "d", "d"), ("b",)),
+        ),
+        # 40 terms no pair of which repeats: the ``sum`` fallback
+        Substitution(letters, (letters,) + tuple((x,) for x in letters[1:])),
+    ]
+
+
 class TestLengthTable:
     def test_rows_match_the_naive_recursion(self):
         from helpers import corpus_systems
@@ -313,10 +347,9 @@ class TestLengthTable:
         for sub in subs:
             sub.lengths.row(60)
             rows = sub.lengths._rows
-            naive = [1] * len(sub.alphabet)
+            plain = PlainRows(sub)
             for level in range(61):
-                assert rows[level] == naive, (sub, level)
-                naive = [sum(naive[y] for y in im) for im in sub.image_idx]
+                assert rows[level] == plain[level], (sub, level)
 
     def test_rows_never_shrink_entrywise(self, fixture_substitutions):
         # images are non-empty, so |mu^(k+1)(x)| >= |mu^k(x)| at every level,
@@ -348,9 +381,8 @@ class TestLengthTable:
         top = 60
         rounded_past_the_top = 0
         for sub, sides in _level_search_inputs():
-            naive = [[1] * len(sub.alphabet)]
-            while len(naive) <= top + 7:  # room for a table built past the answer
-                naive.append([sum(naive[-1][y] for y in im) for im in sub.image_idx])
+            naive = PlainRows(sub)
+            naive[top + 7]  # room for a table built past the answer
             for side in sides:
                 if side is None:
                     continue
@@ -374,31 +406,16 @@ class TestLengthTable:
                             # never built past the answer
                             built = max(k, 0 if height is None else height)
                             assert len(table._rows) == built + 1
-                            assert table._rows == naive[: built + 1]
+                            assert table._rows == naive.rows[: built + 1]
         assert rounded_past_the_top > 0
 
     def test_long_images_grow_like_the_naive_recursion(self):
-        # 10,000 terms as one "+" chain would overflow the compiler's stack
-        letters = tuple(f"x{i}" for i in range(40))
-        for sub in (
-            Substitution(
-                ("a", "b", "c"),
-                (("a", "b") * 5000, ("b",) * 32 + ("a",), ("c", "a") * 16),
-            ),
-            # two identical images, and a letter four times in one image
-            Substitution(
-                ("a", "b", "c", "d"),
-                (("a", "b", "c"), ("c", "a", "b"), ("d", "d", "a", "d", "d"), ("b",)),
-            ),
-            # 40 terms no pair of which repeats: the ``sum`` fallback
-            Substitution(letters, (letters,) + tuple((x,) for x in letters[1:])),
-        ):
+        for sub in _long_image_substitutions():
             sub.lengths.row(12)
             rows = sub.lengths._rows
-            naive = [1] * len(sub.alphabet)
+            plain = PlainRows(sub)
             for level in range(13):
-                assert rows[level] == naive, (sub, level)
-                naive = [sum(naive[y] for y in im) for im in sub.image_idx]
+                assert rows[level] == plain[level], (sub, level)
         assert "sum(" in _step_source(sub.image_idx)
 
     def test_step_shares_partial_sums(self, fixture_substitutions):
@@ -427,6 +444,20 @@ class TestLengthTable:
             for name in set(re.findall(r"\bt\d+\b", source)):
                 assert len(re.findall(rf"\b{name}\b", source)) >= 2, source
         assert plain == 3253 and shared <= 2756
+
+    def test_step_source_is_pinned(self, fixture_substitutions):
+        """Every compiled row step over the fixtures, 9,000 random
+        substitutions and the long images, hashed together: a change to
+        which pairs are shared, or in what order, changes the hash."""
+        subs = list(fixture_substitutions)
+        for seed in (1, 2, 3):
+            subs += random_substitutions(random.Random(seed), 3000)
+        subs += _long_image_substitutions()
+        digest = hashlib.md5()
+        for sub in subs:
+            digest.update(_step_source(sub.image_idx).encode())
+        assert len(subs) == 9014
+        assert digest.hexdigest() == "b61785b2d250a9555c34295630bf3b99"
 
     def test_concurrent_growth_appends_each_level_once(self):
         text = "a->abc,b->c,c->ac"
@@ -521,18 +552,12 @@ class TestStreamedTable:
         monkeypatch.setattr(core, "_STORE_BITS", 2000)
         monkeypatch.setattr(core, "_SPAN", 5)
 
-    @staticmethod
-    def naive_rows(sub, top):
-        rows = [[1] * len(sub.alphabet)]
-        while len(rows) <= top:
-            rows.append([sum(rows[-1][y] for y in im) for im in sub.image_idx])
-        return rows
-
     def test_rows_read_in_any_order_match_the_naive_recursion(self):
         rng = random.Random(6)
         for text in ("a->abc,b->c,c->ac", "a->ab,b->ab", "a->aab,b->a"):
             sub = parse_substitution(text)
-            naive = self.naive_rows(sub, 400)
+            naive = PlainRows(sub)
+            naive[400]  # rows 0 .. 400, for the slices below
             table = _LengthTable(sub.image_idx)
             order = list(range(401))
             for levels in (sorted(order), sorted(order, reverse=True), rng.sample(order, 401)):
@@ -540,12 +565,12 @@ class TestStreamedTable:
                     assert table.row(level) == naive[level], (text, level)
             stored = len(table._rows)
             assert 5 <= stored < 400
-            assert table._rows == naive[:stored]
+            assert table._rows == naive.rows[:stored]
             for k in (0, 1, stored - 1, stored, stored + 1, 137, 401):
                 blocks = list(table.spans(k))
-                assert blocks[-1] == naive[: min(k, stored)]
+                assert blocks[-1] == naive.rows[: min(k, stored)]
                 assert all(len(b) <= table._marks[1] for b in blocks[:-1])
-                assert [row for b in reversed(blocks) for row in b] == naive[:k], (text, k)
+                assert [row for b in reversed(blocks) for row in b] == naive.rows[:k], (text, k)
 
     def test_checkpoints_stay_within_the_budget(self):
         sub = parse_substitution("a->abc,b->c,c->ac")
@@ -555,7 +580,7 @@ class TestStreamedTable:
         assert span > core._SPAN  # thinned, every other checkpoint dropped
         assert table._bits == sum(map(core._row_bits, marks))
         assert table._bits <= core._STORE_BITS + core._row_bits(marks[-1])
-        naive = self.naive_rows(sub, 3000)
+        naive = PlainRows(sub)
         assert all(m == naive[base + i * span] for i, m in enumerate(marks))
         assert table.row(2999) == naive[2999] and table.row(3000) == naive[3000]
         with pytest.raises(DigitCapExceededError, match="cap"):
@@ -584,7 +609,7 @@ class TestStreamedTable:
     def test_level_matches_a_linear_scan(self):
         rng = random.Random(7)
         for sub, sides in _level_search_inputs(corpus=60):
-            naive = self.naive_rows(sub, 260)
+            naive = PlainRows(sub)
             for side in sides:
                 if side is None:
                     continue
@@ -608,7 +633,8 @@ class TestStreamedTable:
 
     def test_concurrent_streamed_reads(self):
         text = "a->abc,b->c,c->ac"
-        expected = self.naive_rows(parse_substitution(text), 600)
+        expected = PlainRows(parse_substitution(text))
+        expected[600]  # rows 0 .. 600, for the scan below
         a = parse_substitution(text).index["a"]
         needs = [expected[k][a] for k in (100, 250, 399, 400, 599)]
         interval = sys.getswitchinterval()
@@ -637,10 +663,10 @@ class TestStreamedTable:
                     if f == table.row:
                         assert result == expected[args[0]]
                     elif f == table.level:
-                        assert result == next(k for k, row in enumerate(expected) if row[a] >= args[1])
+                        assert result == next(k for k, row in enumerate(expected.rows) if row[a] >= args[1])
                     else:
-                        assert result == expected[: args[0]]
-                assert [table.row(k) for k in range(601)] == expected
+                        assert result == expected.rows[: args[0]]
+                assert [table.row(k) for k in range(601)] == expected.rows[:601]
         finally:
             sys.setswitchinterval(interval)
 
@@ -720,19 +746,29 @@ class TestTextForms:
         assert (again == sub) == _expressible(sub)
 
 
+def _grows_by_plateau(sub: Substitution, letter: str) -> bool:
+    # a letter grows iff its lengths still increase after any plateau of
+    # length |A|; non-growing letters stabilize within |A| levels
+    n = len(sub.alphabet)
+    return image_length(sub, letter, 2 * n) != image_length(sub, letter, n)
+
+
 class TestGrowth:
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_growing_set_matches_plateau_oracle(self, seed):
-        import random
-
         (sub,) = random_substitutions(random.Random(seed), 1)
-        n = len(sub.alphabet)
-        # a letter grows iff its lengths still increase after any plateau of
-        # length |A|; non-growing letters stabilize within |A| levels
         for letter in sub.alphabet:
-            bounded = image_length(sub, letter, 2 * n) == image_length(sub, letter, n)
-            assert bounded == (letter not in sub.growing)
+            assert _grows_by_plateau(sub, letter) == (letter in sub.growing)
+
+    def test_growing_set_matches_plateau_oracle_on_a_fixed_corpus(self):
+        bounded = 0
+        for sub in random_substitutions(random.Random(10), 2000):
+            for letter in sub.alphabet:
+                grows = _grows_by_plateau(sub, letter)
+                assert grows == (letter in sub.growing), (sub, letter)
+                bounded += not grows
+        assert bounded == 681  # both kinds of letter occur
 
 
 class TestRestriction:
