@@ -139,21 +139,21 @@ class _LengthTable:
     length while another call grows it. Rows never shrink entrywise, so
     at every count level (``(level + 1) % _SPAN == 0``) the newest row,
     times ``_SPAN``, bounds the bits of the rows it closes, and ``level``
-    finds its answer among the stored rows by bisection. Once the budget
-    is reached the stored rows close, and the levels above them are
-    streamed: the table keeps the front and a checkpoint row every
-    ``span`` levels from the top stored row up. When the checkpoints pass
-    the budget too, every other one is dropped and the span doubles.
-    ``row``, ``level`` and ``spans`` recompute streamed rows below the
-    front by walks up from a checkpoint (``_walk``), ``spans`` one span
-    at a time, top-down. Memory is then at most two budgets plus the two
-    spans of rows a descent holds at once.
+    finds its answer by bisection. Once the budget is reached the stored
+    rows close, and the levels above them are streamed: the table keeps
+    the front and a checkpoint row every ``span`` levels from the top
+    stored row up. When the checkpoints pass the budget too, every other
+    one is dropped and the span doubles. ``row``, ``level`` and ``spans``
+    recompute streamed rows below the front by walks up from a checkpoint
+    (``_walk``): ``level`` one row per probe of its bisection, ``spans``
+    one span at a time, top-down. Memory is then at most two budgets
+    plus the two spans of rows a descent holds at once.
 
-    Growth, by ``row``, ``spans`` or ``level``, takes the lock
-    once and climbs inside it, so threads growing one table at once
-    append each level exactly once and share the checkpoints. Growth
-    past ``_MAX_LEVEL`` raises ``DigitCapExceededError``; reading built
-    rows checks nothing.
+    ``level`` holds the lock for its whole search; ``row`` and ``spans``
+    take it only to grow, and climb inside it. So threads growing one
+    table at once append each level exactly once and share the
+    checkpoints. Growth past ``_MAX_LEVEL`` raises
+    ``DigitCapExceededError``; reading built rows checks nothing.
     """
 
     __slots__ = ("_step", "_rows", "_bits", "_marks", "_front", "_lock")
@@ -277,32 +277,20 @@ class _LengthTable:
 
         Images are non-empty, so rows never shrink entrywise from one
         level to the next: the answer is the least level ``>= r`` whose
-        entry reaches ``need``, rounded up into the class. The rows stored
-        when the call reads their count are bisected for that level
-        without the lock; past them the
-        table grows under one lock up to the answer and never beyond it.
-        Streamed levels below the front are walked from the last
-        checkpoint that falls short of ``need``.
+        entry reaches ``need``, rounded up into the class. Under the lock,
+        the stored rows are bisected for that level; past them, the
+        streamed levels up to the front, each row recomputed from its
+        checkpoint; past the front, the table grows up to the answer and
+        never beyond it.
         """
         rows = self._rows
-        key = itemgetter(root)
-        top = len(rows)  # read once: rows stored after it were never bisected
-        k = bisect_left(rows, need, r, top, key=key)
-        k += (r - k) % p
-        if k < top:
-            return k
         with self._lock:
-            k = bisect_left(rows, need, k, key=key)  # rows another thread stored meanwhile
+            k = bisect_left(rows, need, r, key=itemgetter(root))
             front = self._front[0]
             if len(rows) <= k <= front:
-                base, span, marks = self._marks
-                i = bisect_left(marks, need, (k - base) // span, key=key) - 1
-                k = max(k, base + i * span)
-                for k, row in zip(range(k, front + 1), self._walk(k)):
-                    if row[root] >= need:
-                        break
-                else:
-                    k = front + 1
+                k = bisect_left(
+                    range(front + 1), need, k, key=lambda lv: next(self._walk(lv))[root]
+                )
             k += (r - k) % p
             if k <= front:
                 return k
@@ -526,18 +514,19 @@ def parse_substitution(text: str) -> Substitution:
                     raise DslSyntaxError(f"letter {c!r} has no rule")
             images[lhs] = chars
 
-    order: list[str] = []
-    seen: set[str] = set()
-    for lhs, _ in pairs:
-        if lhs not in seen:
-            seen.add(lhs)
-            order.append(lhs)
-        for x in images[lhs]:
-            if x not in seen:
-                seen.add(x)
-                order.append(x)
-    alphabet = tuple(order)
+    alphabet = tuple(dict.fromkeys(x for lhs, _ in pairs for x in (lhs, *images[lhs])))
     return Substitution(alphabet, tuple(images[a] for a in alphabet))
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's members as a dict, refusing a key given twice,
+    which ``json.loads`` would read as its last value."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise DslSyntaxError(f"bad JSON substitution: key {key!r} appears twice")
+        data[key] = value
+    return data
 
 
 def substitution_from_text(text: str) -> Substitution:
@@ -547,9 +536,11 @@ def substitution_from_text(text: str) -> Substitution:
         import json
 
         try:
-            data = json.loads(text)
+            data = json.loads(text, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as e:
             raise DslSyntaxError(f"bad JSON substitution: {e}") from None
+        except RecursionError:
+            raise DslSyntaxError("bad JSON substitution: nested too deeply") from None
         return Substitution.from_json_dict(data)
     return parse_substitution(text)
 
@@ -658,22 +649,26 @@ def last_letter_cycle(sub: Substitution, letter: str) -> Optional[int]:
     return _cycle_length(sub, letter, -1)
 
 
-def minimal_period(sub: Substitution, left: Optional[str], right: Optional[str]) -> int:
-    """Minimal period of the periodic point with the given seed letters.
+def _seed_cycle(sub: Substitution, letter: str, end: int) -> Optional[int]:
+    """The seed rule: the length of the cycle through ``letter`` of the
+    first-letter (``end`` 0) or last-letter (``end`` -1) map when the
+    letter grows and lies on one, else None. A right seed letter lies on
+    a first-letter cycle, a left one on a last-letter cycle."""
+    t = _cycle_length(sub, letter, end)
+    return t if letter in sub.growing else None
 
-    A right seed letter must grow and lie on a cycle of the first-letter
-    map, a left one on a cycle of the last-letter map; the minimal period
-    is the lcm of the cycle lengths.
+
+def minimal_period(sub: Substitution, left: Optional[str], right: Optional[str]) -> int:
+    """Minimal period of the periodic point with the given seed letters:
+    the lcm of the cycle lengths ``_seed_cycle`` gives them; a letter it
+    does not accept for its side raises ``InvalidSeedError``.
     """
     parts = []
-    for letter, side, cycle in (
-        (right, "right", first_letter_cycle),
-        (left, "left", last_letter_cycle),
-    ):
+    for letter, side, end in ((right, "right", 0), (left, "left", -1)):
         if letter is None:
             continue
-        t = cycle(sub, letter)
-        if t is None or letter not in sub.growing:
+        t = _seed_cycle(sub, letter, end)
+        if t is None:
             raise InvalidSeedError(f"{letter!r} is not a valid {side} seed letter")
         parts.append(t)
     if not parts:
@@ -693,23 +688,15 @@ def validate_seed(sub: Substitution, seed: SeedSpec) -> None:
 def find_seeds(sub: Substitution, domain: Domain) -> list[SeedSpec]:
     """All seeds of the domain with their minimal periods.
 
-    Right seeds are growing letters on a cycle of the first-letter map,
-    left seeds symmetric with the last-letter map; two-sided seeds pair
-    them with the lcm of the cycle lengths.
+    Right seeds are the letters ``_seed_cycle`` accepts on the
+    first-letter map, left seeds those it accepts on the last-letter map,
+    in alphabet order; two-sided seeds pair them with the lcm of the
+    cycle lengths.
     """
     if domain not in DOMAINS:
         raise ValueError(f"domain must be one of {DOMAINS}")
-    rights = []
-    lefts = []
-    for a in sub.alphabet:
-        if a not in sub.growing:
-            continue
-        t = first_letter_cycle(sub, a)
-        if t is not None:
-            rights.append((a, t))
-        t = last_letter_cycle(sub, a)
-        if t is not None:
-            lefts.append((a, t))
+    rights = [(a, t) for a in sub.alphabet if (t := _seed_cycle(sub, a, 0)) is not None]
+    lefts = [(b, t) for b in sub.alphabet if (t := _seed_cycle(sub, b, -1)) is not None]
     if domain == "N":
         return [SeedSpec(None, a, t) for a, t in rights]
     if domain == "Zneg":

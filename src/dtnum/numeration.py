@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .core import NumerationSystem, Substitution
+from .core import NumerationSystem, Substitution, _seed_cycle
 from .errors import (
     DigitOutOfRangeError,
     NotFixedPointSeedError,
@@ -262,7 +262,7 @@ def _evaluate_path(
 
 def _require_fixed_point(sub: Substitution, root: int) -> None:
     letter = sub.alphabet[root]
-    if sub.images[root][0] != letter or letter not in sub.growing:
+    if _seed_cycle(sub, letter, 0) != 1:
         raise NotFixedPointSeedError(
             f"{letter!r} is not the growing seed of a fixed point (image must start with it)"
         )

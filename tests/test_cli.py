@@ -299,6 +299,26 @@ class TestErrorsAndSelftest:
         code, out, got = run_cli(capsys, "rep", "--sub", sub, "--seed", "_|a", "-n", "5")
         assert (code, out, got) == (2, "", err)
 
+    def test_json_key_given_twice_exit_2(self, capsys):
+        sub = '{"alphabet":["a","b"],"images":{"a":"ab","a":"b","b":"ba"}}'
+        code, out, err = run_cli(capsys, "rep", "--sub", sub, "--seed", "_|b", "-n", "5")
+        assert (code, out, err) == (
+            2, "", "error: SyntaxError: bad JSON substitution: key 'a' appears twice\n"
+        )
+
+    def test_json_nested_too_deeply_in_a_process(self):
+        # past the decoder's recursion limit in every supported Python; the
+        # argument is 60,012 bytes, under the 131,071-byte limit on one
+        proc = subprocess.run(
+            [sys.executable, "-m", "dtnum", "rep", "--sub", '{"alphabet":' + "[" * 60000,
+             "--seed", "_|a", "-n", "5"],
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", "error: SyntaxError: bad JSON substitution: nested too deeply\n"
+        )
+
     def test_json_letter_not_a_name_exit_2(self, capsys):
         code, _, err = run_cli(
             capsys, "classify", "--sub",

@@ -109,6 +109,26 @@ class TestParse:
         with pytest.raises(DslSyntaxError):
             substitution_from_text(text)
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"alphabet": ["a", "b"], "images": {"a": "ab", "a": "b", "b": "ba"}}', "a"),
+            ('{"alphabet": ["a", "b"], "alphabet": ["a"], "images": {"a": "aa"}}', "alphabet"),
+        ],
+        ids=["image", "alphabet"],
+    )
+    def test_json_key_given_twice(self, text, key):
+        # json.loads alone keeps the last value given for a key
+        with pytest.raises(DslSyntaxError, match=f"key '{key}' appears twice"):
+            substitution_from_text(text)
+
+    def test_json_nested_too_deeply(self):
+        # past the decoder's recursion limit (about 1,000 levels up to
+        # Python 3.12, 10,000 in 3.13) the text is refused as nested too
+        # deeply; below it, as unfinished JSON
+        with pytest.raises(DslSyntaxError, match="^bad JSON substitution: "):
+            substitution_from_text('{"alphabet":' + "[" * 3000)
+
 
 class TestLengths:
     def test_tribonacci_cube(self):
@@ -353,9 +373,9 @@ class TestLengthTable:
 
     def test_rows_never_shrink_entrywise(self, fixture_substitutions):
         # images are non-empty, so |mu^(k+1)(x)| >= |mu^k(x)| at every level,
-        # not only along a residue class; the store's bit bound, the level
-        # search's bisection of the stored rows and of the checkpoints, and
-        # its walk from the last checkpoint short of the need all rest on it
+        # not only along a residue class; the store's bit bound and the
+        # level search's bisections, of the stored rows and of the streamed
+        # levels, rest on it
         from helpers import corpus_systems
 
         subs = set(fixture_substitutions) | {ns.substitution for ns in corpus_systems()}
@@ -497,29 +517,6 @@ class TestLengthTable:
             sys.setswitchinterval(interval)
         assert bad == 0
 
-    def test_rows_stored_during_the_unlocked_bisection_are_rechecked(self):
-        # another thread may store rows between the unlocked bisection and
-        # the test of its answer: here ``len`` grows the table once, as such
-        # a thread would, just after it reads the count the bisection uses
-        sub = parse_substitution("a->abc,b->c,c->ac")
-        need = sub.lengths.row(100)[0]
-        for p in (1, 2, 3):
-            table = _LengthTable(sub.image_idx)
-
-            class GrowsOnce(list):
-                grown = False
-
-                def __len__(self):
-                    n = list.__len__(self)
-                    if not self.grown:
-                        self.grown = True
-                        table.row(120)
-                    return n
-
-            table._rows = GrowsOnce(table._rows)
-            assert table.level(0, need, 0, p) == -(-100 // p) * p
-            assert len(table._rows) == 121
-
     def test_growth_stops_at_the_level_cap(self, monkeypatch):
         monkeypatch.setattr(core, "_MAX_LEVEL", 50)
         table = parse_substitution("a->ab,b->b").lengths  # |mu^k(a)| = k + 1
@@ -630,6 +627,33 @@ class TestStreamedTable:
                         assert table.row(k) == naive[k]
                         # never grown past the answer
                         assert table._front[0] <= max(k, height or 0)
+
+    def test_level_below_a_thinned_front_matches_a_linear_scan(self):
+        # after row(3000) the checkpoints have been halved several times, so
+        # the streamed levels below the front are bisected across spans of
+        # many levels; the search reads them and grows nothing
+        rng = random.Random(9)
+        for text in ("a->abc,b->c,c->ac", "a->aab,b->a"):
+            sub = parse_substitution(text)
+            naive = PlainRows(sub)
+            naive[3000]
+            table = sub.lengths
+            table.row(3000)
+            assert table._marks[1] >= 8 * core._SPAN
+            root = sub.index["a"]
+            for level in [0, 1, len(table._rows) - 1, len(table._rows), 2999, 3000] + rng.sample(
+                range(3001), 40
+            ):
+                for need in (naive[level][root], naive[level][root] - 1, 1):
+                    for p in (1, 2, 3):
+                        r = rng.randrange(p)
+                        k = r
+                        while naive[k][root] < need:
+                            k += p
+                        if k > 3000:
+                            continue
+                        assert table.level(root, need, r, p) == k, (text, need, r, p)
+                        assert table._front[0] == 3000
 
     def test_concurrent_streamed_reads(self):
         text = "a->abc,b->c,c->ac"

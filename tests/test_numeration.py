@@ -18,6 +18,7 @@ from dtnum import (
     find_seeds,
     image_length,
     make_system,
+    minimal_period,
     oracle_rep,
     parse_substitution,
     rep,
@@ -32,6 +33,7 @@ from dtnum import core
 from dtnum.errors import (
     DigitCapExceededError,
     DigitOutOfRangeError,
+    InvalidSeedError,
     NotFixedPointSeedError,
     NumerationError,
     OffsetOutOfRangeError,
@@ -264,6 +266,24 @@ class TestClassicN:
         sub = parse_substitution("a->ab,b->a")
         with pytest.raises(ValueError):
             rep_classic_N(sub, "a", -1)
+
+    def test_fixed_point_roots_are_the_right_seeds_of_period_one(self):
+        accepted = 0
+        for sub in random_substitutions(random.Random(10), 500):
+            for root in sub.alphabet:
+                try:
+                    seeds = minimal_period(sub, None, root) == 1
+                except InvalidSeedError:
+                    seeds = False
+                for call, arg in ((rep_classic_N, 5), (val_classic_N, "0")):
+                    try:
+                        call(sub, root, arg)
+                    except NotFixedPointSeedError:
+                        assert not seeds, (sub, root, call)
+                    else:
+                        assert seeds, (sub, root, call)
+                        accepted += 1
+        assert accepted > 200
 
     def test_leading_digit_nonzero(self):
         sub = parse_substitution("a->aab,b->aaaa")
