@@ -16,7 +16,7 @@ from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations_with_replacement, islice
+from itertools import combinations_with_replacement
 from operator import itemgetter
 from typing import Iterable, Literal, Optional, Sequence, Union
 
@@ -47,8 +47,8 @@ _MAX_INLINE_TERMS = 32
 _MAX_LEVEL = 10**6
 
 # the stored rows of a table hold at most about this many bits (64 MiB);
-# above them the table keeps one checkpoint row every ``_SPAN`` levels and
-# recomputes the rows between two checkpoints when they are read
+# above them the table keeps one checkpoint row every ``_SPAN`` levels, and
+# reads of the levels between two checkpoints start from the lower one
 _STORE_BITS = 2**29
 _SPAN = 128
 
@@ -110,12 +110,20 @@ def _step_source(image_idx: tuple[tuple[int, ...], ...]) -> str:
 
     def entry_source(entry: Counter) -> str:
         terms = [names[x] for x in sorted(entry, reverse=True) for _ in range(entry[x])]
+        if not terms:  # only in the transposed step: a letter in no image
+            return "0"
         if len(terms) <= _MAX_INLINE_TERMS:
             return " + ".join(terms)
         return f"sum(({', '.join(terms[1:])},), {terms[0]})"
 
     lines.append("    return [" + ", ".join(map(entry_source, entries)) + "]")
     return "\n".join(lines) + "\n"
+
+
+def _compile_step(image_idx: tuple[tuple[int, ...], ...]):
+    namespace = {"__builtins__": {}, "sum": sum}
+    exec(_step_source(image_idx), namespace)
+    return namespace["step"]
 
 
 def _row_bits(row: list[int]) -> int:
@@ -143,11 +151,15 @@ class _LengthTable:
     rows close, and the levels above them are streamed: the table keeps
     the front and a checkpoint row every ``span`` levels from the top
     stored row up. When the checkpoints pass the budget too, every other
-    one is dropped and the span doubles. ``row``, ``level`` and ``spans``
-    recompute streamed rows below the front by walks up from a checkpoint
-    (``_walk``): ``level`` one row per probe of its bisection, ``spans``
-    one span at a time, top-down. Memory is then at most two budgets
-    plus the two spans of rows a descent holds at once.
+    one is dropped and the span doubles. ``row`` and ``level`` recompute a
+    streamed row below the front by a walk up from the checkpoint below
+    it (``_walk``), ``level`` one row per probe of its bisection. ``spans``
+    recomputes none: it hands out the checkpoints, and a reader steps a
+    block's rows up from one (``block_rows``) truncated to small integers,
+    or exactly only to redo a block; ``back_step``, the transposed step,
+    carries a path's sum over a block down to its checkpoint. Memory is
+    then at most two budgets plus one span of rows, held only while a
+    block is redone.
 
     ``level`` holds the lock for its whole search; ``row`` and ``spans``
     take it only to grow, and climb inside it. So threads growing one
@@ -156,12 +168,12 @@ class _LengthTable:
     ``DigitCapExceededError``; reading built rows checks nothing.
     """
 
-    __slots__ = ("_step", "_rows", "_bits", "_marks", "_front", "_lock")
+    __slots__ = ("_image_idx", "_step", "_back", "_rows", "_bits", "_marks", "_front", "_lock")
 
     def __init__(self, image_idx: tuple[tuple[int, ...], ...]):
-        namespace = {"__builtins__": {}, "sum": sum}
-        exec(_step_source(image_idx), namespace)
-        self._step = namespace["step"]
+        self._image_idx = image_idx
+        self._step = _compile_step(image_idx)
+        self._back = None  # the transposed step, compiled by ``back_step``
         self._rows: list[list[int]] = [[1] * len(image_idx)]
         # the bits counted against the budget: the stored rows' until
         # they close, then the checkpoints'
@@ -238,25 +250,53 @@ class _LengthTable:
         lv, row = self._front
         return row if lv == level else next(self._walk(level))
 
-    def spans(self, k: int):
-        """Rows ``0 .. k - 1`` in blocks, top block first; each block lists
-        its rows bottom-up. A streamed block is one span, recomputed from
-        its checkpoint and dropped when the next is asked for; the last
-        block holds the stored rows."""
+    def spans(self, k: int) -> tuple[list[list[int]], Sequence[tuple[list[int], int]]]:
+        """Levels ``0 .. k - 1`` as ``(rows, blocks)``, building no streamed
+        row. ``rows`` lists the rows of the lowest levels bottom-up, all
+        stored; ``blocks`` covers the streamed levels above them, top block
+        first, each a pair ``(checkpoint, count)``: the row at the block's
+        lowest level, which is a checkpoint, and the number of its levels."""
         rows = self._rows
         if k > len(rows):
             with self._lock:
                 if k - 1 > self._front[0]:
                     self._climb(k - 1)
-        if k > len(rows):
-            return self._streamed_spans(k)
-        return (rows[:k],)
-
-    def _streamed_spans(self, k: int):
+        if k <= len(rows):
+            return rows[:k], ()
         base, span, marks = self._marks
-        for lo in range(base + (k - 2 - base) // span * span, base - 1, -span):
-            yield list(islice(self._walk(lo + 1), min(span, k - 1 - lo)))
-        yield self._rows
+        top = base + (k - 1 - base) // span * span
+        blocks = [
+            (marks[(b - base) // span], min(span, k - b)) for b in range(top, base - 1, -span)
+        ]
+        return rows[:base], blocks
+
+    def block_rows(self, checkpoint: list[int], count: int, shift: int = 0) -> list[list[int]]:
+        """The ``count`` rows of a block from ``spans``, bottom-up, stepped
+        up from its checkpoint with every entry first shifted right by
+        ``shift`` bits. A shifted row ``e`` levels up is the exact row,
+        divided by ``2**shift``, less at most ``|mu^e(x)|`` in entry ``x``."""
+        row = [v >> shift for v in checkpoint] if shift else checkpoint
+        rows = [row]
+        step = self._step
+        for _ in range(count - 1):
+            row = step(row)
+            rows.append(row)
+        return rows
+
+    def back_step(self):
+        """The transposed row step: entry ``y`` of ``back_step()(w)`` sums
+        ``w[x]`` once per occurrence of ``y`` in the image of ``x``. A path's
+        prefix counts, folded down a block by Horner's rule with it and
+        dotted with the block's checkpoint, give the path's sum over the
+        block. Compiled on first use, by the first read above the stored
+        rows."""
+        if self._back is None:
+            img = self._image_idx
+            transposed = tuple(
+                tuple(x for x, im in enumerate(img) for z in im if z == y) for y in range(len(img))
+            )
+            self._back = _compile_step(transposed)
+        return self._back
 
     def _walk(self, level: int):
         """Streamed rows ``level``, ``level + 1``, ... without end, stepped

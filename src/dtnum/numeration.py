@@ -1,10 +1,15 @@
 """Representation and evaluation maps for substitution numeration systems.
 
 Integers map to digit words by descending the prefix-decomposition tree
-with exact image lengths; ``mu^k(seed)`` is never expanded as a string,
-and the length table streams its rows above a fixed memory budget, so
-values with tens of thousands of digits are fine. The sign digit 0/1 selects
-the non-negative/negative subtree of a two-sided system.
+with exact image lengths; ``mu^k(seed)`` is never expanded as a string.
+Above a fixed memory budget the length table keeps only checkpoint rows,
+and the maps read each block of levels above a checkpoint through small
+integers: a path's sum over the block is a short vector, folded by the
+transposed row step, dotted with the checkpoint (``_path_vector``), and
+the descent runs on the block's rows shifted down to a few hundred bits,
+checked exactly by that sum (``_descend_block``). So values with hundreds
+of thousands of digits are fine. The sign digit 0/1 selects the
+non-negative/negative subtree of a two-sided system.
 
 One level search and one descent serve every map. The search is the
 length table's ``level``: the least admissible ``k`` with
@@ -19,6 +24,7 @@ so the leading zeros of a long word build no rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional, Union
 
 from .core import NumerationSystem, Substitution, _seed_cycle
@@ -28,6 +34,10 @@ from .errors import (
     OffsetOutOfRangeError,
     SideMissingError,
 )
+
+# the bits below the smallest checkpoint entry that a shifted block
+# descent keeps, besides those its block's levels may lose (``_descend_block``)
+_GUARD_BITS = 64
 
 
 @dataclass(frozen=True)
@@ -122,31 +132,105 @@ def _word(digits: tuple[int, ...], sign: Optional[int]) -> DigitWord:
 def _descend_digits(sub: Substitution, root: int, k: int, offset: int) -> list[int]:
     """Child indices along the path left of column ``offset`` below ``root``.
 
-    One level per digit, so the loop body is the cost on stored rows: each
-    block is read by index, top row first, and the child digit is counted
-    by hand, which builds no ``reversed`` iterator per block and no
-    ``enumerate`` per level. The blocks are ``spans()``'s, unchanged.
+    The levels come from ``spans()``: each streamed block, top first, by
+    ``_descend_block``, then the stored rows by ``_descend_rows``.
+    """
+    digits: list[int] = []
+    x, t = root, offset
+    rows, blocks = sub.lengths.spans(k)
+    for checkpoint, count in blocks:
+        x, t = _descend_block(sub, checkpoint, count, x, t, digits)
+    _descend_rows(sub.image_idx, rows, x, t, digits.append)
+    return digits
+
+
+def _descend_rows(image_idx, rows: list[list[int]], x: int, t: int, add) -> tuple[int, int]:
+    """Descend ``rows``, top row first, from letter ``x`` at offset ``t``;
+    ``add`` each child digit and return the letter and offset reached.
+
+    One level per digit, so the loop body is the cost on stored rows:
+    the rows are read by index, and the child digit is counted by hand,
+    which builds no ``reversed`` iterator and no ``enumerate`` per level.
+    """
+    for j in range(len(rows) - 1, -1, -1):
+        row = rows[j]
+        i = 0
+        for y in image_idx[x]:
+            w = row[y]
+            if t < w:
+                break
+            t -= w
+            i += 1
+        else:  # only possible on an out-of-range offset
+            raise OffsetOutOfRangeError("offset beyond row width")
+        add(i)
+        x = y
+    return x, t
+
+
+def _descend_block(
+    sub: Substitution, checkpoint: list[int], count: int, x: int, t: int, digits: list[int]
+) -> tuple[int, int]:
+    """Append the digits of one streamed block of ``spans()`` to ``digits``,
+    from letter ``x`` at offset ``t``; return the letter and offset below it.
+
+    The descent first runs on the block's rows stepped up from the
+    checkpoint shifted right by ``s`` bits, with ``t >> s``, and then
+    computes the exact remainder ``t - w·checkpoint`` by ``_path_vector``.
+    The subtrees at the block's lowest level tile its columns, so the
+    digits are the true ones exactly when that remainder lies inside the
+    subtree they reach, ``[0, checkpoint[y])``. (Shifted rows only fall
+    short, so wrong digits lie right of the true ones and leave a
+    negative remainder; the upper end keeps the check a proof on its
+    own.) A shifted row ``e`` levels up is short by up to ``|mu^e|``,
+    which the descent's running offset sums over the block, so ``s``
+    leaves ``_GUARD_BITS`` below the smallest checkpoint entry plus the
+    bits of the longest image once per level. A block that fails is
+    redone on its exact rows.
     """
     image_idx = sub.image_idx
-    digits: list[int] = []
-    add = digits.append
-    x = root
-    t = offset
-    for block in sub.lengths.spans(k):
-        for j in range(len(block) - 1, -1, -1):
-            row = block[j]
-            i = 0
-            for y in image_idx[x]:
-                w = row[y]
-                if t < w:
-                    break
-                t -= w
-                i += 1
-            else:  # only possible on an out-of-range offset
-                raise OffsetOutOfRangeError("offset beyond row width")
-            add(i)
-            x = y
-    return digits
+    longest = max(map(len, image_idx))
+    s = min(checkpoint).bit_length() - _GUARD_BITS - count * longest.bit_length()
+    if s > 0:
+        start = len(digits)
+        try:
+            y, _ = _descend_rows(
+                image_idx, sub.lengths.block_rows(checkpoint, count, s), x, t >> s, digits.append
+            )
+        except OffsetOutOfRangeError:
+            pass  # the shifted rows ran out before the offset
+        else:
+            w, _ = _path_vector(sub, x, digits[start:])
+            r = t - sum(map(mul, w, checkpoint))
+            if 0 <= r < checkpoint[y]:
+                return y, r
+        del digits[start:]
+    return _descend_rows(image_idx, sub.lengths.block_rows(checkpoint, count), x, t, digits.append)
+
+
+def _path_vector(sub: Substitution, x: int, digits) -> tuple[list[int], int]:
+    """Fold a path's digits over one block, top-down, by Horner's rule.
+
+    Returns ``w = Σ (Aᵀ)^e c_e`` and the letter below the last digit,
+    where ``c_e`` counts the letters left of the path ``e`` levels above
+    the block's lowest and ``A[x][y]`` counts ``y`` in the image of ``x``.
+    The block's rows are ``A^e`` times its checkpoint, so the path's sum
+    over the block is ``w`` dotted with the checkpoint; ``w`` has about
+    ``count · log2(growth)`` bits. A digit past its image raises
+    ``DigitOutOfRangeError``.
+    """
+    image_idx = sub.image_idx
+    back = sub.lengths.back_step()
+    w = [0] * len(image_idx)
+    for d in digits:
+        w = back(w)
+        im = image_idx[x]
+        if d >= len(im):
+            raise DigitOutOfRangeError(f"digit {d} >= |image({sub.alphabet[x]})| = {len(im)}")
+        for y in im[:d]:
+            w[y] += 1
+        x = im[d]
+    return w, x
 
 
 def decompose_prefix(
@@ -236,25 +320,27 @@ def _evaluate_path(
     while top < k and not digits[top]:
         x = image_idx[x][0]
         top += 1
-    rest = iter(digits[top:])
+    rows, blocks = lengths.spans(k - top)
     total = 0
-    for block in lengths.spans(k - top):
-        widths: list[int] = []
-        add = widths.append
-        for row, d in zip(reversed(block), rest):
-            im = image_idx[x]
-            if d >= len(im):
-                raise DigitOutOfRangeError(
-                    f"digit {d} >= |image({sub.alphabet[x]})| = {len(im)}"
-                )
-            if d:
-                for y in im[:d]:
-                    add(row[y])
-            x = im[d]
-        # smallest first: the running total grows with its terms instead of
-        # being copied at full size by every addition; a span's widths are
-        # summed before its rows are dropped
-        total += sum(reversed(widths))
+    for checkpoint, count in blocks:
+        w, x = _path_vector(sub, x, digits[top : top + count])
+        top += count
+        total += sum(map(mul, w, checkpoint))
+    widths: list[int] = []
+    add = widths.append
+    for row, d in zip(reversed(rows), digits[top:]):
+        im = image_idx[x]
+        if d >= len(im):
+            raise DigitOutOfRangeError(
+                f"digit {d} >= |image({sub.alphabet[x]})| = {len(im)}"
+            )
+        if d:
+            for y in im[:d]:
+                add(row[y])
+        x = im[d]
+    # smallest first: the running total grows with its terms instead of
+    # being copied at full size by every addition
+    total += sum(reversed(widths))
     if negative:
         return total - lengths.row(k)[root]
     return total
@@ -291,6 +377,6 @@ def val_classic_N(
     if word.sign is not None:
         raise ValueError("classic words carry no sign digit")
     root_idx = sub.letter_index(root)
-    value = _evaluate_path(sub, root_idx, word.digits, negative=False)
     _require_fixed_point(sub, root_idx)
+    value = _evaluate_path(sub, root_idx, word.digits, negative=False)
     return value, sub.lengths.level(root_idx, value + 1, 0, 1) == len(word.digits)

@@ -541,6 +541,12 @@ class TestLengthTable:
         assert len(sub.lengths._rows) == 1
 
 
+def _levels(table: _LengthTable, k: int) -> list[list[int]]:
+    """Rows ``0 .. k - 1`` from ``spans``, each block stepped up from its checkpoint."""
+    rows, blocks = table.spans(k)
+    return rows + [row for c, count in reversed(blocks) for row in table.block_rows(c, count)]
+
+
 class TestStreamedTable:
     """Past the store budget: checkpoints, recomputed rows and spans."""
 
@@ -564,10 +570,22 @@ class TestStreamedTable:
             assert 5 <= stored < 400
             assert table._rows == naive.rows[:stored]
             for k in (0, 1, stored - 1, stored, stored + 1, 137, 401):
-                blocks = list(table.spans(k))
-                assert blocks[-1] == naive.rows[: min(k, stored)]
-                assert all(len(b) <= table._marks[1] for b in blocks[:-1])
-                assert [row for b in reversed(blocks) for row in b] == naive.rows[:k], (text, k)
+                rows, blocks = table.spans(k)
+                # the top stored row is also the lowest checkpoint, read as such
+                assert len(rows) == (k if k <= stored else stored - 1)
+                assert all(count <= table._marks[1] for _, count in blocks)
+                assert _levels(table, k) == naive.rows[:k], (text, k)
+                # shifted, a row e levels up the checkpoint is short of the
+                # exact one by less than |mu^e(x)| in entry x
+                lowest = len(rows)
+                for checkpoint, count in reversed(blocks):
+                    for shift in (1, 9):
+                        shifted = table.block_rows(checkpoint, count, shift)
+                        for e, row in enumerate(shifted):
+                            exact = naive[lowest + e]
+                            for x, v in enumerate(row):
+                                assert 0 <= exact[x] - (v << shift) < naive[e][x] << shift
+                    lowest += count
 
     def test_checkpoints_stay_within_the_budget(self):
         sub = parse_substitution("a->abc,b->c,c->ac")
@@ -669,10 +687,7 @@ class TestStreamedTable:
                 got = []
                 calls = [(table.row, (level,)) for level in (600, 300, 450, 599)]
                 calls += [(table.level, (a, need, 0, 1)) for need in needs]
-                calls += [
-                    (lambda k: [r for b in reversed(list(table.spans(k))) for r in b], (k,))
-                    for k in (601, 350)
-                ]
+                calls += [(lambda k: _levels(table, k), (k,)) for k in (601, 350)]
                 threads = [
                     threading.Thread(target=lambda f, args: got.append((f, args, f(*args))), args=c)
                     for c in calls

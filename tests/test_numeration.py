@@ -29,7 +29,7 @@ from dtnum import (
     NumerationSystem,
     Substitution,
 )
-from dtnum import core
+from dtnum import core, numeration
 from dtnum.errors import (
     DigitCapExceededError,
     DigitOutOfRangeError,
@@ -261,6 +261,11 @@ class TestClassicN:
         sub = parse_substitution("a->ab,b->a")
         with pytest.raises(NotFixedPointSeedError):
             rep_classic_N(sub, "b", 1)
+        # the root is checked before the word: '1' is past b's image and '0'
+        # is a valid path, yet both are refused for the root
+        for word in ("1", "0"):
+            with pytest.raises(NotFixedPointSeedError):
+                val_classic_N(sub, "b", word)
 
     def test_negative_rejected(self):
         sub = parse_substitution("a->ab,b->a")
@@ -486,9 +491,13 @@ class TestKernel:
             _descend_digits(sub, root, 6, width)
 
 
-@pytest.fixture(params=[(3000, 7), (400, 2)], ids=["3000-bits-span-7", "400-bits-span-2"])
+@pytest.fixture(
+    params=[(3000, 7), (400, 2), (100_000, 128)],
+    ids=["3000-bits-span-7", "400-bits-span-2", "100000-bits-span-128"],
+)
 def small_budget(request, monkeypatch):
-    """A store budget of a few rows, so tables stream past the first levels."""
+    """A store budget of a few rows, so tables stream past the first levels;
+    under the last one the span stays at the default 128 levels."""
     bits, span = request.param
     monkeypatch.setattr(core, "_STORE_BITS", bits)
     monkeypatch.setattr(core, "_SPAN", span)
@@ -505,8 +514,98 @@ def _assert_streamed(sub: Substitution, level: int) -> None:
     assert len(table._rows) <= level <= table._front[0]
 
 
+class _BlockLog:
+    """The streamed blocks a descent reads: ``block_rows`` calls, in order,
+    and the ``_path_vector`` calls, which in a descent mean that a shifted
+    descent reached the block's bottom and its remainder was checked."""
+
+    def __init__(self, monkeypatch):
+        self.calls: list[tuple[int, int]] = []
+        self.checked = 0
+        block_rows = core._LengthTable.block_rows
+        path_vector = numeration._path_vector
+
+        def logged(table, checkpoint, count, shift=0):
+            self.calls.append((id(checkpoint), shift))
+            return block_rows(table, checkpoint, count, shift)
+
+        def counted(*args):
+            self.checked += 1
+            return path_vector(*args)
+
+        monkeypatch.setattr(core._LengthTable, "block_rows", logged)
+        monkeypatch.setattr(numeration, "_path_vector", counted)
+
+    @property
+    def shifted(self) -> int:
+        return sum(1 for _, shift in self.calls if shift)
+
+    @property
+    def redone(self) -> int:
+        """Shifted tries followed by the exact rows of the same block."""
+        pairs = zip(self.calls, self.calls[1:])
+        return sum(1 for (c, s), (d, t) in pairs if s and not t and c == d)
+
+
 class TestStreamedRows:
     """Past the store budget every map equals the plain row-list reference."""
+
+    def test_block_boundaries_match_the_reference(
+        self, small_budget, monkeypatch, golden_complement
+    ):
+        """Offsets at the edges of a streamed level's columns and on either
+        side of each boundary between the root's children: the shifted
+        descent of a block meets its worst cases there, and both accepts
+        blocks and redoes them."""
+        log = _BlockLog(monkeypatch)
+        for entry, ns in golden_complement:
+            sub = _fresh(ns.substitution)
+            ns = NumerationSystem(sub, ns.seed, ns.residue)
+            plain = PlainRows(sub)
+            top = 1500
+            sub.lengths.row(top)
+            for side, sign in ((ns.right, 0), (ns.left, 1)):
+                if side is None:
+                    continue
+                x = sub.index[side]
+                for k in (top, top - 1):
+                    width = plain[k][x]
+                    offsets = {0, width - 1}
+                    start = 0
+                    for y in sub.image_idx[x][:-1]:
+                        start += plain[k - 1][y]
+                        offsets |= {start, start - 1}
+                    for n in sorted(offsets):
+                        digits = decompose_prefix(sub, side, k, n).digits
+                        assert list(digits) == plain.descend(x, k, n), (entry["name"], k, n)
+                        word = DigitWord(digits, sign)
+                        assert val(ns, word) == reference_val(ns, word), (entry["name"], k, n)
+            _assert_streamed(sub, top - 1)
+            if core._SPAN == 128:  # no checkpoint was dropped: full-size blocks ran
+                assert sub.lengths._marks[1] == 128
+        assert log.shifted > log.redone > 0
+
+    def test_coarse_shifts_are_redone(self, monkeypatch, golden_complement):
+        """With the guard lowered until no bit of the smallest checkpoint
+        entry survives the shift, shifted descents reach wrong digits: the
+        remainder check sends those blocks to their exact rows, so the words
+        still equal the reference's. A block may still pass, when its
+        shifted rows happen to be exact, as powers of two are."""
+        monkeypatch.setattr(core, "_STORE_BITS", 100_000)
+        monkeypatch.setattr(core, "_SPAN", 128)
+        log = _BlockLog(monkeypatch)
+        rng = random.Random(11)
+        for entry, ns in golden_complement:
+            sub = _fresh(ns.substitution)
+            ns = NumerationSystem(sub, ns.seed, ns.residue)
+            longest = max(map(len, sub.image_idx))
+            monkeypatch.setattr(numeration, "_GUARD_BITS", -core._SPAN * longest.bit_length())
+            for sign in (1, -1):
+                if ns.contains(sign):
+                    n = sign * rng.randrange(10**300, 2 * 10**300)
+                    assert rep(ns, n) == reference_rep(ns, n), (entry["name"], n)
+        passed = log.shifted - log.redone
+        assert log.shifted > 0 and log.checked > passed  # the check refused some
 
     def test_rep_and_val_match_the_reference(self, small_budget, golden_complement):
         rng = random.Random(20261018)
