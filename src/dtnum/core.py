@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 import threading
 from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations_with_replacement
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Iterable, Literal, Optional, Sequence, Union
 
 from .errors import (
@@ -46,11 +47,18 @@ _MAX_INLINE_TERMS = 32
 # polynomially growing a->ab,b->b, is refused instead of built
 _MAX_LEVEL = 10**6
 
-# the stored rows of a table hold at most about this many bits (64 MiB);
+# the stored rows of a table hold at most about this many bits (8 MiB);
 # above them the table keeps one checkpoint row every ``_SPAN`` levels, and
 # reads of the levels between two checkpoints start from the lower one
-_STORE_BITS = 2**29
+_STORE_BITS = 2**26
+# the checkpoints hold at most about this many bits (64 MiB): past it every
+# other one is dropped and the span doubles
+_CHECKPOINT_BITS = 2**29
 _SPAN = 128
+
+# the bits of one digit of a Python integer: a product of a big integer by
+# one of d digits makes about d passes over the big one
+_DIGIT_BITS = sys.int_info.bits_per_digit
 
 
 def _shared_sums(
@@ -130,6 +138,11 @@ def _row_bits(row: list[int]) -> int:
     return sum(map(int.bit_length, row))
 
 
+def _times(matrix: list[list[int]], row: Sequence[int]) -> list[int]:
+    """The product ``matrix · row``, the matrix given by its rows."""
+    return [sum(map(mul, line, row)) for line in matrix]
+
+
 class _LengthTable:
     """Grow-on-demand rows of ``|mu^level(x)|`` per letter index.
 
@@ -140,7 +153,7 @@ class _LengthTable:
     one-letter image is a bare ``p[y]``, so its entry is the entry below
     it, shared, not copied.
 
-    Every new row comes from one loop, ``_climb``, which steps up from
+    Every new row comes from one loop, ``_climb``, which moves up from
     the highest row computed (the front). Rows are stored, appended
     fully built and never mutated, until they hold ``_STORE_BITS`` bits;
     a reader holding the list may index any level below its current
@@ -150,16 +163,22 @@ class _LengthTable:
     finds its answer by bisection. Once the budget is reached the stored
     rows close, and the levels above them are streamed: the table keeps
     the front and a checkpoint row every ``span`` levels from the top
-    stored row up. When the checkpoints pass the budget too, every other
-    one is dropped and the span doubles. ``row`` and ``level`` recompute a
-    streamed row below the front by a walk up from the checkpoint below
-    it (``_walk``), ``level`` one row per probe of its bisection. ``spans``
-    recomputes none: it hands out the checkpoints, and a reader steps a
-    block's rows up from one (``block_rows``) truncated to small integers,
-    or exactly only to redo a block; ``back_step``, the transposed step,
-    carries a path's sum over a block down to its checkpoint. Memory is
-    then at most two budgets plus one span of rows, held only while a
-    block is redone.
+    stored row up. When the checkpoints pass ``_CHECKPOINT_BITS``, every
+    other one is dropped and the span doubles. Rows satisfy
+    ``row(j + 1) = M · row(j)``, where ``M[x][y]`` counts ``y`` in the
+    image of ``x``, so ``_climb`` makes each checkpoint by one jump,
+    ``M^span`` times the checkpoint below (``_jump``; the power is cached
+    and squared when the span doubles), wherever a jump costs less than
+    stepping the span (``_power_of``), and steps only the last part of a
+    span, up to its answer. ``row`` recomputes a streamed row below
+    the front by a walk up from the checkpoint below it (``_walk``);
+    ``level`` bisects the checkpoints and walks one block (``_scan``).
+    ``spans`` recomputes none: it hands out the checkpoints, and a reader
+    steps a block's rows up from one (``block_rows``) truncated to small
+    integers, or exactly only to redo a block; ``back_step``, the
+    transposed step, carries a path's sum over a block down to its
+    checkpoint. Memory is then at most the two budgets plus one span of
+    rows, held only while a block is redone or walked.
 
     ``level`` holds the lock for its whole search; ``row`` and ``spans``
     take it only to grow, and climb inside it. So threads growing one
@@ -168,15 +187,19 @@ class _LengthTable:
     ``DigitCapExceededError``; reading built rows checks nothing.
     """
 
-    __slots__ = ("_image_idx", "_step", "_back", "_rows", "_bits", "_marks", "_front", "_lock")
+    __slots__ = (
+        "_image_idx", "_step", "_back", "_power", "_rows", "_bits", "_marks", "_front", "_lock"
+    )
 
     def __init__(self, image_idx: tuple[tuple[int, ...], ...]):
         self._image_idx = image_idx
         self._step = _compile_step(image_idx)
         self._back = None  # the transposed step, compiled by ``back_step``
+        # (span, M^span, big additions per step, whether a jump pays), by ``_power_of``
+        self._power: Optional[tuple[int, list[list[int]], int, Optional[bool]]] = None
         self._rows: list[list[int]] = [[1] * len(image_idx)]
-        # the bits counted against the budget: the stored rows' until
-        # they close, then the checkpoints'
+        # the bits counted against a budget: the stored rows' until they
+        # close, then the checkpoints'
         self._bits = 0
         # once the stored rows close: (base, span, checkpoints), checkpoint
         # i being the row at level base + i * span, and base the top stored level
@@ -187,26 +210,35 @@ class _LengthTable:
     # -- growth, under the lock -------------------------------------------
 
     def _climb(self, k: int, p: int = 1, root: int = 0, need: int = 0) -> int:
-        """Step the front up to the least level ``>= k``, ``≡ k (mod p)``,
+        """Bring the front up to the least level ``>= k``, ``≡ k (mod p)``,
         whose ``root`` entry reaches ``need``, and return it; ``k`` lies
-        above the front. No row past the answer or ``_MAX_LEVEL`` is built."""
+        above the front. From the top checkpoint, and from each one it
+        steps to, ``_jump`` first brings the front up by whole spans; the
+        rest is stepped. No row past the answer or ``_MAX_LEVEL`` is built."""
         lv, row = self._front
         rows = self._rows
         step = self._step
-        keep = rows.append if self._marks is None else deque(maxlen=0).append
+        discard = deque(maxlen=0).append
+        keep = rows.append
+        if self._marks is not None and k <= _MAX_LEVEL:
+            keep = discard
+            lv, row, k = self._jump(lv, row, k, p, root, need)
         count = (lv + 1) // _SPAN * _SPAN + _SPAN - 1  # the next count level
         while k <= _MAX_LEVEL:
+            if lv == k:
+                if row[root] >= need:
+                    break
+                k += p
+                continue
             lv += 1
             row = step(row)
             keep(row)
             if lv == count:
                 count += _SPAN
-                if self._count(lv, row):
-                    keep = deque(maxlen=0).append  # the store closed: keep the front only
-            if lv == k:
-                if row[root] >= need:
-                    break
-                k += p
+                if self._count(lv, row):  # a checkpoint: jump on from it
+                    keep = discard  # the store is closed: keep the front only
+                    lv, row, k = self._jump(lv, row, k, p, root, need)
+                    count = (lv + 1) // _SPAN * _SPAN + _SPAN - 1
         self._front = (lv, row)
         if k > _MAX_LEVEL:
             raise DigitCapExceededError(
@@ -216,9 +248,67 @@ class _LengthTable:
             )
         return k
 
+    def _jump(
+        self, lv: int, row: list[int], k: int, p: int, root: int, need: int
+    ) -> tuple[int, list[int], int]:
+        """From the front ``(lv, row)`` below level ``k`` of ``_climb``, move
+        up checkpoint by checkpoint, each made by one jump, ``M^span``
+        times the checkpoint below, while the next one lies at most at
+        ``k`` or its ``root`` entry is short of ``need``, and at most at
+        ``_MAX_LEVEL``: never past the answer. The jumped row that fails
+        the test is dropped. Returns the new front and ``k``, rounded up
+        into its class past a jumped row short of the need."""
+        while True:
+            base, span, marks = self._marks
+            top = base + len(marks) * span  # the next checkpoint, above the front
+            if top > _MAX_LEVEL or (top > k and not need):
+                break
+            power = self._power_of(span)
+            if power is None:  # stepping the span costs less
+                break
+            up = _times(power, marks[-1])
+            if top > k and up[root] >= need:
+                break
+            lv, row = self._front = (top, up)
+            self._mark(up)
+        if lv > k:
+            k -= (k - lv) // p * p
+        return lv, row, k
+
+    def _power_of(self, span: int) -> Optional[list[list[int]]]:
+        """``M^span`` by rows, where ``M[x][y]`` counts ``y`` in the image of
+        ``x`` (the transpose of ``Substitution.adjacency``); None when one
+        jump costs more than stepping ``span`` levels. Both costs count
+        passes over a big entry: a step makes one per big addition
+        (``_shared_sums``), a jump one per digit of each nonzero entry of
+        the power, plus one to add the product. The first power steps each
+        unit row up ``span`` levels (the step is ``p -> M · p``, so that
+        gives its columns); when the span doubles it is squared."""
+        if self._power is None:
+            m = len(self._image_idx)
+            columns = []
+            for y in range(m):
+                column = [0] * m
+                column[y] = 1
+                for _ in range(span):
+                    column = self._step(column)
+                columns.append(column)
+            entries, temps = _shared_sums(self._image_idx)
+            adds = len(temps) + sum(sum(entry.values()) - 1 for entry in entries)
+            self._power = (span, [list(line) for line in zip(*columns)], adds, None)
+        s, power, adds, pays = self._power
+        if s < span or pays is None:
+            while s < span:
+                power = [list(line) for line in zip(*[_times(power, c) for c in zip(*power)])]
+                s *= 2
+            cost = sum(-(-e.bit_length() // _DIGIT_BITS) + 1 for line in power for e in line if e)
+            pays = cost < s * adds
+            self._power = (s, power, adds, pays)
+        return power if pays else None
+
     def _count(self, level: int, row: list[int]) -> bool:
-        """Count the row at a count level against the budget; True if
-        this closes the stored rows."""
+        """Count the row at a count level against its budget; True if it
+        becomes a checkpoint, the first one when it closes the stored rows."""
         if self._marks is None:
             self._bits += _SPAN * _row_bits(row)
             if self._bits < _STORE_BITS:
@@ -226,15 +316,22 @@ class _LengthTable:
             self._marks = (level, _SPAN, [row])
             self._bits = _row_bits(row)
             return True
+        base, span, _ = self._marks
+        if (level - base) % span:
+            return False
+        self._mark(row)
+        return True
+
+    def _mark(self, row: list[int]) -> None:
+        """Append the next checkpoint; past ``_CHECKPOINT_BITS``, drop every
+        other one and double the span."""
         base, span, marks = self._marks
-        if not (level - base) % span:
-            marks.append(row)
-            self._bits += _row_bits(row)
-            if self._bits > _STORE_BITS:
-                marks = marks[::2]  # a new list: readers keep the old one whole
-                self._marks = (base, 2 * span, marks)
-                self._bits = sum(map(_row_bits, marks))
-        return False
+        marks.append(row)
+        self._bits += _row_bits(row)
+        if self._bits > _CHECKPOINT_BITS:
+            marks = marks[::2]  # a new list: readers keep the old one whole
+            self._marks = (base, 2 * span, marks)
+            self._bits = sum(map(_row_bits, marks))
 
     # -- reads ---------------------------------------------------------------
 
@@ -312,6 +409,21 @@ class _LengthTable:
             yield row
             row = step(row)
 
+    def _scan(self, root: int, need: int, lo: int) -> int:
+        """The least streamed level from ``lo`` up to the front whose ``root``
+        entry reaches ``need``, or the level above the front if none does:
+        the checkpoints are bisected by that entry, then the one block
+        below the first that reaches it is walked up from ``lo`` or from
+        its checkpoint, whichever is higher."""
+        base, span, marks = self._marks
+        i = bisect_left(marks, need, (lo - base) // span + 1, key=itemgetter(root))
+        top = base + i * span if i < len(marks) else self._front[0] + 1
+        lv = max(lo, base + (i - 1) * span)
+        walk = self._walk(lv)
+        while lv < top and next(walk)[root] < need:
+            lv += 1
+        return lv
+
     def level(self, root: int, need: int, r: int, p: int) -> int:
         """Least ``k >= r``, ``k ≡ r (mod p)``, with ``|mu^k(root)| >= need``.
 
@@ -319,18 +431,15 @@ class _LengthTable:
         level to the next: the answer is the least level ``>= r`` whose
         entry reaches ``need``, rounded up into the class. Under the lock,
         the stored rows are bisected for that level; past them, the
-        streamed levels up to the front, each row recomputed from its
-        checkpoint; past the front, the table grows up to the answer and
-        never beyond it.
+        streamed levels up to the front (``_scan``); past the front, the
+        table grows up to the answer and never beyond it.
         """
         rows = self._rows
         with self._lock:
             k = bisect_left(rows, need, r, key=itemgetter(root))
             front = self._front[0]
             if len(rows) <= k <= front:
-                k = bisect_left(
-                    range(front + 1), need, k, key=lambda lv: next(self._walk(lv))[root]
-                )
+                k = self._scan(root, need, k)
             k += (r - k) % p
             if k <= front:
                 return k

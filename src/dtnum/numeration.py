@@ -175,37 +175,57 @@ def _descend_block(
     from letter ``x`` at offset ``t``; return the letter and offset below it.
 
     The descent first runs on the block's rows stepped up from the
-    checkpoint shifted right by ``s`` bits, with ``t >> s``, and then
-    computes the exact remainder ``t - w·checkpoint`` by ``_path_vector``.
-    The subtrees at the block's lowest level tile its columns, so the
-    digits are the true ones exactly when that remainder lies inside the
-    subtree they reach, ``[0, checkpoint[y])``. (Shifted rows only fall
-    short, so wrong digits lie right of the true ones and leave a
-    negative remainder; the upper end keeps the check a proof on its
-    own.) A shifted row ``e`` levels up is short by up to ``|mu^e|``,
-    which the descent's running offset sums over the block, so ``s``
-    leaves ``_GUARD_BITS`` below the smallest checkpoint entry plus the
-    bits of the longest image once per level. A block that fails is
-    redone on its exact rows.
+    checkpoint shifted right by ``s`` bits, with ``t >> s``
+    (``_descend_shifted``), and then computes the exact remainder
+    ``t - w·checkpoint`` by ``_path_vector``. The subtrees at the block's
+    lowest level tile its columns, so the digits are the true ones exactly
+    when that remainder lies inside the subtree they reach,
+    ``[0, checkpoint[y])``; the check is a proof on its own, whatever
+    digits the shifted descent took. A shifted row ``e`` levels up is
+    short by up to ``|mu^e|``, which the descent's running offset sums
+    over the block, so ``s`` leaves ``_GUARD_BITS`` below the smallest
+    checkpoint entry of a growing letter plus the bits of the longest
+    image once per level; the entries of bounded letters shift to 0. A
+    block that fails is redone on its exact rows.
     """
     image_idx = sub.image_idx
     longest = max(map(len, image_idx))
-    s = min(checkpoint).bit_length() - _GUARD_BITS - count * longest.bit_length()
+    least = min(checkpoint[sub.index[a]] for a in sub.growing)
+    s = least.bit_length() - _GUARD_BITS - count * longest.bit_length()
     if s > 0:
         start = len(digits)
-        try:
-            y, _ = _descend_rows(
-                image_idx, sub.lengths.block_rows(checkpoint, count, s), x, t >> s, digits.append
-            )
-        except OffsetOutOfRangeError:
-            pass  # the shifted rows ran out before the offset
-        else:
-            w, _ = _path_vector(sub, x, digits[start:])
-            r = t - sum(map(mul, w, checkpoint))
-            if 0 <= r < checkpoint[y]:
-                return y, r
+        rows = sub.lengths.block_rows(checkpoint, count, s)
+        y = _descend_shifted(image_idx, rows, x, t >> s, digits.append)
+        w, _ = _path_vector(sub, x, digits[start:])
+        r = t - sum(map(mul, w, checkpoint))
+        if 0 <= r < checkpoint[y]:
+            return y, r
         del digits[start:]
     return _descend_rows(image_idx, sub.lengths.block_rows(checkpoint, count), x, t, digits.append)
+
+
+def _descend_shifted(image_idx, rows: list[list[int]], x: int, t: int, add) -> int:
+    """``_descend_rows`` on shifted rows, which fall short of the exact
+    ones, so an offset may pass every child: it then takes the last child
+    with the offset clamped to that child's width - 1, and never raises.
+    Returns the letter reached; the caller's remainder check decides."""
+    heads = [im[:-1] for im in image_idx]
+    for j in range(len(rows) - 1, -1, -1):
+        row = rows[j]
+        i = 0
+        for y in heads[x]:
+            w = row[y]
+            if t < w:
+                break
+            t -= w
+            i += 1
+        else:  # past every other child: the last one, clamped
+            y = image_idx[x][-1]
+            if t >= row[y]:
+                t = row[y] - 1
+        add(i)
+        x = y
+    return x
 
 
 def _path_vector(sub: Substitution, x: int, digits) -> tuple[list[int], int]:

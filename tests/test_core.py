@@ -552,7 +552,10 @@ class TestStreamedTable:
 
     @pytest.fixture(autouse=True)
     def small_budget(self, monkeypatch):
+        # one budget for the stored rows and the checkpoints, so that the
+        # checkpoints thin within a few thousand levels
         monkeypatch.setattr(core, "_STORE_BITS", 2000)
+        monkeypatch.setattr(core, "_CHECKPOINT_BITS", 2000)
         monkeypatch.setattr(core, "_SPAN", 5)
 
     def test_rows_read_in_any_order_match_the_naive_recursion(self):
@@ -594,12 +597,87 @@ class TestStreamedTable:
         base, span, marks = table._marks
         assert span > core._SPAN  # thinned, every other checkpoint dropped
         assert table._bits == sum(map(core._row_bits, marks))
-        assert table._bits <= core._STORE_BITS + core._row_bits(marks[-1])
+        assert table._bits <= core._CHECKPOINT_BITS + core._row_bits(marks[-1])
         naive = PlainRows(sub)
         assert all(m == naive[base + i * span] for i, m in enumerate(marks))
         assert table.row(2999) == naive[2999] and table.row(3000) == naive[3000]
         with pytest.raises(DigitCapExceededError, match="cap"):
             table.row(core._MAX_LEVEL + 1)
+
+    def test_jumped_checkpoints_match_the_naive_recursion(self):
+        """Above the stored rows each checkpoint is one jump, ``M^span``
+        times the checkpoint below, across several doublings of the span;
+        only the last part of a span is stepped. Tables grown in one climb,
+        in several, and row by row hold the same checkpoints."""
+        for text in ("a->abc,b->c,c->ac", "a->aab,b->a", "a->aab,b->b", "a->ab,b->ab"):
+            sub = parse_substitution(text)
+            naive = PlainRows(sub)
+            naive[3000]
+            layouts = []
+            for reads in ([3000], [700, 1500, 2999, 3000], range(3001)):
+                table = _LengthTable(sub.image_idx)
+                step = table._step
+                steps = []
+                table._step = lambda p, step=step: steps.append(p) or step(p)
+                for level in reads:
+                    assert table.row(level) == naive[level], (text, level)
+                base, span, marks = table._marks
+                assert span >= 8 * core._SPAN, text  # thinned three times or more
+                assert all(m == naive[base + i * span] for i, m in enumerate(marks)), text
+                assert table._front[0] == 3000
+                layouts.append((base, span, len(marks), table._bits))
+                if len(reads) == 1:  # one climb: jumps, not a step per level
+                    assert len(steps) < 1500, (text, len(steps))
+            assert layouts[0] == layouts[1] == layouts[2], text
+
+    def test_cold_level_search_builds_up_to_its_answer(self):
+        """A level search on a new table jumps while the next checkpoint
+        falls short of the need, then steps: it ends with the front at its
+        answer, every checkpoint at or below it and equal to the naive row."""
+        rng = random.Random(12)
+        for text in ("a->abc,b->c,c->ac", "a->aab,b->a", "a->aab,b->b"):
+            sub = parse_substitution(text)
+            naive = PlainRows(sub)
+            naive[3100]
+            root = sub.index["a"]
+            for level in [0, 1, 3000] + rng.sample(range(3001), 15):
+                for need in (naive[level][root], naive[level][root] + 1):
+                    for p in (1, 2, 3):
+                        r = rng.randrange(p)
+                        k = naive.level(root, need, r, p)
+                        table = _LengthTable(sub.image_idx)
+                        assert table.level(root, need, r, p) == k, (text, need, r, p)
+                        assert table._front[0] == k and table._front[1] == naive[k]
+                        if table._marks is not None:
+                            base, span, marks = table._marks
+                            assert base + (len(marks) - 1) * span <= k
+                            assert all(m == naive[base + i * span] for i, m in enumerate(marks))
+                        # the table it built answers the same search, and grows no further
+                        assert table.level(root, need, r, p) == k
+                        assert table._front[0] == k
+
+    def test_a_jump_meeting_the_need_exactly_is_dropped(self):
+        # a->b,b->c,c->aa holds each entry for three levels, so a need met
+        # exactly by a jumped checkpoint may be met below it too
+        sub = parse_substitution("a->b,b->c,c->aa")
+        naive = PlainRows(sub)
+        for level in range(1500):
+            k = naive.level(0, naive[level][0], 0, 1)
+            assert _LengthTable(sub.image_idx).level(0, naive[level][0], 0, 1) == k, level
+
+    def test_jumps_stop_at_the_level_cap(self, monkeypatch):
+        monkeypatch.setattr(core, "_MAX_LEVEL", 2003)
+        sub = parse_substitution("a->abc,b->c,c->ac")
+        naive = PlainRows(sub)
+        table = _LengthTable(sub.image_idx)
+        assert table.level(0, naive[2003][0], 0, 1) == 2003
+        with pytest.raises(DigitCapExceededError, match="digits"):
+            table.level(0, naive[2003][0] + 1, 0, 1)
+        with pytest.raises(DigitCapExceededError, match="digits"):
+            _LengthTable(sub.image_idx).level(0, naive[2003][0] + 1, 1, 3)
+        assert table._front[0] == 2003 and table._front[1] == naive[2003]
+        base, span, marks = table._marks
+        assert base + (len(marks) - 1) * span <= 2003
 
     @pytest.mark.parametrize(
         "bits, span, expected",
@@ -614,6 +692,7 @@ class TestStreamedTable:
         """Where the store closes, where the checkpoints sit and the bits
         they hold after ``row(3000)``: (stored rows, base, span, checkpoints, bits)."""
         monkeypatch.setattr(core, "_STORE_BITS", bits)
+        monkeypatch.setattr(core, "_CHECKPOINT_BITS", bits)
         monkeypatch.setattr(core, "_SPAN", span)
         for text, want in zip(("a->abc,b->c,c->ac", "a->aab,b->a", "a->ab,b->ab"), expected):
             table = _LengthTable(parse_substitution(text).image_idx)

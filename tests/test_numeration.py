@@ -496,10 +496,12 @@ class TestKernel:
     ids=["3000-bits-span-7", "400-bits-span-2", "100000-bits-span-128"],
 )
 def small_budget(request, monkeypatch):
-    """A store budget of a few rows, so tables stream past the first levels;
+    """A budget of a few rows, for the stored rows and for the checkpoints,
+    so tables stream past the first levels and their checkpoints thin;
     under the last one the span stays at the default 128 levels."""
     bits, span = request.param
     monkeypatch.setattr(core, "_STORE_BITS", bits)
+    monkeypatch.setattr(core, "_CHECKPOINT_BITS", bits)
     monkeypatch.setattr(core, "_SPAN", span)
 
 
@@ -606,6 +608,38 @@ class TestStreamedRows:
                     assert rep(ns, n) == reference_rep(ns, n), (entry["name"], n)
         passed = log.shifted - log.redone
         assert log.shifted > 0 and log.checked > passed  # the check refused some
+
+    def test_a_read_redoes_at_most_one_block(self, monkeypatch):
+        """Exact block reads (``block_rows`` with ``shift=0``): past the
+        blocks whose shift is not positive, each read redoes at most one
+        block. The offsets are a level's first and last columns, both sides
+        of each boundary between the root's children and random ones, on
+        ``abc-c-ac`` and on ``a->aab,b->b``, whose bounded letter ``b``
+        keeps the least checkpoint entry at 1; both run shifted blocks."""
+        monkeypatch.setattr(core, "_STORE_BITS", 100_000)
+        monkeypatch.setattr(core, "_SPAN", 128)
+        log = _BlockLog(monkeypatch)
+        rng = random.Random(13)
+        k = 3000
+        for text in ("a->abc,b->c,c->ac", "a->aab,b->b"):
+            sub = parse_substitution(text)
+            plain = PlainRows(sub)
+            x = sub.index["a"]
+            width = plain[k][x]
+            offsets = {0, width - 1} | {rng.randrange(width) for _ in range(10)}
+            start = 0
+            for y in sub.image_idx[x][:-1]:
+                start += plain[k - 1][y]
+                offsets |= {start - 1, start}
+            shifted = 0
+            for n in sorted(offsets):
+                log.calls.clear()
+                digits = decompose_prefix(sub, "a", k, n).digits
+                assert list(digits) == plain.descend(x, k, n), (text, n)
+                assert log.redone <= 1, (text, n)
+                shifted += log.shifted
+                _assert_streamed(sub, k)
+            assert shifted > 0, text
 
     def test_rep_and_val_match_the_reference(self, small_budget, golden_complement):
         rng = random.Random(20261018)
@@ -723,6 +757,7 @@ def test_rep_and_val_sweep_is_pinned(monkeypatch, golden_complement, budget):
 
     if budget is not None:
         monkeypatch.setattr(core, "_STORE_BITS", budget[0])
+        monkeypatch.setattr(core, "_CHECKPOINT_BITS", budget[0])
         monkeypatch.setattr(core, "_SPAN", budget[1])
     big = [s * (10**e + 4242) for e in (30, 200) for s in (1, -1)]
     systems = [(ns, big) for _, ns in golden_complement]
