@@ -1,7 +1,8 @@
 """Command-line surface: every library operation behind one scriptable tool.
 
 Exit codes: 0 success, 1 usage error, 2 domain error (the module error
-code is printed on stderr), 3 selftest mismatch, 141 stdout closed early
+code is printed on stderr; ``OutOfMemory`` when the interpreter ran out of
+memory), 3 selftest mismatch, 141 stdout closed early
 by its reader. Numbers cross the boundary as decimal strings, so
 arbitrary-precision arguments survive. All output is deterministic.
 """
@@ -17,7 +18,7 @@ from typing import Optional
 # the positionality, tree or classification modules, nor `json` unless
 # it prints JSON
 from .core import NumerationSystem, make_system, substitution_from_text
-from .errors import NumerationError
+from .errors import NumerationError, OutOfMemoryError
 
 
 class _UsageError(Exception):
@@ -422,6 +423,9 @@ def _main(argv: Optional[list[str]]) -> int:
         return 1
     except NumerationError as e:
         print(f"error: {e.code}: {e}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(f"error: {OutOfMemoryError.code}: the request ran out of memory", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # the reader closed stdout: point it at the null device so the

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations_with_replacement
 from operator import itemgetter, mul
-from typing import Iterable, Literal, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Literal, Optional, Sequence, Union
 
 from .errors import (
     DigitCapExceededError,
@@ -29,6 +29,9 @@ from .errors import (
     NoGrowingLetterError,
     UnknownLetterError,
 )
+
+if TYPE_CHECKING:
+    from .kernels import Kernels
 
 Domain = Literal["N", "Zneg", "Z"]
 
@@ -100,21 +103,15 @@ def _shared_sums(
                         del entry[x]
 
 
-def _step_source(image_idx: tuple[tuple[int, ...], ...]) -> str:
-    """Source of ``step(p)``, the row above the row ``p``.
-
-    For ``a->abc,b->c,c->ac``::
-
-        def step(p):
-            t0 = p[0] + p[2]
-            return [t0 + p[1], p[2], t0]
-    """
-    entries, temps = _shared_sums(image_idx)
-    names = [f"p[{y}]" for y in range(len(image_idx))]
-    names += [f"t{i}" for i in range(len(temps))]
-    lines = ["def step(p):"]
-    for i, (u, v) in enumerate(temps):
-        lines.append(f"    t{i} = {names[u]} + {names[v]}")
+def _sum_source(sums, names: list[str], temp: str) -> tuple[list[str], list[str]]:
+    """Source of the sums ``(entries, temps)`` of ``_shared_sums``: one
+    assignment per temporary, named ``temp`` and its number, and each
+    entry's expression. Term ``y`` below the number of entries is
+    ``names[y]``."""
+    entries, temps = sums
+    n = len(entries)
+    names = names + [f"{temp}{i}" for i in range(len(temps))]
+    assigns = [f"{names[n + i]} = {names[u]} + {names[v]}" for i, (u, v) in enumerate(temps)]
 
     def entry_source(entry: Counter) -> str:
         terms = [names[x] for x in sorted(entry, reverse=True) for _ in range(entry[x])]
@@ -124,14 +121,32 @@ def _step_source(image_idx: tuple[tuple[int, ...], ...]) -> str:
             return " + ".join(terms)
         return f"sum(({', '.join(terms[1:])},), {terms[0]})"
 
-    lines.append("    return [" + ", ".join(map(entry_source, entries)) + "]")
+    return assigns, [entry_source(entry) for entry in entries]
+
+
+def _step_source(image_idx: tuple[tuple[int, ...], ...], sums=None) -> str:
+    """Source of ``step(p)``, the row above the row ``p``; ``sums`` are the
+    images' ``_shared_sums``, computed here when not given.
+
+    For ``a->abc,b->c,c->ac``::
+
+        def step(p):
+            t0 = p[0] + p[2]
+            return [t0 + p[1], p[2], t0]
+    """
+    names = [f"p[{y}]" for y in range(len(image_idx))]
+    assigns, values = _sum_source(sums or _shared_sums(image_idx), names, "t")
+    lines = ["def step(p):", *(f"    {line}" for line in assigns)]
+    lines.append("    return [" + ", ".join(values) + "]")
     return "\n".join(lines) + "\n"
 
 
-def _compile_step(image_idx: tuple[tuple[int, ...], ...]):
-    namespace = {"__builtins__": {}, "sum": sum}
-    exec(_step_source(image_idx), namespace)
-    return namespace["step"]
+def _compile(source: str, **names) -> dict:
+    """The namespace of ``source`` run with no builtins but ``sum``, ``range``
+    and ``names``."""
+    namespace = {"__builtins__": {}, "sum": sum, "range": range, **names}
+    exec(source, namespace)
+    return namespace
 
 
 def _row_bits(row: list[int]) -> int:
@@ -174,10 +189,12 @@ class _LengthTable:
     the front by a walk up from the checkpoint below it (``_walk``);
     ``level`` bisects the checkpoints and walks one block (``_scan``).
     ``spans`` recomputes none: it hands out the checkpoints, and a reader
-    steps a block's rows up from one (``block_rows``) truncated to small
-    integers, or exactly only to redo a block; ``back_step``, the
-    transposed step, carries a path's sum over a block down to its
-    checkpoint. Memory is then at most the two budgets plus one span of
+    reads a block through ``kernels`` (``dtnum.kernels``, compiled on the
+    first read above the stored rows): ``steps`` (``block_rows``) steps
+    its rows up from the checkpoint truncated to small integers, or
+    exactly only to redo it; ``fold`` carries a path's sum over it down
+    to the checkpoint; ``descend`` is the shifted descent and that fold
+    in one pass. Memory is then at most the two budgets plus one span of
     rows, held only while a block is redone or walked.
 
     ``level`` holds the lock for its whole search; ``row`` and ``spans``
@@ -188,13 +205,16 @@ class _LengthTable:
     """
 
     __slots__ = (
-        "_image_idx", "_step", "_back", "_power", "_rows", "_bits", "_marks", "_front", "_lock"
+        "_image_idx", "_alphabet", "_sums", "_step", "_kernels", "_power",
+        "_rows", "_bits", "_marks", "_front", "_lock",
     )
 
-    def __init__(self, image_idx: tuple[tuple[int, ...], ...]):
+    def __init__(self, image_idx: tuple[tuple[int, ...], ...], alphabet: Sequence[str]):
         self._image_idx = image_idx
-        self._step = _compile_step(image_idx)
-        self._back = None  # the transposed step, compiled by ``back_step``
+        self._alphabet = alphabet  # the letter names of error texts
+        self._sums = _shared_sums(image_idx)
+        self._step = _compile(_step_source(image_idx, self._sums))["step"]
+        self._kernels: Optional[Kernels] = None  # compiled by ``kernels``
         # (span, M^span, big additions per step, whether a jump pays), by ``_power_of``
         self._power: Optional[tuple[int, list[list[int]], int, Optional[bool]]] = None
         self._rows: list[list[int]] = [[1] * len(image_idx)]
@@ -293,7 +313,7 @@ class _LengthTable:
                 for _ in range(span):
                     column = self._step(column)
                 columns.append(column)
-            entries, temps = _shared_sums(self._image_idx)
+            entries, temps = self._sums
             adds = len(temps) + sum(sum(entry.values()) - 1 for entry in entries)
             self._power = (span, [list(line) for line in zip(*columns)], adds, None)
         s, power, adds, pays = self._power
@@ -370,30 +390,24 @@ class _LengthTable:
     def block_rows(self, checkpoint: list[int], count: int, shift: int = 0) -> list[list[int]]:
         """The ``count`` rows of a block from ``spans``, bottom-up, stepped
         up from its checkpoint with every entry first shifted right by
-        ``shift`` bits. A shifted row ``e`` levels up is the exact row,
-        divided by ``2**shift``, less at most ``|mu^e(x)|`` in entry ``x``."""
-        row = [v >> shift for v in checkpoint] if shift else checkpoint
-        rows = [row]
-        step = self._step
-        for _ in range(count - 1):
-            row = step(row)
-            rows.append(row)
-        return rows
+        ``shift`` bits (the ``steps`` kernel). A shifted row ``e`` levels up
+        is the exact row, divided by ``2**shift``, less at most
+        ``|mu^e(x)|`` in entry ``x``."""
+        return self.kernels().steps(checkpoint, count, shift)
 
-    def back_step(self):
-        """The transposed row step: entry ``y`` of ``back_step()(w)`` sums
-        ``w[x]`` once per occurrence of ``y`` in the image of ``x``. A path's
-        prefix counts, folded down a block by Horner's rule with it and
-        dotted with the block's checkpoint, give the path's sum over the
-        block. Compiled on first use, by the first read above the stored
-        rows."""
-        if self._back is None:
-            img = self._image_idx
-            transposed = tuple(
-                tuple(x for x, im in enumerate(img) for z in im if z == y) for y in range(len(img))
-            )
-            self._back = _compile_step(transposed)
-        return self._back
+    def kernels(self) -> Kernels:
+        """The block-read kernels ``steps``, ``fold`` and ``descend`` of
+        ``dtnum.kernels``. Row ``j`` of a block at checkpoint level ``b`` is
+        ``A^(j-b)`` times its checkpoint, ``A[x][y]`` counting ``y`` in the
+        image of ``x``, so a path's sum over the block is the vector
+        ``fold`` gives dotted with the checkpoint. The module is imported
+        and the kernels compiled on first use, by the first read above the
+        stored rows."""
+        if self._kernels is None:
+            from .kernels import compile_kernels
+
+            self._kernels = compile_kernels(self._image_idx, self._sums, self._alphabet)
+        return self._kernels
 
     def _walk(self, level: int):
         """Streamed rows ``level``, ``level + 1``, ... without end, stepped
@@ -520,7 +534,7 @@ class Substitution:
 
     @cached_property
     def lengths(self) -> _LengthTable:
-        return _LengthTable(self.image_idx)
+        return _LengthTable(self.image_idx, self.alphabet)
 
     # -- letter-level helpers ----------------------------------------------
 

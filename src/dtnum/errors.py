@@ -63,6 +63,14 @@ class DigitCapExceededError(NumerationError):
     code = "DigitCapExceeded"
 
 
+class OutOfMemoryError(NumerationError):
+    """The interpreter ran out of memory (``MemoryError``) while answering.
+    The library lets ``MemoryError`` pass; the CLI refuses the request with
+    this code, exit 2 and no traceback."""
+
+    code = "OutOfMemory"
+
+
 class NotPositionalSystemError(NumerationError):
     code = "NotPositionalSystem"
 

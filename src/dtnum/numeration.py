@@ -4,12 +4,19 @@ Integers map to digit words by descending the prefix-decomposition tree
 with exact image lengths; ``mu^k(seed)`` is never expanded as a string.
 Above a fixed memory budget the length table keeps only checkpoint rows,
 and the maps read each block of levels above a checkpoint through small
-integers: a path's sum over the block is a short vector, folded by the
-transposed row step, dotted with the checkpoint (``_path_vector``), and
-the descent runs on the block's rows shifted down to a few hundred bits,
-checked exactly by that sum (``_descend_block``). So values with hundreds
-of thousands of digits are fine. The sign digit 0/1 selects the
-non-negative/negative subtree of a two-sided system.
+integers, by kernels the table compiles per substitution (``kernels``):
+a path's sum over the block is a short vector, folded by the transposed
+row step (``fold``), dotted with the checkpoint, and the descent runs on
+the block's rows shifted down to a few hundred bits (``steps``), folding
+as it goes (``descend``), checked exactly by that sum
+(``_descend_block``). So values with hundreds of thousands of digits are
+fine. The kernels keep entries in locals and call nothing per level: on
+``abc-c-ac`` a ``rep`` past its level search took 36 ms at 10^10000 and
+0.43-0.72 s at 10^100000 (291,103 digits) with a step function and the
+transposed step called once per level, and takes 24 ms and 0.32-0.53 s;
+a ``val`` took 21 ms and 0.33-0.49 s, and takes 13 ms and 0.23-0.37 s
+(process CPU on a shared machine whose speed swings). The sign digit 0/1
+selects the non-negative/negative subtree of a two-sided system.
 
 One level search and one descent serve every map. The search is the
 length table's ``level``: the least admissible ``k`` with
@@ -175,13 +182,14 @@ def _descend_block(
     from letter ``x`` at offset ``t``; return the letter and offset below it.
 
     The descent first runs on the block's rows stepped up from the
-    checkpoint shifted right by ``s`` bits, with ``t >> s``
-    (``_descend_shifted``), and then computes the exact remainder
-    ``t - w·checkpoint`` by ``_path_vector``. The subtrees at the block's
-    lowest level tile its columns, so the digits are the true ones exactly
-    when that remainder lies inside the subtree they reach,
-    ``[0, checkpoint[y])``; the check is a proof on its own, whatever
-    digits the shifted descent took. A shifted row ``e`` levels up is
+    checkpoint shifted right by ``s`` bits, with ``t >> s``, by the
+    ``descend`` kernel, which also folds the path's prefix counts into
+    ``w``; the exact remainder is then ``t - w·checkpoint``. The subtrees
+    at the block's lowest level tile its columns, so the digits are the
+    true ones exactly when that remainder lies inside the subtree they
+    reach, ``[0, checkpoint[y])``; the check is a proof on its own,
+    whatever digits the shifted descent took (an offset past every other
+    child takes the last one, clamped). A shifted row ``e`` levels up is
     short by up to ``|mu^e|``, which the descent's running offset sums
     over the block, so ``s`` leaves ``_GUARD_BITS`` below the smallest
     checkpoint entry of a growing letter plus the bits of the longest
@@ -189,68 +197,18 @@ def _descend_block(
     block that fails is redone on its exact rows.
     """
     image_idx = sub.image_idx
+    lengths = sub.lengths
     longest = max(map(len, image_idx))
     least = min(checkpoint[sub.index[a]] for a in sub.growing)
     s = least.bit_length() - _GUARD_BITS - count * longest.bit_length()
     if s > 0:
-        start = len(digits)
-        rows = sub.lengths.block_rows(checkpoint, count, s)
-        y = _descend_shifted(image_idx, rows, x, t >> s, digits.append)
-        w, _ = _path_vector(sub, x, digits[start:])
+        rows = lengths.block_rows(checkpoint, count, s)
+        path, y, w = lengths.kernels().descend(rows, x, t >> s)
         r = t - sum(map(mul, w, checkpoint))
         if 0 <= r < checkpoint[y]:
+            digits += path
             return y, r
-        del digits[start:]
-    return _descend_rows(image_idx, sub.lengths.block_rows(checkpoint, count), x, t, digits.append)
-
-
-def _descend_shifted(image_idx, rows: list[list[int]], x: int, t: int, add) -> int:
-    """``_descend_rows`` on shifted rows, which fall short of the exact
-    ones, so an offset may pass every child: it then takes the last child
-    with the offset clamped to that child's width - 1, and never raises.
-    Returns the letter reached; the caller's remainder check decides."""
-    heads = [im[:-1] for im in image_idx]
-    for j in range(len(rows) - 1, -1, -1):
-        row = rows[j]
-        i = 0
-        for y in heads[x]:
-            w = row[y]
-            if t < w:
-                break
-            t -= w
-            i += 1
-        else:  # past every other child: the last one, clamped
-            y = image_idx[x][-1]
-            if t >= row[y]:
-                t = row[y] - 1
-        add(i)
-        x = y
-    return x
-
-
-def _path_vector(sub: Substitution, x: int, digits) -> tuple[list[int], int]:
-    """Fold a path's digits over one block, top-down, by Horner's rule.
-
-    Returns ``w = Σ (Aᵀ)^e c_e`` and the letter below the last digit,
-    where ``c_e`` counts the letters left of the path ``e`` levels above
-    the block's lowest and ``A[x][y]`` counts ``y`` in the image of ``x``.
-    The block's rows are ``A^e`` times its checkpoint, so the path's sum
-    over the block is ``w`` dotted with the checkpoint; ``w`` has about
-    ``count · log2(growth)`` bits. A digit past its image raises
-    ``DigitOutOfRangeError``.
-    """
-    image_idx = sub.image_idx
-    back = sub.lengths.back_step()
-    w = [0] * len(image_idx)
-    for d in digits:
-        w = back(w)
-        im = image_idx[x]
-        if d >= len(im):
-            raise DigitOutOfRangeError(f"digit {d} >= |image({sub.alphabet[x]})| = {len(im)}")
-        for y in im[:d]:
-            w[y] += 1
-        x = im[d]
-    return w, x
+    return _descend_rows(image_idx, lengths.block_rows(checkpoint, count), x, t, digits.append)
 
 
 def decompose_prefix(
@@ -343,7 +301,7 @@ def _evaluate_path(
     rows, blocks = lengths.spans(k - top)
     total = 0
     for checkpoint, count in blocks:
-        w, x = _path_vector(sub, x, digits[top : top + count])
+        w, x = lengths.kernels().fold(x, digits[top : top + count])
         top += count
         total += sum(map(mul, w, checkpoint))
     widths: list[int] = []

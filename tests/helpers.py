@@ -144,6 +144,25 @@ class PlainRows:
         return total
 
 
+def horner_fold(sub: Substitution, x: int, digits: Sequence[int]) -> tuple[list[int], int]:
+    """A path's prefix counts from letter ``x`` folded down its levels by
+    Horner's rule: before each digit ``w`` becomes ``Aᵀ w``, ``A[x][y]``
+    counting ``y`` in the image of ``x`` (read from ``adjacency``), then
+    gains one per letter left of the path. Returns ``w`` and the letter
+    below the last digit; the reference for the ``fold`` kernel."""
+    adjacency = sub.adjacency
+    w = [0] * len(sub.alphabet)
+    for d in digits:
+        w = [sum(a * v for a, v in zip(line, w)) for line in adjacency]
+        im = sub.image_idx[x]
+        if d >= len(im):
+            raise DigitOutOfRangeError(f"digit {d} >= |image({sub.alphabet[x]})| = {len(im)}")
+        for y in im[:d]:
+            w[y] += 1
+        x = im[d]
+    return w, x
+
+
 def reference_rep(ns: NumerationSystem, n: int) -> DigitWord:
     """``rep`` over a ``PlainRows`` list."""
     sub = ns.substitution

@@ -404,6 +404,21 @@ class TestErrorsAndSelftest:
             main(["rep", "--sub", SUB3, "--seed", "c|a", "-n", "5"])
         assert "usage error" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["rep", "val"])
+    def test_memory_error_exit_2(self, capsys, monkeypatch, command):
+        """A ``MemoryError`` is refused with a stable code and no traceback;
+        the subcommand raises it by hand, nothing is allocated."""
+        import dtnum.numeration
+
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(dtnum.numeration, command, exhausted)
+        flag = ["-n", "5"] if command == "rep" else ["--word", "002"]
+        code, out, err = run_cli(capsys, command, "--sub", SUB3, "--seed", "c|a", *flag)
+        assert (code, out) == (2, "")
+        assert err == "error: OutOfMemory: the request ran out of memory\n"
+
     def test_unknown_command_exit_1(self, capsys):
         code, _, _ = run_cli(capsys, "frobnicate")
         assert code == 1

@@ -381,7 +381,7 @@ class TestLengthTable:
         subs = set(fixture_substitutions) | {ns.substitution for ns in corpus_systems()}
         subs |= set(random_substitutions(random.Random(8), 1000))
         for sub in subs:
-            table = _LengthTable(sub.image_idx)
+            table = _LengthTable(sub.image_idx, sub.alphabet)
             table.row(60)
             rows = table._rows
             for level in range(60):
@@ -419,7 +419,7 @@ class TestLengthTable:
                         # level that rounds up past the top stored row
                         rounded_past_the_top += reach < k
                         for height in (None, k - 1, k + 7, reach):
-                            table = _LengthTable(sub.image_idx)
+                            table = _LengthTable(sub.image_idx, sub.alphabet)
                             if height is not None:
                                 table.row(height)
                             assert table.level(root, need, r, p) == k, (sub, side, need, r, p)
@@ -564,7 +564,7 @@ class TestStreamedTable:
             sub = parse_substitution(text)
             naive = PlainRows(sub)
             naive[400]  # rows 0 .. 400, for the slices below
-            table = _LengthTable(sub.image_idx)
+            table = _LengthTable(sub.image_idx, sub.alphabet)
             order = list(range(401))
             for levels in (sorted(order), sorted(order, reverse=True), rng.sample(order, 401)):
                 for level in levels:
@@ -615,7 +615,7 @@ class TestStreamedTable:
             naive[3000]
             layouts = []
             for reads in ([3000], [700, 1500, 2999, 3000], range(3001)):
-                table = _LengthTable(sub.image_idx)
+                table = _LengthTable(sub.image_idx, sub.alphabet)
                 step = table._step
                 steps = []
                 table._step = lambda p, step=step: steps.append(p) or step(p)
@@ -645,7 +645,7 @@ class TestStreamedTable:
                     for p in (1, 2, 3):
                         r = rng.randrange(p)
                         k = naive.level(root, need, r, p)
-                        table = _LengthTable(sub.image_idx)
+                        table = _LengthTable(sub.image_idx, sub.alphabet)
                         assert table.level(root, need, r, p) == k, (text, need, r, p)
                         assert table._front[0] == k and table._front[1] == naive[k]
                         if table._marks is not None:
@@ -663,18 +663,19 @@ class TestStreamedTable:
         naive = PlainRows(sub)
         for level in range(1500):
             k = naive.level(0, naive[level][0], 0, 1)
-            assert _LengthTable(sub.image_idx).level(0, naive[level][0], 0, 1) == k, level
+            table = _LengthTable(sub.image_idx, sub.alphabet)
+            assert table.level(0, naive[level][0], 0, 1) == k, level
 
     def test_jumps_stop_at_the_level_cap(self, monkeypatch):
         monkeypatch.setattr(core, "_MAX_LEVEL", 2003)
         sub = parse_substitution("a->abc,b->c,c->ac")
         naive = PlainRows(sub)
-        table = _LengthTable(sub.image_idx)
+        table = _LengthTable(sub.image_idx, sub.alphabet)
         assert table.level(0, naive[2003][0], 0, 1) == 2003
         with pytest.raises(DigitCapExceededError, match="digits"):
             table.level(0, naive[2003][0] + 1, 0, 1)
         with pytest.raises(DigitCapExceededError, match="digits"):
-            _LengthTable(sub.image_idx).level(0, naive[2003][0] + 1, 1, 3)
+            _LengthTable(sub.image_idx, sub.alphabet).level(0, naive[2003][0] + 1, 1, 3)
         assert table._front[0] == 2003 and table._front[1] == naive[2003]
         base, span, marks = table._marks
         assert base + (len(marks) - 1) * span <= 2003
@@ -695,7 +696,7 @@ class TestStreamedTable:
         monkeypatch.setattr(core, "_CHECKPOINT_BITS", bits)
         monkeypatch.setattr(core, "_SPAN", span)
         for text, want in zip(("a->abc,b->c,c->ac", "a->aab,b->a", "a->ab,b->ab"), expected):
-            table = _LengthTable(parse_substitution(text).image_idx)
+            table = parse_substitution(text).lengths
             table.row(3000)
             base, span_, marks = table._marks
             assert (len(table._rows), base, span_, len(marks), table._bits) == want, text
@@ -717,7 +718,7 @@ class TestStreamedTable:
                     while naive[reach][root] < need:
                         reach += 1
                     for height in (None, k - 1, k + 7, 250, reach):
-                        table = _LengthTable(sub.image_idx)
+                        table = _LengthTable(sub.image_idx, sub.alphabet)
                         if height is not None:
                             table.row(height)
                         assert table.level(root, need, r, p) == k, (sub, side, need, r, p)

@@ -43,6 +43,7 @@ from helpers import (
     corpus_systems,
     descend_with_invariants,
     expand_word,
+    horner_fold,
     PlainRows,
     random_substitutions,
     reference_rep,
@@ -518,25 +519,30 @@ def _assert_streamed(sub: Substitution, level: int) -> None:
 
 class _BlockLog:
     """The streamed blocks a descent reads: ``block_rows`` calls, in order,
-    and the ``_path_vector`` calls, which in a descent mean that a shifted
-    descent reached the block's bottom and its remainder was checked."""
+    and the calls of the ``descend`` kernel, each a shifted descent that
+    reached the block's bottom and whose remainder was then checked."""
 
     def __init__(self, monkeypatch):
         self.calls: list[tuple[int, int]] = []
         self.checked = 0
         block_rows = core._LengthTable.block_rows
-        path_vector = numeration._path_vector
+        kernels = core._LengthTable.kernels
 
         def logged(table, checkpoint, count, shift=0):
             self.calls.append((id(checkpoint), shift))
             return block_rows(table, checkpoint, count, shift)
 
-        def counted(*args):
-            self.checked += 1
-            return path_vector(*args)
+        def counted(table):
+            compiled = kernels(table)
+
+            def descend(*args):
+                self.checked += 1
+                return compiled.descend(*args)
+
+            return compiled._replace(descend=descend)
 
         monkeypatch.setattr(core._LengthTable, "block_rows", logged)
-        monkeypatch.setattr(numeration, "_path_vector", counted)
+        monkeypatch.setattr(core._LengthTable, "kernels", counted)
 
     @property
     def shifted(self) -> int:
@@ -735,6 +741,76 @@ class TestStreamedRows:
         assert not any(t.is_alive() for t in threads)
         assert got == {n: (expected[n], (n, True)) for n in values}
         _assert_streamed(ns.substitution, 800)
+
+
+def _kernel_system(rng: random.Random, size: int, longest: int = 3) -> NumerationSystem:
+    """A random two-sided system on ``size`` letters, seeded ``x0|x0``: the
+    image of ``x0`` starts and ends with it. From three letters on, the
+    last letter is bounded (its image is itself), and from four on, the
+    one before it lies in no image. The other images take 1 to
+    ``longest`` letters."""
+    letters = [f"x{i}" for i in range(size)]
+    pool = letters[:-2] + letters[-1:] if size >= 4 else letters
+    images = [["x0", *rng.choices(pool, k=rng.randint(0, longest - 2)), "x0"]]
+    images += [rng.choices(pool, k=rng.randint(1, longest)) for _ in letters[1:]]
+    if size >= 3:
+        images[-1] = [letters[-1]]
+    sub = Substitution(tuple(letters), tuple(map(tuple, images)))
+    return make_system(sub, "x0|x0")
+
+
+def _kernel_systems() -> list[NumerationSystem]:
+    """Seeded systems of 1 to 60 letters, and one with an image of 150 letters."""
+    rng = random.Random(2026)
+    sizes = [1, 2, 3, 4, 5, 8, 13, 21, 34, 60]
+    return [_kernel_system(rng, size) for size in sizes] + [_kernel_system(rng, 3, 150)]
+
+
+class TestBlockKernels:
+    """The compiled block-read kernels against references that do not use
+    them: ``fold`` against a plain Horner fold, ``rep`` (whose blocks run
+    through ``descend``) against ``reference_rep``."""
+
+    @pytest.fixture(autouse=True)
+    def budget(self, small_budget):
+        pass
+
+    def test_fold_matches_a_plain_horner_fold(self):
+        rng = random.Random(7)
+        for ns in _kernel_systems():
+            sub = ns.substitution
+            fold = _fresh(sub).lengths.kernels().fold
+            for _ in range(20):
+                x = rng.randrange(len(sub.alphabet))
+                digits = _random_path(rng, sub, sub.alphabet[x], rng.randrange(60))
+                assert fold(x, digits) == horner_fold(sub, x, digits), (sub, x, digits)
+                if not digits:
+                    continue
+                # a digit past its image: today's error text, from both
+                i = rng.randrange(len(digits))
+                y = x
+                for d in digits[:i]:
+                    y = sub.image_idx[y][d]
+                bad = (*digits[:i], len(sub.image_idx[y]) + rng.randrange(3), *digits[i + 1 :])
+                with pytest.raises(DigitOutOfRangeError) as expected:
+                    horner_fold(sub, x, bad)
+                with pytest.raises(DigitOutOfRangeError) as got:
+                    fold(x, bad)
+                assert str(got.value) == str(expected.value)
+
+    def test_rep_through_descend_matches_the_reference(self, monkeypatch):
+        log = _BlockLog(monkeypatch)
+        rng = random.Random(8)
+        for ns in _kernel_systems():
+            ns = NumerationSystem(_fresh(ns.substitution), ns.seed, ns.residue)
+            for exponent in (30, 300):
+                for sign in (1, -1):
+                    n = sign * rng.randrange(10**exponent, 2 * 10**exponent)
+                    word = rep(ns, n)
+                    assert word == reference_rep(ns, n), (ns.substitution, n)
+                    assert val(ns, word) == (n, True), (ns.substitution, n)
+            _assert_streamed(ns.substitution, len(word.digits))
+        assert log.checked > 0
 
 
 def _outcome(f, *args):
