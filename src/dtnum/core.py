@@ -176,7 +176,9 @@ class _LengthTable:
     at every count level (``(level + 1) % _SPAN == 0``) the newest row,
     times ``_SPAN``, bounds the bits of the rows it closes, and ``level``
     finds its answer by bisection. Once the budget is reached the stored
-    rows close, and the levels above them are streamed: the table keeps
+    rows close; a level search whose answer, extended from the last span's
+    growth, would fill the budget closes them at once where a jump pays
+    (``_count``). The levels above them are streamed: the table keeps
     the front and a checkpoint row every ``span`` levels from the top
     stored row up. When the checkpoints pass ``_CHECKPOINT_BITS``, every
     other one is dropped and the span doubles. Rows satisfy
@@ -255,7 +257,7 @@ class _LengthTable:
             keep(row)
             if lv == count:
                 count += _SPAN
-                if self._count(lv, row):  # a checkpoint: jump on from it
+                if self._count(lv, row, root, need):  # a checkpoint: jump on from it
                     keep = discard  # the store is closed: keep the front only
                     lv, row, k = self._jump(lv, row, k, p, root, need)
                     count = (lv + 1) // _SPAN * _SPAN + _SPAN - 1
@@ -326,15 +328,32 @@ class _LengthTable:
             self._power = (s, power, adds, pays)
         return power if pays else None
 
-    def _count(self, level: int, row: list[int]) -> bool:
+    def _count(self, level: int, row: list[int], root: int, need: int) -> bool:
         """Count the row at a count level against its budget; True if it
-        becomes a checkpoint, the first one when it closes the stored rows."""
+        becomes a checkpoint, the first one when it closes the stored rows.
+        A search for ``need`` in the ``root`` entry closes them at once when
+        the bits they would hold at its answer reach the budget and a jump
+        pays: the levels left and the rows' bits there are extended from
+        their growth over the last span."""
         if self._marks is None:
-            self._bits += _SPAN * _row_bits(row)
+            bits = _row_bits(row)
+            self._bits += _SPAN * bits
             if self._bits < _STORE_BITS:
-                return False
+                left = need.bit_length() - row[root].bit_length()
+                if left <= 0:
+                    return False
+                gap = min(level, _SPAN)  # the last span's levels
+                below = self._rows[level - gap]
+                grown = row[root].bit_length() - below[root].bit_length()
+                if grown <= 0:
+                    return False
+                ahead = left * gap / grown  # the levels left to the answer
+                growth = (bits - _row_bits(below)) / gap  # row bits per level
+                future = ahead * (bits + growth * (ahead + _SPAN) / 2)
+                if self._bits + future < _STORE_BITS or self._power_of(_SPAN) is None:
+                    return False
             self._marks = (level, _SPAN, [row])
-            self._bits = _row_bits(row)
+            self._bits = bits
             return True
         base, span, _ = self._marks
         if (level - base) % span:

@@ -57,14 +57,17 @@ def kernel_source(image_idx: tuple[tuple[int, ...], ...], sums) -> str:
     - ``descend(rows, x, t)``: ``numeration._descend_rows`` on shifted rows,
       fused with ``fold`` of the digits it takes; returns
       ``(digits, y, w)``. An offset past every other child takes the last
-      child, clamped to its width - 1, so it never raises.
+      child, so it never raises.
 
     Each level branches on its letter by a binary tree of ``if``/``else``,
     so the code nests only ``log2`` of the alphabet deep. In ``descend``
-    every child but the last is one flat test ending in ``continue``; the
-    last child falls through to one clamp shared by all letters. The code
-    grows linearly with the images; compiling it is the cost of the first
-    read above the stored rows: about 1 ms on 3 letters, 6-10 ms on 60.
+    every child but the last is one flat test ending in ``continue``, and
+    the last child is taken unchecked: a shifted row is the exact sum of
+    the shifted row below, so an offset past a letter's width passes every
+    non-last child below it too, and the exact remainder check after the
+    kernel decides the digits. The code grows linearly with the images;
+    compiling it is the cost of the first read above the stored rows:
+    about 1 ms on 3 letters, 6-10 ms on 60.
     """
     m = len(image_idx)
     ps = ", ".join(f"p{y}" for y in range(m))
@@ -128,7 +131,6 @@ def kernel_source(image_idx: tuple[tuple[int, ...], ...], sums) -> str:
         "    for row in rows[::-1]:",
         *(f"        {line}" for line in back),
         *branches(0, m, "        ", descend_leaf),
-        "        if t >= (v := row[x]): t = v - 1",
         "        add(d)",
         f"    return digits, x, [{ws}]",
     ]

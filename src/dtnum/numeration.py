@@ -189,7 +189,7 @@ def _descend_block(
     true ones exactly when that remainder lies inside the subtree they
     reach, ``[0, checkpoint[y])``; the check is a proof on its own,
     whatever digits the shifted descent took (an offset past every other
-    child takes the last one, clamped). A shifted row ``e`` levels up is
+    child takes the last one). A shifted row ``e`` levels up is
     short by up to ``|mu^e|``, which the descent's running offset sums
     over the block, so ``s`` leaves ``_GUARD_BITS`` below the smallest
     checkpoint entry of a growing letter plus the bits of the longest

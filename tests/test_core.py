@@ -790,6 +790,115 @@ class TestStreamedTable:
             sys.setswitchinterval(interval)
 
 
+def _budget_close(naive: PlainRows) -> int:
+    """The level at which the stored rows close by their budget alone: the
+    first count level at which ``_SPAN`` times the bits of each count
+    level's row, summed, reach ``_STORE_BITS``."""
+    level, bits = core._SPAN - 1, 0
+    while True:
+        bits += core._SPAN * core._row_bits(naive[level])
+        if bits >= core._STORE_BITS:
+            return level
+        level += core._SPAN
+
+
+class TestStoreClosesEarly:
+    """A level search whose answer the last span's growth puts past the
+    store budget closes the stored rows at once, where a jump pays, and
+    climbs by jumps; every other climb fills the store up to its budget."""
+
+    TEXTS = ("a->abc,b->c,c->ac", "a->aab,b->a", "a->ab,b->ab")
+
+    @pytest.fixture(autouse=True)
+    def budget(self, monkeypatch):
+        # a jump of 16 levels pays on TEXTS, whose stores close at levels 479-639
+        monkeypatch.setattr(core, "_STORE_BITS", 400_000)
+        monkeypatch.setattr(core, "_CHECKPOINT_BITS", 400_000)
+        monkeypatch.setattr(core, "_SPAN", 16)
+
+    def test_a_search_past_the_store_keeps_one_span(self):
+        rng = random.Random(21)
+        for text in self.TEXTS:
+            sub = parse_substitution(text)
+            assert _LengthTable(sub.image_idx, sub.alphabet)._power_of(core._SPAN) is not None
+            naive = PlainRows(sub)
+            naive[2500]
+            close = _budget_close(naive)
+            assert 300 < close < 1500, text
+            root = sub.index["a"]
+            for level in [close + 40, 1500, 2400] + rng.sample(range(close + 1, 2400), 4):
+                for need in (naive[level][root], naive[level][root] + 1):
+                    p = rng.randint(1, 3)
+                    r = rng.randrange(p)
+                    k = naive.level(root, need, r, p)
+                    table = _LengthTable(sub.image_idx, sub.alphabet)
+                    assert table.level(root, need, r, p) == k, (text, need, r, p)
+                    stored = len(table._rows)
+                    assert stored <= core._SPAN, (text, level)
+                    assert table._rows == naive.rows[:stored]
+                    base, span, marks = table._marks
+                    assert base == stored - 1
+                    assert all(m == naive[base + i * span] for i, m in enumerate(marks))
+                    assert table._front[0] == k and table._front[1] == naive[k]
+                    assert _levels(table, k + 1) == naive.rows[: k + 1], (text, k)
+
+    def test_a_search_that_fits_fills_the_store_as_before(self):
+        for text in self.TEXTS:
+            sub = parse_substitution(text)
+            naive = PlainRows(sub)
+            naive[1600]
+            close = _budget_close(naive)
+            grown = _LengthTable(sub.image_idx, sub.alphabet)  # by row reads alone
+            grown.row(1600)
+            layout = (grown._marks[1], len(grown._marks[2]), grown._bits)
+            root = sub.index["a"]
+            for level in (0, 1, close // 2, 3 * close // 4):
+                need = naive[level][root]
+                k = naive.level(root, need, 0, 1)
+                table = _LengthTable(sub.image_idx, sub.alphabet)
+                assert table.level(root, need, 0, 1) == k, (text, level)
+                assert table._marks is None and table._rows == naive.rows[: k + 1]
+                table.row(1600)
+                assert len(table._rows) == close + 1 and table._rows == naive.rows[: close + 1]
+                base, span, marks = table._marks
+                assert base == close
+                assert all(m == naive[base + i * span] for i, m in enumerate(marks))
+                assert (span, len(marks), table._bits) == layout, (text, level)
+
+    def test_row_reads_and_steps_that_pay_keep_the_store(self, monkeypatch):
+        """Ascending ``row`` reads, which have no need, and a level search on
+        a 30-letter cycle, whose jumps do not pay, fill the store up to its
+        budget, though the cycle's search finds its answer past it."""
+        for text in self.TEXTS:
+            sub = parse_substitution(text)
+            naive = PlainRows(sub)
+            table = _LengthTable(sub.image_idx, sub.alphabet)
+            for level in range(1600):
+                assert table.row(level) == naive[level], (text, level)
+            close = _budget_close(naive)
+            assert len(table._rows) == close + 1 and table._marks[0] == close, text
+        cycle = ", ".join(["x0 -> x0 x1"] + [f"x{i} -> x{(i + 1) % 30}" for i in range(1, 30)])
+        sub = parse_substitution(cycle)
+        naive = PlainRows(sub)
+        close = _budget_close(naive)
+        need = naive[3 * close][0]
+        k = naive.level(0, need, 0, 1)
+        asked = []  # the levels at which a jump's cost is weighed
+        power_of = _LengthTable._power_of
+        monkeypatch.setattr(
+            _LengthTable, "_power_of", lambda t, span: asked.append(len(t._rows)) or power_of(t, span)
+        )
+        table = _LengthTable(sub.image_idx, sub.alphabet)
+        assert table.level(0, need, 0, 1) == k
+        assert asked and asked[0] < close  # the estimate passed the budget early ...
+        assert table._power_of(core._SPAN) is None  # ... but a jump does not pay
+        assert len(table._rows) == close + 1 and table._rows == naive.rows[: close + 1]
+        base, span, marks = table._marks
+        assert base == close
+        assert all(m == naive[base + i * span] for i, m in enumerate(marks))
+        assert _levels(table, k + 1) == naive.rows[: k + 1]
+
+
 _NAME_CHARS = st.sampled_from("ab->|,;. \t\n") | st.characters()
 
 

@@ -647,6 +647,33 @@ class TestStreamedRows:
                 _assert_streamed(sub, k)
             assert shifted > 0, text
 
+    def test_smaller_reads_after_an_early_close(self, monkeypatch):
+        """A cold ``rep`` whose level search lies past the store closes it
+        after one span and jumps; ``rep`` and ``val`` of smaller values then
+        read the same table through its blocks, on both sides, down to a
+        level's last value (a right edge) and its first (offset 0)."""
+        monkeypatch.setattr(core, "_STORE_BITS", 1_000_000)
+        monkeypatch.setattr(core, "_SPAN", 128)
+        rng = random.Random(14)
+        for text, seed in (("a->abc,b->c,c->ac", "c|a"), ("a->aab,b->a", "b|a")):
+            ns = make_system(text, seed)
+            sub = ns.substitution
+            table = sub.lengths
+            for n in (10**1000 + 4242, -(10**1000) - 4242):
+                assert rep(ns, n) == reference_rep(ns, n), (text, n)
+            assert len(table._rows) == core._SPAN, text  # closed early
+            right, left = sub.index[ns.right], sub.index[ns.left]
+            values = [sign * rng.randrange(10**e, 2 * 10**e) for e in (30, 100, 300) for sign in (1, -1)]
+            for need in (10**100, 10**300):
+                values.append(table.row(table.level(right, need, ns.residue, ns.period))[right] - 1)
+                values.append(-table.row(table.level(left, need, ns.residue, ns.period))[left])
+            for n in values:
+                word = rep(ns, n)
+                assert word == reference_rep(ns, n), (text, n)
+                assert val(ns, word) == (n, True), (text, n)
+            _assert_streamed(sub, len(word.digits))
+            assert len(table._rows) == core._SPAN, text
+
     def test_rep_and_val_match_the_reference(self, small_budget, golden_complement):
         rng = random.Random(20261018)
         for entry, ns in golden_complement:
