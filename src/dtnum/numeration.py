@@ -10,22 +10,21 @@ row step (``fold``), dotted with the checkpoint, and the descent runs on
 the block's rows shifted down to a few hundred bits (``steps``), folding
 as it goes (``descend``), checked exactly by that sum
 (``_descend_block``). So values with hundreds of thousands of digits are
-fine. The kernels keep entries in locals and call nothing per level: on
-``abc-c-ac`` a ``rep`` past its level search took 36 ms at 10^10000 and
-0.43-0.72 s at 10^100000 (291,103 digits) with a step function and the
-transposed step called once per level, and takes 24 ms and 0.32-0.53 s;
-a ``val`` took 21 ms and 0.33-0.49 s, and takes 13 ms and 0.23-0.37 s
-(process CPU on a shared machine whose speed swings). The sign digit 0/1
-selects the non-negative/negative subtree of a two-sided system.
+fine. The kernels keep entries in locals and call nothing per level.
+The sign digit 0/1 selects the non-negative/negative subtree of a
+two-sided system.
 
-One level search and one descent serve every map. The search is the
-length table's ``level``: the least admissible ``k`` with
-``|mu^k(root)| >= need``, where ``need`` is ``n + 1`` for ``n >= 0`` and
-``-n`` for ``n < 0``. The descent is ``_descend_digits``. A word is
-canonical exactly when its length is the level the search gives for its
-value, so ``val`` never re-runs ``rep``: it compares the two. The search
-builds no row past its answer, which is at most the word's own length,
-so the leading zeros of a long word build no rows.
+``rep`` finds its level by the length table's ``level``: the least
+admissible ``k`` with ``|mu^k(root)| >= need``, where ``need`` is
+``n + 1`` for ``n >= 0`` and ``-n`` for ``n < 0``. One descent,
+``_descend_digits``, serves every map. ``val`` decides canonicality by
+the spine rule (``_canonical``): a word of ``k`` digits with period
+``p`` and residue ``r`` is canonical iff ``k ≡ r (mod p)`` and it does
+not begin with the seed side's ``p`` spine digits, the first child of
+each letter on the right side and the last child on the left. ``mu^p``
+of a right seed begins with it and of a left seed ends with it, so the
+level-``(k - p)`` tree lies below the spine digits at the same columns,
+and a column has one path per level (Dumont & Thomas, TCS 65, 1989).
 """
 
 from __future__ import annotations
@@ -263,9 +262,7 @@ def val(ns: NumerationSystem, word: Union[DigitWord, str]) -> tuple[int, bool]:
     """Evaluate any valid tree path and report whether it is canonical.
 
     Non-canonical words (paths reaching the column at a non-minimal
-    level) evaluate fine. The path to a column at a given level is
-    unique, so a word is canonical exactly when its length is the
-    minimal admissible level of its value, the length table's ``level``.
+    level) evaluate fine; canonicality is the spine rule (``_canonical``).
     """
     if isinstance(word, str):
         word = DigitWord.parse(word, signed=True)
@@ -279,10 +276,21 @@ def val(ns: NumerationSystem, word: Union[DigitWord, str]) -> tuple[int, bool]:
         )
     root = sub.index[side]
     value = _evaluate_path(sub, root, word.digits, negative=word.sign == 1)
-    need = value + 1 if value >= 0 else -value
-    k = len(word.digits)
-    r, p = ns.residue, ns.period
-    return value, (k - r) % p == 0 and sub.lengths.level(root, need, r, p) == k
+    return value, _canonical(sub, root, word.digits, ns.residue, ns.period, -word.sign)
+
+
+def _canonical(sub: Substitution, x: int, digits, r: int, p: int, end: int) -> bool:
+    """The spine rule for a path below the seed letter ``x``, whose spine
+    takes the first (``end`` 0) or last (``end`` -1) child; the digits
+    must be in range."""
+    if (len(digits) - r) % p:
+        return False
+    for d in digits[:p]:
+        im = sub.image_idx[x]
+        if d != end % len(im):
+            return True
+        x = im[d]
+    return len(digits) < p
 
 
 def _evaluate_path(
@@ -357,4 +365,5 @@ def val_classic_N(
     root_idx = sub.letter_index(root)
     _require_fixed_point(sub, root_idx)
     value = _evaluate_path(sub, root_idx, word.digits, negative=False)
-    return value, sub.lengths.level(root_idx, value + 1, 0, 1) == len(word.digits)
+    # a fixed point's spine is its first child: empty, or a nonzero first digit
+    return value, _canonical(sub, root_idx, word.digits, 0, 1, 0)

@@ -17,6 +17,7 @@ from dtnum import (
     ConsistentWeights,
     DigitWord,
     NumerationSystem,
+    SeedSpec,
     Substitution,
     WeightContradiction,
     find_seeds,
@@ -270,6 +271,62 @@ def corpus_systems(seed: int = CORPUS_SEED, min_systems: int = 200):
                     for r in range(spec.period):
                         systems.append(NumerationSystem(sub, spec, r))
     return systems
+
+
+def period_multiples(sub: Substitution, spec: SeedSpec):
+    """``sub`` seeded by ``spec`` at 1, 2 and 3 times its period, with every residue."""
+    for m in (1, 2, 3):
+        seed = SeedSpec(spec.left, spec.right, m * spec.period)
+        for r in range(seed.period):
+            yield NumerationSystem(sub, seed, r)
+
+
+# -- random words ----------------------------------------------------------------
+
+
+def random_path(
+    rng: random.Random, sub: Substitution, root: str, length: int, prefix: Sequence[int] = ()
+) -> tuple[int, ...]:
+    """Digits of a uniformly chosen valid path of the given length below
+    ``root`` that begins with the valid path ``prefix``."""
+    digits = list(prefix)
+    x = root
+    for d in prefix:
+        x = sub.image(x)[d]
+    for _ in range(length - len(prefix)):
+        image = sub.image(x)
+        d = rng.randrange(len(image))
+        digits.append(d)
+        x = image[d]
+    return tuple(digits)
+
+
+def spine_digits(sub: Substitution, letter: str, p: int, end: int) -> tuple[int, ...]:
+    """The ``p`` child indices of the first (``end`` 0) or last (``end`` -1)
+    child of each letter along the first- or last-letter map from ``letter``."""
+    digits = []
+    for _ in range(p):
+        image = sub.image(letter)
+        digits.append(len(image) - 1 if end else 0)
+        letter = image[end]
+    return tuple(digits)
+
+
+def canonicality_words(rng: random.Random, ns: NumerationSystem, count: int):
+    """``count`` random valid signed words on a random seed side of ``ns``.
+    The even-numbered ones have 0 to 10 digits; the odd-numbered ones have
+    a length in the residue class, at least the period, and begin with the
+    seed side's spine digits, so they are never canonical."""
+    sub, p, r = ns.substitution, ns.period, ns.residue
+    sides = [(s, side) for s, side in ((0, ns.right), (1, ns.left)) if side is not None]
+    for i in range(count):
+        sign, root = rng.choice(sides)
+        if i % 2:
+            spine = spine_digits(sub, root, p, -sign)
+            digits = random_path(rng, sub, root, r + p * rng.randint(1, 3), spine)
+        else:
+            digits = random_path(rng, sub, root, rng.randint(0, 10))
+        yield DigitWord(digits, sign)
 
 
 # -- reference weight fit ----------------------------------------------------------

@@ -40,14 +40,18 @@ from dtnum.errors import (
     SideMissingError,
 )
 from helpers import (
+    canonicality_words,
     corpus_systems,
     descend_with_invariants,
     expand_word,
     horner_fold,
+    period_multiples,
     PlainRows,
+    random_path,
     random_substitutions,
     reference_rep,
     reference_val,
+    spine_digits,
     twos_complement_rep,
     twos_complement_val,
 )
@@ -386,46 +390,32 @@ class TestRandomSystems:
                 assert len(word.digits) % ns.period == ns.residue
 
 
-def _random_path(rng: random.Random, sub, root: str, length: int) -> tuple[int, ...]:
-    """Digits of a uniformly chosen valid path of the given length below ``root``."""
-    digits = []
-    x = root
-    for _ in range(length):
-        image = sub.image(x)
-        d = rng.randrange(len(image))
-        digits.append(d)
-        x = image[d]
-    return tuple(digits)
-
-
 class TestCanonicalityRule:
-    """``val`` reads canonicality off the length table; the reference is the
-    definition: a word is canonical when it equals the representation of
-    its value."""
+    """``val`` reads canonicality off the word by the spine rule: ``k``
+    digits are canonical iff ``k ≡ r (mod p)`` and they do not begin with
+    the seed side's ``p`` spine digits. The reference is the definition: a
+    word is canonical when it equals the representation of its value, whose
+    level ``rep`` finds by the length table's level search."""
 
     def test_val_matches_rep_definition_on_corpus(self):
-        from helpers import corpus_systems
-
+        # each corpus seed at 1, 2 and 3 times its period, every residue;
+        # half the words begin with the spine digits
         rng = random.Random(20251018)
-        non_canonical = 0
-        for ns in corpus_systems():
-            signs = [s for s, side in ((0, ns.right), (1, ns.left)) if side is not None]
-            for _ in range(100):
-                sign = rng.choice(signs)
-                root = ns.right if sign == 0 else ns.left
-                word = DigitWord(
-                    _random_path(rng, ns.substitution, root, rng.randint(0, 10)), sign
-                )
-                value, canonical = val(ns, word)
-                assert canonical == (word == rep(ns, value)), (ns, word)
-                non_canonical += not canonical
-        assert non_canonical > 0
+        seeds = dict.fromkeys((ns.substitution, ns.seed) for ns in corpus_systems())
+        verdicts = {True: 0, False: 0}
+        for sub, spec in seeds:
+            for ns in period_multiples(sub, spec):
+                for word in canonicality_words(rng, ns, 30):
+                    value, canonical = val(ns, word)
+                    assert canonical == (word == rep(ns, value)), (ns, word)
+                    verdicts[canonical] += 1
+        assert min(verdicts.values()) > 1000, verdicts
 
     def test_val_classic_matches_rep_definition(self, golden_classic):
         rng = random.Random(20251018)
         for entry, sub, root in golden_classic:
             for _ in range(200):
-                word = DigitWord(_random_path(rng, sub, root, rng.randint(0, 10)))
+                word = DigitWord(random_path(rng, sub, root, rng.randint(0, 10)))
                 value, canonical = val_classic_N(sub, root, word)
                 assert canonical == (word == rep_classic_N(sub, root, value)), (
                     entry["name"],
@@ -433,13 +423,14 @@ class TestCanonicalityRule:
                 )
 
     def test_zero_prefixed_long_word_builds_no_rows_for_its_zeros(self):
-        # 20,001 digits after the sign digit; the value needs rows 0..1 only
+        # 20,001 digits after the sign digit; the last one reads row 0 only,
+        # and the spine rule reads no row
         ns = make_system("a->abc,b->c,c->ac", "c|a")
         assert val(ns, "0" + "0" * 20_000 + "1") == (1, False)
-        assert len(ns.substitution.lengths._rows) == len(rep(ns, 1).digits) + 1 == 2
+        assert len(ns.substitution.lengths._rows) == 1
         sub = parse_substitution("a->ab,b->ac,c->a")
         assert val_classic_N(sub, "a", "0" * 20_000 + "1") == (1, False)
-        assert len(sub.lengths._rows) == len(rep_classic_N(sub, "a", 1).digits) + 1
+        assert len(sub.lengths._rows) == 1
 
     def test_word_of_inadmissible_length_at_the_level_cap(self, monkeypatch):
         # the value needs level 50, but odd levels are admissible: its
@@ -451,6 +442,39 @@ class TestCanonicalityRule:
         assert val(ns, "01" + "0" * 49) == (value, False)
         with pytest.raises(DigitCapExceededError):
             rep(ns, value)
+
+    def test_val_runs_no_level_search(self, monkeypatch, golden_classic, golden_complement):
+        def refuse(*args):
+            raise AssertionError("val ran the level search")
+
+        monkeypatch.setattr(core._LengthTable, "level", refuse)
+        for entry, sub, root in golden_classic:
+            for n_text, text in entry["table"].items():
+                word = DigitWord.parse(text, signed=False)
+                assert val_classic_N(sub, root, word) == (int(n_text), True)
+                zero = DigitWord((0, *word.digits))
+                assert val_classic_N(sub, root, zero) == (int(n_text), False)
+        for entry, ns in golden_complement:
+            for n_text, text in entry["table"].items():
+                word = DigitWord.parse(text, signed=True)
+                side = ns.right if word.sign == 0 else ns.left
+                spine = spine_digits(ns.substitution, side, ns.period, -word.sign)
+                assert val(ns, word) == (int(n_text), True)
+                longer = DigitWord(spine + word.digits, word.sign)
+                assert val(ns, longer) == (int(n_text), False)
+
+    def test_val_refuses_only_rows_past_the_level_cap(self, monkeypatch):
+        # the values of these right words need level 51, past the cap, but
+        # their evaluation reads rows 0..50 only; a left word of 51 digits
+        # reads row 51 for its offset
+        monkeypatch.setattr(core, "_MAX_LEVEL", 50)
+        ns = make_system("a->abc,b->c,c->ac", "c|a")
+        assert val(ns, "02" + "1" * 50) == (405235326396683948, True)
+        assert val(ns, "002" + "1" * 50) == (405235326396683948, False)
+        with pytest.raises(DigitCapExceededError):
+            rep(ns, 405235326396683948)
+        with pytest.raises(DigitCapExceededError):
+            val(ns, "1" * 52)
 
     def test_val_classic_non_fixed_point_root_exit_2(self, capsys):
         from dtnum.cli import main
@@ -689,7 +713,7 @@ class TestStreamedRows:
                     assert val(ns, word) == (n, True), (entry["name"], n)
                     root = sub.alphabet[sub.index[ns.right if sign > 0 else ns.left]]
                     for length in (len(word.digits) - 1, len(word.digits) + 5):
-                        path = DigitWord(_random_path(rng, sub, root, length), word.sign)
+                        path = DigitWord(random_path(rng, sub, root, length), word.sign)
                         assert val(ns, path) == reference_val(ns, path), (entry["name"], path)
                     if sign > 0:  # p zeros lead back to the right seed
                         padded = DigitWord((0,) * 3 * ns.period + word.digits, 0)
@@ -809,7 +833,7 @@ class TestBlockKernels:
             fold = _fresh(sub).lengths.kernels().fold
             for _ in range(20):
                 x = rng.randrange(len(sub.alphabet))
-                digits = _random_path(rng, sub, sub.alphabet[x], rng.randrange(60))
+                digits = random_path(rng, sub, sub.alphabet[x], rng.randrange(60))
                 assert fold(x, digits) == horner_fold(sub, x, digits), (sub, x, digits)
                 if not digits:
                     continue
