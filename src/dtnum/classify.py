@@ -9,12 +9,12 @@ whether the induced system equals a Bertrand numeration system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
     SeedSpec,
     Substitution,
+    _Record,
     first_length_mismatch,
     first_letter_cycle,
     reachable_letters,
@@ -119,8 +119,7 @@ def simplify(
 # -- the digit-chain canonical form ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FabreForm:
+class FabreForm(_Record):
     """The shape a1 -> a1^d1 a2, a2 -> a1^d2 a3, ..., an -> a1^dn ak."""
 
     digits: tuple[int, ...]
@@ -189,8 +188,7 @@ def _periodic_chain_shape(sub: Substitution, a1: str) -> bool:
 # -- ultimately periodic digit words ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UPWord:
+class UPWord(_Record):
     """Ultimately periodic digit word ``preperiod (cycle)^w``, always normalized:
     the cycle is primitive and the preperiod is as short as possible."""
 

@@ -15,10 +15,9 @@ import sys
 import threading
 from bisect import bisect_left
 from collections import Counter, deque
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations_with_replacement
-from operator import itemgetter, mul
+from operator import attrgetter, itemgetter, mul
 from typing import TYPE_CHECKING, Iterable, Literal, Optional, Sequence, Union
 
 from .errors import (
@@ -178,7 +177,8 @@ class _LengthTable:
     finds its answer by bisection. Once the budget is reached the stored
     rows close; a level search whose answer, extended from the last span's
     growth, would fill the budget closes them at once where a jump pays
-    (``_count``). The levels above them are streamed: the table keeps
+    (``_count``), and so does a climb of ``spans`` to a level it knows.
+    The levels above them are streamed: the table keeps
     the front and a checkpoint row every ``span`` levels from the top
     stored row up. When the checkpoints pass ``_CHECKPOINT_BITS``, every
     other one is dropped and the span doubles. Rows satisfy
@@ -231,15 +231,21 @@ class _LengthTable:
 
     # -- growth, under the lock -------------------------------------------
 
-    def _climb(self, k: int, p: int = 1, root: int = 0, need: int = 0) -> int:
+    def _climb(
+        self, k: int, p: int = 1, root: int = 0, need: int = 0, whole: bool = False
+    ) -> int:
         """Bring the front up to the least level ``>= k``, ``≡ k (mod p)``,
         whose ``root`` entry reaches ``need``, and return it; ``k`` lies
         above the front. From the top checkpoint, and from each one it
         steps to, ``_jump`` first brings the front up by whole spans; the
-        rest is stepped. No row past the answer or ``_MAX_LEVEL`` is built."""
+        rest is stepped. No row past the answer or ``_MAX_LEVEL`` is built.
+        ``whole`` marks a climb of ``spans``, whose reader reads every level
+        up to ``k`` through blocks, so its top level ``k`` is known to
+        ``_count``."""
         lv, row = self._front
         rows = self._rows
         step = self._step
+        top = k if whole else 0
         discard = deque(maxlen=0).append
         keep = rows.append
         if self._marks is not None and k <= _MAX_LEVEL:
@@ -257,7 +263,7 @@ class _LengthTable:
             keep(row)
             if lv == count:
                 count += _SPAN
-                if self._count(lv, row, root, need):  # a checkpoint: jump on from it
+                if self._count(lv, row, root, need, top):  # a checkpoint: jump on from it
                     keep = discard  # the store is closed: keep the front only
                     lv, row, k = self._jump(lv, row, k, p, root, need)
                     count = (lv + 1) // _SPAN * _SPAN + _SPAN - 1
@@ -328,26 +334,30 @@ class _LengthTable:
             self._power = (s, power, adds, pays)
         return power if pays else None
 
-    def _count(self, level: int, row: list[int], root: int, need: int) -> bool:
+    def _count(self, level: int, row: list[int], root: int, need: int, top: int) -> bool:
         """Count the row at a count level against its budget; True if it
         becomes a checkpoint, the first one when it closes the stored rows.
-        A search for ``need`` in the ``root`` entry closes them at once when
-        the bits they would hold at its answer reach the budget and a jump
-        pays: the levels left and the rows' bits there are extended from
-        their growth over the last span."""
+        A search for ``need`` in the ``root`` entry, or a climb of ``spans``
+        up to ``top`` (0 for any other climb), closes them at once when the
+        bits they would hold at its answer reach the budget and a jump pays:
+        the rows' bits there are extended from their growth over the last
+        span, and so are the levels left to a search's answer."""
         if self._marks is None:
             bits = _row_bits(row)
             self._bits += _SPAN * bits
             if self._bits < _STORE_BITS:
-                left = need.bit_length() - row[root].bit_length()
-                if left <= 0:
-                    return False
                 gap = min(level, _SPAN)  # the last span's levels
                 below = self._rows[level - gap]
-                grown = row[root].bit_length() - below[root].bit_length()
-                if grown <= 0:
+                if need:
+                    left = need.bit_length() - row[root].bit_length()
+                    grown = row[root].bit_length() - below[root].bit_length()
+                    if left <= 0 or grown <= 0:
+                        return False
+                    ahead = left * gap / grown  # the levels left to the answer
+                elif top:
+                    ahead = top - level
+                else:
                     return False
-                ahead = left * gap / grown  # the levels left to the answer
                 growth = (bits - _row_bits(below)) / gap  # row bits per level
                 future = ahead * (bits + growth * (ahead + _SPAN) / 2)
                 if self._bits + future < _STORE_BITS or self._power_of(_SPAN) is None:
@@ -396,7 +406,7 @@ class _LengthTable:
         if k > len(rows):
             with self._lock:
                 if k - 1 > self._front[0]:
-                    self._climb(k - 1)
+                    self._climb(k - 1, whole=True)
         if k <= len(rows):
             return rows[:k], ()
         base, span, marks = self._marks
@@ -479,8 +489,92 @@ class _LengthTable:
             return self._climb(k, p, root, need)
 
 
-@dataclass(frozen=True)
-class Substitution:
+class _Record:
+    """Base of the frozen value classes, in place of a frozen dataclass.
+
+    A subclass names its fields by annotations, in order, and gives
+    defaults as class attributes. Instances take the fields positionally
+    or by keyword and then run ``__post_init__``; they compare and hash by
+    their fields, print as ``Name(field=value, ...)``, and refuse
+    assignment and deletion with ``dataclasses.FrozenInstanceError``.
+    Fields live in the instance ``__dict__``, so ``vars()`` lists them and
+    ``cached_property`` works. Unlike a dataclass, the class is built
+    without ``dataclasses``, whose import costs a CLI process more than
+    its own work on small values.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._fields = cls.__match_args__ = fields = tuple(cls.__annotations__)
+        cls._defaults = {name: cls.__dict__[name] for name in fields if name in cls.__dict__}
+        key = attrgetter(*fields)
+
+        # closures over ``key``: looking it up on the class would add about
+        # a tenth to ``DigitWord ==``, which checks words against the tree oracle
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return key(self) == key(other)
+            return NotImplemented
+
+        def __hash__(self) -> int:
+            return hash(key(self))
+
+        cls.__eq__, cls.__hash__ = __eq__, __hash__
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        # ``object.__setattr__``, as a dataclass sets fields: an update of
+        # ``self.__dict__`` would give the instance a dict of its own, through
+        # which every later read of a field takes two to three times as long
+        set_field = object.__setattr__
+        for name, value in zip(fields, args):
+            set_field(self, name, value)
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """The field values of a call with keywords or defaults, in field order."""
+        name = cls.__qualname__
+        fields = cls._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
+        values = list(args)
+        for field in fields[len(args):]:
+            if field in kwargs:
+                values.append(kwargs.pop(field))
+            elif field in cls._defaults:
+                values.append(cls._defaults[field])
+            else:
+                raise TypeError(f"{name}() missing argument {field!r}")
+        if kwargs:
+            unknown = next(iter(kwargs))
+            raise TypeError(f"{name}() got an unexpected or repeated argument {unknown!r}")
+        return values
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Substitution(_Record):
     """A morphism on a finite ordered alphabet with non-empty images.
 
     ``alphabet`` fixes letter order everywhere: adjacency columns, child
@@ -775,8 +869,7 @@ def is_primitive(sub: Substitution) -> bool:
 # -- seeds -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SeedSpec:
+class SeedSpec(_Record):
     """Seed of a periodic point: left letter, right letter, and a period.
 
     One side may be absent. The period may be any positive multiple of
@@ -891,8 +984,7 @@ def find_seeds(sub: Substitution, domain: Domain) -> list[SeedSpec]:
 # -- numeration systems -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NumerationSystem:
+class NumerationSystem(_Record):
     """A substitution together with a validated seed and residue class."""
 
     substitution: Substitution

@@ -29,11 +29,10 @@ and a column has one path per level (Dumont & Thomas, TCS 65, 1989).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 from typing import Optional, Union
 
-from .core import NumerationSystem, Substitution, _seed_cycle
+from .core import NumerationSystem, Substitution, _Record, _seed_cycle
 from .errors import (
     DigitOutOfRangeError,
     NotFixedPointSeedError,
@@ -46,16 +45,14 @@ from .errors import (
 _GUARD_BITS = 64
 
 
-@dataclass(frozen=True)
-class AdmissibleStep:
+class AdmissibleStep(_Record):
     """One decomposition step: ``prefix`` then ``pivot`` prefixes the image above."""
 
     prefix: tuple[str, ...]
     pivot: str
 
 
-@dataclass(frozen=True)
-class AdmissibleSequence:
+class AdmissibleSequence(_Record):
     """Steps indexed least-significant first: ``steps[i]`` is expanded by mu^i."""
 
     root: str
@@ -67,8 +64,7 @@ class AdmissibleSequence:
         return tuple(len(s.prefix) for s in reversed(self.steps))
 
 
-@dataclass(frozen=True)
-class DigitWord:
+class DigitWord(_Record):
     """Digits most significant first, with an optional sign digit in {0, 1}."""
 
     digits: tuple[int, ...]

@@ -12,17 +12,21 @@ representations alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Optional, Union
 
-from .core import _MAX_LEVEL, NumerationSystem, first_length_mismatch, reachable_letters
+from .core import (
+    _MAX_LEVEL,
+    NumerationSystem,
+    _Record,
+    first_length_mismatch,
+    reachable_letters,
+)
 from .errors import DigitCapExceededError, NotPositionalSystemError
 from .numeration import DigitWord, rep
 
 
-@dataclass(frozen=True)
-class ConditionC:
+class ConditionC(_Record):
     """Length obligation for the column -2 letter at literal level ``residue``:
     ``|mu^exponent(letter)|`` must match every letter of ``reference``."""
 
@@ -32,8 +36,7 @@ class ConditionC:
     reference: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ResidueSets:
+class ResidueSets(_Record):
     """Per-residue letter sets driving the positionality criterion."""
 
     period: int
@@ -45,8 +48,7 @@ class ResidueSets:
         return self.base[j] + self.added[j]
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(_Record):
     kind: str  # "length-mismatch" or "condition-C"
     residue: int
     exponent: int
@@ -67,8 +69,7 @@ class Counterexample:
         )
 
 
-@dataclass(frozen=True)
-class WeightTable:
+class WeightTable(_Record):
     """Positional weights: U for digit positions, V for the sign position."""
 
     U: tuple[int, ...]
@@ -76,8 +77,7 @@ class WeightTable:
     unconstrained: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class PositionalityReport:
+class PositionalityReport(_Record):
     positional: bool
     residue_sets: ResidueSets
     weights: Optional[WeightTable]
@@ -359,8 +359,7 @@ def evaluate_with_weights(
 # -- weight-fitting oracle --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConsistentWeights:
+class ConsistentWeights(_Record):
     """Solved weight coordinates; positions never pinned by any collected
     representation are simply absent."""
 
@@ -368,8 +367,7 @@ class ConsistentWeights:
     V: dict[int, int]
 
 
-@dataclass(frozen=True)
-class WeightContradiction:
+class WeightContradiction(_Record):
     witnesses: tuple[int, ...]
     detail: str
 

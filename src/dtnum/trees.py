@@ -12,12 +12,11 @@ the substitution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain, count, repeat
 from typing import NamedTuple, Optional
 
-from .core import NumerationSystem
+from .core import NumerationSystem, _Record
 from .errors import CapExceededError, SideMissingError
 from .numeration import DigitWord, _word
 
@@ -35,8 +34,7 @@ class TreeNode(NamedTuple):
 _node_from_tuple = partial(tuple.__new__, TreeNode)
 
 
-@dataclass(frozen=True)
-class TreeSlice:
+class TreeSlice(_Record):
     """Rows 0..depth of the tree; each row is ordered by column."""
 
     levels: tuple[tuple[TreeNode, ...], ...]

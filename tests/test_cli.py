@@ -553,6 +553,36 @@ class TestImports:
         assert (code, err) == (0, "")
         assert out.splitlines()[-1].split() == ["0", *sorted(modules)]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("rep", "--sub", SUB3, "--seed", "c|a", "-n", "-5"),
+            ("val", "--sub", SUB3, "--seed", "c|a", "--word", "100"),
+            ("analyze", "--sub", "a->aab,b->a", "--seed", "b|a"),
+            ("weights", "--sub", "a->ab,b->a", "--seed", "b|a"),
+            ("tree", "--sub", SUB3, "--seed", "c|a", "--depth", "3"),
+            ("classify", "--sub", "a->ab,b->a", "--root", "a"),
+            ("simplify", "--sub", "a->ab,b->ba", "--seed", "_|a"),
+            ("selftest",),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_no_command_loads_dataclasses_or_inspect(self, argv):
+        """The value classes are plain frozen classes: no command imports
+        ``dataclasses``, whose import pulls in ``inspect``, beyond what the
+        bare interpreter already loaded."""
+        script = (
+            "import sys\n"
+            "heavy = {'dataclasses', 'inspect'}\n"
+            "bare = heavy & set(sys.modules)\n"
+            "from dtnum.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(code, *sorted(heavy & set(sys.modules) - bare))\n"
+        )
+        code, out, err = _child("-c", script, *argv)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == "0"
+
     def test_names_load_their_module_on_first_use(self):
         script = (
             "import sys, dtnum\n"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 import random
@@ -11,8 +12,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dtnum import (
+    AdmissibleSequence,
+    AdmissibleStep,
+    ConditionC,
+    ConsistentWeights,
+    Counterexample,
+    DigitWord,
+    FabreForm,
+    NumerationSystem,
+    PositionalityReport,
+    ResidueSets,
     SeedSpec,
     Substitution,
+    TreeNode,
+    TreeSlice,
+    UPWord,
+    WeightContradiction,
+    WeightTable,
     find_seeds,
     image_length,
     is_primitive,
@@ -804,8 +820,9 @@ def _budget_close(naive: PlainRows) -> int:
 
 class TestStoreClosesEarly:
     """A level search whose answer the last span's growth puts past the
-    store budget closes the stored rows at once, where a jump pays, and
-    climbs by jumps; every other climb fills the store up to its budget."""
+    store budget, or a climb of ``spans`` to a level past it, closes the
+    stored rows at once, where a jump pays, and climbs by jumps; every
+    other climb fills the store up to its budget."""
 
     TEXTS = ("a->abc,b->c,c->ac", "a->aab,b->a", "a->ab,b->ab")
 
@@ -841,6 +858,25 @@ class TestStoreClosesEarly:
                     assert all(m == naive[base + i * span] for i, m in enumerate(marks))
                     assert table._front[0] == k and table._front[1] == naive[k]
                     assert _levels(table, k + 1) == naive.rows[: k + 1], (text, k)
+
+    def test_spans_past_the_store_keeps_one_span(self):
+        """``spans(k)`` knows the level it climbs to: a cold one whose rows
+        would pass the budget closes the store after one span, one well
+        within it stores every row it reads."""
+        for text in self.TEXTS:
+            sub = parse_substitution(text)
+            naive = PlainRows(sub)
+            naive[2500]
+            close = _budget_close(naive)
+            for k in (close + 40, 1500, 2500):
+                table = _LengthTable(sub.image_idx, sub.alphabet)
+                assert _levels(table, k) == naive.rows[:k], (text, k)
+                assert len(table._rows) <= core._SPAN, (text, k)
+                assert table._front[0] == k - 1
+            for k in (close // 2, 3 * close // 4):
+                table = _LengthTable(sub.image_idx, sub.alphabet)
+                assert _levels(table, k) == naive.rows[:k], (text, k)
+                assert table._marks is None and len(table._rows) == k, (text, k)
 
     def test_a_search_that_fits_fills_the_store_as_before(self):
         for text in self.TEXTS:
@@ -1011,3 +1047,159 @@ class TestRestriction:
         ns2, dropped = ns.restricted()
         assert dropped == ("c",)
         assert ns2.substitution.alphabet == ("a", "b")
+
+
+_SUB = Substitution(("a", "b"), (("a", "b"), ("a",)))
+_SEED = SeedSpec("b", "a", 2)
+_STEP = AdmissibleStep(("a",), "b")
+_CONDITION = ConditionC(0, "a", 1, ("b",))
+_SETS = ResidueSets(1, (("a", "b"),), ((),), (_CONDITION,))
+_TABLE = WeightTable((1, 2), (1,), ())
+_ROOT_ROW = (TreeNode(0, "a", None, None),)
+
+# one instance of each value class: its fields, a change of one field, and
+# its repr as a frozen dataclass printed it
+_VALUES = [
+    (Substitution, {"alphabet": ("a", "b"), "images": (("a", "b"), ("a",))},
+     ("images", (("a", "b"), ("a", "a"))),
+     "Substitution(alphabet=('a', 'b'), images=(('a', 'b'), ('a',)))"),
+    (SeedSpec, {"left": "b", "right": "a", "period": 2}, ("period", 4),
+     "SeedSpec(left='b', right='a', period=2)"),
+    (NumerationSystem, {"substitution": _SUB, "seed": _SEED, "residue": 0}, ("residue", 1),
+     "NumerationSystem(substitution=Substitution(alphabet=('a', 'b'), images=(('a', 'b'), "
+     "('a',))), seed=SeedSpec(left='b', right='a', period=2), residue=0)"),
+    (AdmissibleStep, {"prefix": ("a",), "pivot": "b"}, ("pivot", "a"),
+     "AdmissibleStep(prefix=('a',), pivot='b')"),
+    (AdmissibleSequence, {"root": "a", "steps": (_STEP,)}, ("root", "b"),
+     "AdmissibleSequence(root='a', steps=(AdmissibleStep(prefix=('a',), pivot='b'),))"),
+    (DigitWord, {"digits": (1, 0), "sign": 0}, ("sign", 1), "DigitWord(digits=(1, 0), sign=0)"),
+    (ConditionC, {"residue": 0, "letter": "a", "exponent": 1, "reference": ("b",)},
+     ("exponent", 2), "ConditionC(residue=0, letter='a', exponent=1, reference=('b',))"),
+    (ResidueSets,
+     {"period": 1, "base": (("a", "b"),), "added": ((),), "obligations": (_CONDITION,)},
+     ("added", (("a",),)),
+     "ResidueSets(period=1, base=(('a', 'b'),), added=((),), obligations=(ConditionC("
+     "residue=0, letter='a', exponent=1, reference=('b',)),))"),
+    (Counterexample,
+     {"kind": "length-mismatch", "residue": 0, "exponent": 1, "letters": ("a", "b"),
+      "lengths": (2, 3)},
+     ("lengths", (2, 4)),
+     "Counterexample(kind='length-mismatch', residue=0, exponent=1, letters=('a', 'b'), "
+     "lengths=(2, 3))"),
+    (WeightTable, {"U": (1, 2), "V": (1,), "unconstrained": ()}, ("unconstrained", (1,)),
+     "WeightTable(U=(1, 2), V=(1,), unconstrained=())"),
+    (PositionalityReport,
+     {"positional": True, "residue_sets": _SETS, "weights": _TABLE, "counterexample": None,
+      "notes": ("note",)},
+     ("notes", ()),
+     "PositionalityReport(positional=True, residue_sets=ResidueSets(period=1, base=(('a', 'b'),), "
+     "added=((),), obligations=(ConditionC(residue=0, letter='a', exponent=1, reference=('b',)),)), "
+     "weights=WeightTable(U=(1, 2), V=(1,), unconstrained=()), counterexample=None, "
+     "notes=('note',))"),
+    (ConsistentWeights, {"U": {0: 1}, "V": {}}, ("V", {0: 2}), "ConsistentWeights(U={0: 1}, V={})"),
+    (WeightContradiction, {"witnesses": (1, 2), "detail": "detail"}, ("detail", "other"),
+     "WeightContradiction(witnesses=(1, 2), detail='detail')"),
+    (FabreForm, {"digits": (1, 1), "cycle_entry": 1}, ("cycle_entry", 2),
+     "FabreForm(digits=(1, 1), cycle_entry=1)"),
+    (UPWord, {"preperiod": (1,), "cycle": (0,)}, ("preperiod", (2,)),
+     "UPWord(preperiod=(1,), cycle=(0,))"),
+    (TreeSlice, {"levels": (_ROOT_ROW,)}, ("levels", ()),
+     "TreeSlice(levels=((TreeNode(column=0, letter='a', parent=None, edge=None),),))"),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, fields, change, text", _VALUES, ids=[entry[0].__name__ for entry in _VALUES]
+)
+class TestValueClasses:
+    """The value classes keep the contract of the frozen dataclasses they
+    were: construction by position or keyword, equality, hash and
+    ``vars()`` by fields, the dataclass ``repr``, and frozen instances."""
+
+    def test_repr(self, cls, fields, change, text):
+        assert repr(cls(**fields)) == text
+
+    def test_fields_make_equality_hash_and_vars(self, cls, fields, change, text):
+        obj = cls(**fields)
+        values = list(fields.values())
+        rest = dict(list(fields.items())[1:])
+        for twin in (cls(*values), cls(values[0], **rest)):
+            assert twin == obj and not twin != obj
+            assert list(vars(twin))[: len(fields)] == list(fields)
+            assert {name: vars(twin)[name] for name in fields} == fields
+            if cls is ConsistentWeights:  # dict fields: unhashable, as before
+                with pytest.raises(TypeError):
+                    hash(twin)
+            else:
+                assert hash(twin) == hash(obj)
+        name, value = change
+        other = cls(**{**fields, name: value})
+        assert other != obj and not other == obj
+        stranger = _SEED if cls is not SeedSpec else _STEP  # another value class
+        for foreign in (stranger, _ROOT_ROW, None):
+            assert obj.__eq__(foreign) is NotImplemented and obj != foreign
+
+    def test_frozen(self, cls, fields, change, text):
+        obj = cls(**fields)
+        before = dict(vars(obj))
+        frozen = dataclasses.FrozenInstanceError
+        for name in (*fields, "extra"):
+            with pytest.raises(frozen, match=f"^cannot assign to field '{name}'$"):
+                setattr(obj, name, None)
+            with pytest.raises(frozen, match=f"^cannot delete field '{name}'$"):
+                delattr(obj, name)
+        assert vars(obj) == before
+
+
+class TestValueClassConstruction:
+    def test_defaults(self):
+        ns = NumerationSystem(_SUB, _SEED)
+        assert ns.residue == 0 and ns == NumerationSystem(_SUB, _SEED, 0)
+        assert NumerationSystem(_SUB, seed=_SEED, residue=1).residue == 1
+        assert DigitWord((1,)).sign is None and DigitWord(digits=(1,)) == DigitWord((1,), None)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: NumerationSystem(_SUB),  # no seed
+            lambda: NumerationSystem(_SUB, _SEED, 0, 1),  # too many
+            lambda: DigitWord((1,), digits=(1,)),  # twice
+            lambda: DigitWord((1,), signed=True),  # not a field
+        ],
+        ids=("missing", "too-many", "repeated", "unknown"),
+    )
+    def test_bad_arguments_are_a_type_error(self, build):
+        with pytest.raises(TypeError):
+            build()
+
+    @pytest.mark.parametrize(
+        "build, error, match",
+        [
+            (lambda: Substitution((), ()), DslSyntaxError, "alphabet is empty"),
+            (lambda: Substitution(("a",), (("a",),)), NoGrowingLetterError, "no growing letter"),
+            (lambda: SeedSpec(None, None, 1), InvalidSeedError, "at least one side"),
+            (lambda: NumerationSystem(_SUB, _SEED, 2), InvalidSeedError, "residue 2"),
+            (lambda: NumerationSystem(_SUB, SeedSpec("b", "a", 3)), InvalidSeedError, "period 3"),
+            (lambda: DigitWord((1,), 2), ValueError, "sign digit"),
+            (lambda: DigitWord((1, -1)), ValueError, "non-negative"),
+            (lambda: PositionalityReport(False, _SETS, _TABLE, None, ()), ValueError, "exactly when"),
+            (lambda: FabreForm((0, 1), 1), ValueError, "first chain digit"),
+            (lambda: FabreForm((1,), 2), ValueError, "cycle entry"),
+            (lambda: UPWord((1,), ()), ValueError, "cycle must be non-empty"),
+        ],
+    )
+    def test_post_init_refuses_bad_input(self, build, error, match):
+        with pytest.raises(error, match=match):
+            build()
+
+    def test_post_init_normalizes(self):
+        word = UPWord((1, 0, 0), (0,))
+        assert (word.preperiod, word.cycle) == ((1,), (0,))
+        assert vars(word) == {"preperiod": (1,), "cycle": (0,)}
+
+    def test_cached_properties_stay_out_of_equality(self):
+        sub = Substitution(_SUB.alphabet, _SUB.images)
+        assert sub.lengths is sub.lengths and "lengths" in vars(sub)
+        fresh = Substitution(_SUB.alphabet, _SUB.images)
+        assert "lengths" not in vars(fresh)
+        assert sub == fresh and hash(sub) == hash(fresh)

@@ -698,6 +698,30 @@ class TestStreamedRows:
             _assert_streamed(sub, len(word.digits))
             assert len(table._rows) == core._SPAN, text
 
+    def test_cold_val_closes_the_store_early(self, monkeypatch):
+        """A cold ``val`` climbs to its word's length, a level it knows
+        exactly: at the default budget, a word past the store closes it
+        after one span and jumps, as a cold ``rep`` of its value does, and
+        answers as on a warm table. Smaller reads of the same table then
+        match the reference."""
+        monkeypatch.setattr(core, "_STORE_BITS", 2**26)
+        monkeypatch.setattr(core, "_SPAN", 128)
+        rng = random.Random(15)
+        text, seed = "a->abc,b->c,c->ac", "c|a"
+        warm = make_system(text, seed)
+        for n in (10**3000 + 4242, -(10**3000) - 4242):
+            word = rep(warm, n)
+            ns = make_system(text, seed)  # a new table
+            assert val(ns, word) == val(warm, word) == (n, True), n
+            assert len(ns.substitution.lengths._rows) <= core._SPAN, n
+        smaller = [rng.randrange(10**e, 2 * 10**e) for e in (3, 100, 300)]
+        for n in smaller + [-n for n in smaller]:
+            word = rep(ns, n)
+            assert word == reference_rep(ns, n), n
+            assert val(ns, word) == (n, True), n
+        _assert_streamed(ns.substitution, len(word.digits))
+        assert len(ns.substitution.lengths._rows) <= core._SPAN
+
     def test_rep_and_val_match_the_reference(self, small_budget, golden_complement):
         rng = random.Random(20261018)
         for entry, ns in golden_complement:

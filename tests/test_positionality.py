@@ -9,6 +9,7 @@ import pytest
 from dtnum import (
     ConsistentWeights,
     NumerationSystem,
+    PositionalityReport,
     SeedSpec,
     WeightContradiction,
     check_positional,
@@ -188,19 +189,16 @@ class TestCheckPositional:
         assert data2["counterexample"]["letters"] == ["a", "b"]
 
     def test_mismatched_report_refused(self):
-        from dataclasses import replace
-
         good = check_positional(make_system("a->aab,b->a", "b|a"))
         bad = check_positional(make_system("a->abb,b->ab", "b|a"))
-        for fields in (
-            {"positional": False},  # weights, no counterexample
-            {"counterexample": bad.counterexample},  # both
-            {"weights": None},  # neither
+        for report, fields in (
+            (good, {"positional": False}),  # weights, no counterexample
+            (good, {"counterexample": bad.counterexample}),  # both
+            (good, {"weights": None}),  # neither
+            (bad, {"positional": True}),
         ):
             with pytest.raises(ValueError, match="exactly when"):
-                replace(good, **fields)
-        with pytest.raises(ValueError, match="exactly when"):
-            replace(bad, positional=True)
+                PositionalityReport(**{**vars(report), **fields})
 
 
 class TestWeights:
