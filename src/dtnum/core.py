@@ -14,7 +14,7 @@ import re
 import sys
 import threading
 from bisect import bisect_left
-from collections import Counter, deque
+from collections import Counter
 from functools import cached_property
 from itertools import combinations_with_replacement
 from operator import attrgetter, itemgetter, mul
@@ -57,6 +57,10 @@ _STORE_BITS = 2**26
 # other one is dropped and the span doubles
 _CHECKPOINT_BITS = 2**29
 _SPAN = 128
+# a climb or a read above the stored rows keeps only the rows it needs, so
+# one call of the row-step kernel builds at most about this many bits of
+# rows (128 KiB), plus one row: they are all held until the call returns
+_BLOCK_BITS = 2**20
 
 # the bits of one digit of a Python integer: a product of a big integer by
 # one of d digits makes about d passes over the big one
@@ -123,20 +127,40 @@ def _sum_source(sums, names: list[str], temp: str) -> tuple[list[str], list[str]
     return assigns, [entry_source(entry) for entry in entries]
 
 
-def _step_source(image_idx: tuple[tuple[int, ...], ...], sums=None) -> str:
-    """Source of ``step(p)``, the row above the row ``p``; ``sums`` are the
-    images' ``_shared_sums``, computed here when not given.
+def _steps_source(image_idx: tuple[tuple[int, ...], ...], sums=None) -> str:
+    """Source of ``steps(c, count)``, the row-step kernel: the ``count``
+    rows from the row ``c`` up, ``c`` first. ``sums`` are the images'
+    ``_shared_sums``, computed here when not given. The row lives in one
+    local per letter, and each level builds one tuple.
 
     For ``a->abc,b->c,c->ac``::
 
-        def step(p):
-            t0 = p[0] + p[2]
-            return [t0 + p[1], p[2], t0]
+        def steps(c, count):
+            p0, p1, p2, = c
+            rows = [c]
+            add = rows.append
+            for _ in range(count - 1):
+                t0 = p0 + p2
+                p0, p1, p2, = row = t0 + p1, p2, t0,
+                add(row)
+            return rows
     """
-    names = [f"p[{y}]" for y in range(len(image_idx))]
-    assigns, values = _sum_source(sums or _shared_sums(image_idx), names, "t")
-    lines = ["def step(p):", *(f"    {line}" for line in assigns)]
-    lines.append("    return [" + ", ".join(values) + "]")
+    m = len(image_idx)
+    ps = "".join(f"p{y}, " for y in range(m)).rstrip()
+    assigns, values = _sum_source(
+        sums or _shared_sums(image_idx), [f"p{y}" for y in range(m)], "t"
+    )
+    lines = [
+        "def steps(c, count):",
+        f"    {ps} = c",
+        "    rows = [c]",
+        "    add = rows.append",
+        "    for _ in range(count - 1):",
+        *(f"        {line}" for line in assigns),
+        f"        {ps} = row = {''.join(f'{v}, ' for v in values).rstrip()}",
+        "        add(row)",
+        "    return rows",
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -148,37 +172,44 @@ def _compile(source: str, **names) -> dict:
     return namespace
 
 
-def _row_bits(row: list[int]) -> int:
+def _row_bits(row: Sequence[int]) -> int:
     return sum(map(int.bit_length, row))
 
 
-def _times(matrix: list[list[int]], row: Sequence[int]) -> list[int]:
+def _times(matrix: list[list[int]], row: Sequence[int]) -> tuple[int, ...]:
     """The product ``matrix · row``, the matrix given by its rows."""
-    return [sum(map(mul, line, row)) for line in matrix]
+    return tuple([sum(map(mul, line, row)) for line in matrix])
 
 
 class _LengthTable:
     """Grow-on-demand rows of ``|mu^level(x)|`` per letter index.
 
-    One row is made from the row below by a step compiled once per
-    substitution from integer letter indices only (``_step_source``):
-    entries share the partial sums that two or more of them need, so
-    ``a->abc,b->c,c->ac`` takes 2 big additions per level, not 3. A
-    one-letter image is a bare ``p[y]``, so its entry is the entry below
-    it, shared, not copied.
+    Every row is stepped up from a row below by one kernel, compiled once
+    per table from integer letter indices only (``_steps_source``):
+    ``steps(c, count)`` returns the ``count`` rows from ``c`` up, ``c``
+    first, keeping the row in one local per letter and building each
+    level as one tuple. Entries share the partial sums that two or more
+    of them need, so ``a->abc,b->c,c->ac`` takes 2 big additions per
+    level, not 3, and a one-letter image's entry is the entry below it,
+    shared, not copied. Rows are tuples of integers, which the cyclic
+    collector stops tracking the first time it passes over them, so no
+    later collection visits a stored row or a checkpoint again.
 
     Every new row comes from one loop, ``_climb``, which moves up from
-    the highest row computed (the front). Rows are stored, appended
-    fully built and never mutated, until they hold ``_STORE_BITS`` bits;
-    a reader holding the list may index any level below its current
-    length while another call grows it. Rows never shrink entrywise, so
-    at every count level (``(level + 1) % _SPAN == 0``) the newest row,
-    times ``_SPAN``, bounds the bits of the rows it closes, and ``level``
-    finds its answer by bisection. Once the budget is reached the stored
-    rows close; a level search whose answer, extended from the last span's
-    growth, would fill the budget closes them at once where a jump pays
-    (``_count``), and so does a climb of ``spans`` to a level it knows.
-    The levels above them are streamed: the table keeps
+    the highest row computed (the front) by one call of ``steps`` per
+    count span: up to the next count level (``(level + 1) % _SPAN == 0``),
+    in fewer levels where the span's rows would pass ``_BLOCK_BITS``
+    (``_block``). It bisects the block for its answer and keeps the rows
+    up to it only. Rows are stored, appended fully built and never
+    mutated, until they hold ``_STORE_BITS`` bits; a reader holding the
+    list may index any level below its current length while another call
+    grows it. Rows never shrink entrywise, so at every count level the
+    newest row, times ``_SPAN``, bounds the bits of the rows it closes,
+    and ``level`` finds its answer by bisection. Once the budget is
+    reached the stored rows close; a level search whose answer, extended
+    from the last span's growth, would fill the budget closes them at once
+    where a jump pays (``_count``), and so does a climb of ``spans`` to a
+    level it knows. The levels above them are streamed: the table keeps
     the front and a checkpoint row every ``span`` levels from the top
     stored row up. When the checkpoints pass ``_CHECKPOINT_BITS``, every
     other one is dropped and the span doubles. Rows satisfy
@@ -187,17 +218,17 @@ class _LengthTable:
     ``M^span`` times the checkpoint below (``_jump``; the power is cached
     and squared when the span doubles), wherever a jump costs less than
     stepping the span (``_power_of``), and steps only the last part of a
-    span, up to its answer. ``row`` recomputes a streamed row below
-    the front by a walk up from the checkpoint below it (``_walk``);
-    ``level`` bisects the checkpoints and walks one block (``_scan``).
+    span, up to its answer. ``row`` recomputes a streamed row below the
+    front by stepping up from the checkpoint below it (``_up``); ``level``
+    bisects the checkpoints and then the one block it steps (``_scan``).
     ``spans`` recomputes none: it hands out the checkpoints, and a reader
-    reads a block through ``kernels`` (``dtnum.kernels``, compiled on the
-    first read above the stored rows): ``steps`` (``block_rows``) steps
-    its rows up from the checkpoint truncated to small integers, or
-    exactly only to redo it; ``fold`` carries a path's sum over it down
-    to the checkpoint; ``descend`` is the shifted descent and that fold
-    in one pass. Memory is then at most the two budgets plus one span of
-    rows, held only while a block is redone or walked.
+    reads a block by ``block_rows`` (``steps`` from the block's checkpoint
+    shifted down to small integers, or exact only to redo it) and by the
+    two block-read kernels of ``dtnum.kernels`` (``kernels``, compiled on
+    the first read above the stored rows): ``fold`` carries a path's sum
+    over the block down to the checkpoint; ``descend`` is the shifted
+    descent and that fold in one pass. Memory is then at most the two
+    budgets plus one span of rows, held only while a block is redone.
 
     ``level`` holds the lock for its whole search; ``row`` and ``spans``
     take it only to grow, and climb inside it. So threads growing one
@@ -207,7 +238,7 @@ class _LengthTable:
     """
 
     __slots__ = (
-        "_image_idx", "_alphabet", "_sums", "_step", "_kernels", "_power",
+        "_image_idx", "_alphabet", "_sums", "_steps", "_kernels", "_power",
         "_rows", "_bits", "_marks", "_front", "_lock",
     )
 
@@ -215,18 +246,18 @@ class _LengthTable:
         self._image_idx = image_idx
         self._alphabet = alphabet  # the letter names of error texts
         self._sums = _shared_sums(image_idx)
-        self._step = _compile(_step_source(image_idx, self._sums))["step"]
+        self._steps = _compile(_steps_source(image_idx, self._sums))["steps"]
         self._kernels: Optional[Kernels] = None  # compiled by ``kernels``
         # (span, M^span, big additions per step, whether a jump pays), by ``_power_of``
         self._power: Optional[tuple[int, list[list[int]], int, Optional[bool]]] = None
-        self._rows: list[list[int]] = [[1] * len(image_idx)]
+        self._rows: list[tuple[int, ...]] = [(1,) * len(image_idx)]
         # the bits counted against a budget: the stored rows' until they
         # close, then the checkpoints'
         self._bits = 0
         # once the stored rows close: (base, span, checkpoints), checkpoint
         # i being the row at level base + i * span, and base the top stored level
-        self._marks: Optional[tuple[int, int, list[list[int]]]] = None
-        self._front: tuple[int, list[int]] = (0, self._rows[0])
+        self._marks: Optional[tuple[int, int, list[tuple[int, ...]]]] = None
+        self._front: tuple[int, tuple[int, ...]] = (0, self._rows[0])
         self._lock = threading.Lock()
 
     # -- growth, under the lock -------------------------------------------
@@ -238,35 +269,32 @@ class _LengthTable:
         whose ``root`` entry reaches ``need``, and return it; ``k`` lies
         above the front. From the top checkpoint, and from each one it
         steps to, ``_jump`` first brings the front up by whole spans; the
-        rest is stepped. No row past the answer or ``_MAX_LEVEL`` is built.
+        rest is stepped a block at a time, each up to the next count level
+        at most, and up to ``k`` when there is no need. In each block the
+        least level ``>= k`` whose entry reaches ``need`` is bisected and
+        rounded up into the class; the rows up to it, and no further, are
+        kept. No row past the next count level or ``_MAX_LEVEL`` is built.
         ``whole`` marks a climb of ``spans``, whose reader reads every level
         up to ``k`` through blocks, so its top level ``k`` is known to
         ``_count``."""
         lv, row = self._front
         rows = self._rows
-        step = self._step
+        key = itemgetter(root)
         top = k if whole else 0
-        discard = deque(maxlen=0).append
-        keep = rows.append
         if self._marks is not None and k <= _MAX_LEVEL:
-            keep = discard
             lv, row, k = self._jump(lv, row, k, p, root, need)
-        count = (lv + 1) // _SPAN * _SPAN + _SPAN - 1  # the next count level
-        while k <= _MAX_LEVEL:
-            if lv == k:
-                if row[root] >= need:
-                    break
-                k += p
-                continue
-            lv += 1
-            row = step(row)
-            keep(row)
-            if lv == count:
-                count += _SPAN
-                if self._count(lv, row, root, need, top):  # a checkpoint: jump on from it
-                    keep = discard  # the store is closed: keep the front only
-                    lv, row, k = self._jump(lv, row, k, p, root, need)
-                    count = (lv + 1) // _SPAN * _SPAN + _SPAN - 1
+        while k <= _MAX_LEVEL and (lv < k or row[root] < need):
+            count = (lv + 1) // _SPAN * _SPAN + _SPAN - 1  # the next count level
+            block = self._block(row, min(count, _MAX_LEVEL if need else k) - lv)
+            j = lv + bisect_left(block, need, k - lv, key=key)
+            k = j + (k - j) % p  # the answer, or past the block
+            end = min(k, lv + len(block) - 1)
+            if self._marks is None:
+                rows += block[1 : end - lv + 1]
+            lv, row = end, block[end - lv]
+            if lv == count and self._count(lv, row, root, need, top):
+                # a checkpoint: jump on from it
+                lv, row, k = self._jump(lv, row, k, p, root, need)
         self._front = (lv, row)
         if k > _MAX_LEVEL:
             raise DigitCapExceededError(
@@ -276,9 +304,24 @@ class _LengthTable:
             )
         return k
 
+    def _block(self, row: tuple[int, ...], levels: int) -> list[tuple[int, ...]]:
+        """The rows from ``row`` up to ``levels`` levels above it, ``row``
+        first, by one call of ``steps``; fewer, but at least one, where
+        they would hold more than about ``_BLOCK_BITS`` bits."""
+        fit = _BLOCK_BITS // (len(row) * max(row).bit_length())
+        return self._steps(row, min(levels, max(fit, 1)) + 1)
+
+    def _up(self, row: tuple[int, ...], levels: int) -> tuple[int, ...]:
+        """The row ``levels`` levels above ``row``, stepped a block at a time."""
+        while levels:
+            block = self._block(row, levels)
+            levels -= len(block) - 1
+            row = block[-1]
+        return row
+
     def _jump(
-        self, lv: int, row: list[int], k: int, p: int, root: int, need: int
-    ) -> tuple[int, list[int], int]:
+        self, lv: int, row: tuple[int, ...], k: int, p: int, root: int, need: int
+    ) -> tuple[int, tuple[int, ...], int]:
         """From the front ``(lv, row)`` below level ``k`` of ``_climb``, move
         up checkpoint by checkpoint, each made by one jump, ``M^span``
         times the checkpoint below, while the next one lies at most at
@@ -314,13 +357,8 @@ class _LengthTable:
         gives its columns); when the span doubles it is squared."""
         if self._power is None:
             m = len(self._image_idx)
-            columns = []
-            for y in range(m):
-                column = [0] * m
-                column[y] = 1
-                for _ in range(span):
-                    column = self._step(column)
-                columns.append(column)
+            units = [tuple(int(x == y) for x in range(m)) for y in range(m)]
+            columns = [self._up(unit, span) for unit in units]
             entries, temps = self._sums
             adds = len(temps) + sum(sum(entry.values()) - 1 for entry in entries)
             self._power = (span, [list(line) for line in zip(*columns)], adds, None)
@@ -334,7 +372,9 @@ class _LengthTable:
             self._power = (s, power, adds, pays)
         return power if pays else None
 
-    def _count(self, level: int, row: list[int], root: int, need: int, top: int) -> bool:
+    def _count(
+        self, level: int, row: tuple[int, ...], root: int, need: int, top: int
+    ) -> bool:
         """Count the row at a count level against its budget; True if it
         becomes a checkpoint, the first one when it closes the stored rows.
         A search for ``need`` in the ``root`` entry, or a climb of ``spans``
@@ -371,7 +411,7 @@ class _LengthTable:
         self._mark(row)
         return True
 
-    def _mark(self, row: list[int]) -> None:
+    def _mark(self, row: tuple[int, ...]) -> None:
         """Append the next checkpoint; past ``_CHECKPOINT_BITS``, drop every
         other one and double the span."""
         base, span, marks = self._marks
@@ -384,7 +424,7 @@ class _LengthTable:
 
     # -- reads ---------------------------------------------------------------
 
-    def row(self, level: int) -> list[int]:
+    def row(self, level: int) -> tuple[int, ...]:
         rows = self._rows
         if level < len(rows):
             return rows[level]
@@ -394,9 +434,15 @@ class _LengthTable:
         if level < len(rows):
             return rows[level]
         lv, row = self._front
-        return row if lv == level else next(self._walk(level))
+        if lv == level:
+            return row
+        base, span, marks = self._marks
+        i = (level - base) // span
+        return self._up(marks[i], level - base - i * span)
 
-    def spans(self, k: int) -> tuple[list[list[int]], Sequence[tuple[list[int], int]]]:
+    def spans(
+        self, k: int
+    ) -> tuple[list[tuple[int, ...]], Sequence[tuple[tuple[int, ...], int]]]:
         """Levels ``0 .. k - 1`` as ``(rows, blocks)``, building no streamed
         row. ``rows`` lists the rows of the lowest levels bottom-up, all
         stored; ``blocks`` covers the streamed levels above them, top block
@@ -416,16 +462,20 @@ class _LengthTable:
         ]
         return rows[:base], blocks
 
-    def block_rows(self, checkpoint: list[int], count: int, shift: int = 0) -> list[list[int]]:
+    def block_rows(
+        self, checkpoint: tuple[int, ...], count: int, shift: int = 0
+    ) -> list[tuple[int, ...]]:
         """The ``count`` rows of a block from ``spans``, bottom-up, stepped
-        up from its checkpoint with every entry first shifted right by
-        ``shift`` bits (the ``steps`` kernel). A shifted row ``e`` levels up
+        up by the ``steps`` kernel from its checkpoint with every entry
+        first shifted right by ``shift`` bits. A shifted row ``e`` levels up
         is the exact row, divided by ``2**shift``, less at most
         ``|mu^e(x)|`` in entry ``x``."""
-        return self.kernels().steps(checkpoint, count, shift)
+        if shift:
+            checkpoint = tuple([v >> shift for v in checkpoint])
+        return self._steps(checkpoint, count)
 
     def kernels(self) -> Kernels:
-        """The block-read kernels ``steps``, ``fold`` and ``descend`` of
+        """The block-read kernels ``fold`` and ``descend`` of
         ``dtnum.kernels``. Row ``j`` of a block at checkpoint level ``b`` is
         ``A^(j-b)`` times its checkpoint, ``A[x][y]`` counting ``y`` in the
         image of ``x``, so a path's sum over the block is the vector
@@ -435,37 +485,27 @@ class _LengthTable:
         if self._kernels is None:
             from .kernels import compile_kernels
 
-            self._kernels = compile_kernels(self._image_idx, self._sums, self._alphabet)
+            self._kernels = compile_kernels(self._image_idx, self._alphabet)
         return self._kernels
-
-    def _walk(self, level: int):
-        """Streamed rows ``level``, ``level + 1``, ... without end, stepped
-        up from the checkpoint at or below ``level``."""
-        base, span, marks = self._marks
-        i = (level - base) // span
-        lv, row = base + i * span, marks[i]
-        step = self._step
-        while lv < level:
-            lv += 1
-            row = step(row)
-        while True:
-            yield row
-            row = step(row)
 
     def _scan(self, root: int, need: int, lo: int) -> int:
         """The least streamed level from ``lo`` up to the front whose ``root``
         entry reaches ``need``, or the level above the front if none does:
         the checkpoints are bisected by that entry, then the one block
-        below the first that reaches it is walked up from ``lo`` or from
-        its checkpoint, whichever is higher."""
+        below the first that reaches it is stepped up from its checkpoint
+        and bisected from ``lo`` or from the checkpoint, whichever is higher."""
         base, span, marks = self._marks
-        i = bisect_left(marks, need, (lo - base) // span + 1, key=itemgetter(root))
+        key = itemgetter(root)
+        i = bisect_left(marks, need, (lo - base) // span + 1, key=key)
         top = base + i * span if i < len(marks) else self._front[0] + 1
-        lv = max(lo, base + (i - 1) * span)
-        walk = self._walk(lv)
-        while lv < top and next(walk)[root] < need:
-            lv += 1
-        return lv
+        lv, row = base + (i - 1) * span, marks[i - 1]
+        while True:
+            block = self._block(row, top - 1 - lv)
+            j = lv + bisect_left(block, need, max(lo - lv, 0), key=key)
+            lv += len(block) - 1
+            if j <= lv or lv == top - 1:
+                return j
+            row = block[-1]
 
     def level(self, root: int, need: int, r: int, p: int) -> int:
         """Least ``k >= r``, ``k ≡ r (mod p)``, with ``|mu^k(root)| >= need``.

@@ -2,16 +2,18 @@
 the stored rows of a length table.
 
 Above its stored rows a length table keeps one checkpoint row per block of
-levels, and ``numeration`` reads each block on small integers: its rows
-stepped up from the checkpoint shifted right (``steps``), a path's prefix
-counts folded down the block by the transposed step into a short vector
-whose dot product with the checkpoint is the path's sum over the block
-(``fold``), and the shifted descent fused with that fold (``descend``).
-Each kernel keeps a row's entries, or the vector's, in local variables and
-calls nothing per level, so the source is generated from the images'
-letter indices and compiled once per substitution, on the table's first
-read above its stored rows. A table that never leaves them never imports
-this module.
+levels, and ``numeration`` reads each block on small integers. The block's
+rows come from the table's own row-step kernel, ``steps`` of
+``core._steps_source``, compiled with the table, which steps them up from
+the checkpoint shifted right (``block_rows``). This module adds the two
+kernels that read them: a path's prefix counts folded down the block by
+the transposed step into a short vector whose dot product with the
+checkpoint is the path's sum over the block (``fold``), and the shifted
+descent fused with that fold (``descend``). Each kernel keeps the vector's
+entries in local variables and calls nothing per level, so the source is
+generated from the images' letter indices and compiled once per
+substitution, on the table's first read above its stored rows. A table
+that never leaves them never imports this module.
 """
 
 from __future__ import annotations
@@ -25,39 +27,32 @@ from .errors import DigitOutOfRangeError
 class Kernels(NamedTuple):
     """The block-read kernels of one substitution (``kernel_source``)."""
 
-    steps: Callable[[Sequence[int], int, int], list[list[int]]]
     fold: Callable[[int, Sequence[int]], tuple[list[int], int]]
-    descend: Callable[[list[list[int]], int, int], tuple[list[int], int, list[int]]]
+    descend: Callable[[list[tuple[int, ...]], int, int], tuple[list[int], int, list[int]]]
 
 
-def compile_kernels(
-    image_idx: tuple[tuple[int, ...], ...], sums, alphabet: Sequence[str]
-) -> Kernels:
-    """The kernels of the images ``image_idx``, whose ``_shared_sums`` are
-    ``sums``; ``alphabet`` names the letters in the text of
-    ``DigitOutOfRangeError``."""
+def compile_kernels(image_idx: tuple[tuple[int, ...], ...], alphabet: Sequence[str]) -> Kernels:
+    """The kernels of the images ``image_idx``; ``alphabet`` names the
+    letters in the text of ``DigitOutOfRangeError``."""
 
     def bad(d: int, x: int) -> DigitOutOfRangeError:
         return DigitOutOfRangeError(f"digit {d} >= |image({alphabet[x]})| = {len(image_idx[x])}")
 
-    namespace = _compile(kernel_source(image_idx, sums), IndexError=IndexError, bad=bad)
-    return Kernels(namespace["steps"], namespace["fold"], namespace["descend"])
+    namespace = _compile(kernel_source(image_idx), IndexError=IndexError, bad=bad)
+    return Kernels(namespace["fold"], namespace["descend"])
 
 
-def kernel_source(image_idx: tuple[tuple[int, ...], ...], sums) -> str:
-    """Source of the three block-read kernels, row entries in locals.
+def kernel_source(image_idx: tuple[tuple[int, ...], ...]) -> str:
+    """Source of the two block-read kernels, vector entries in locals.
 
-    - ``steps(c, count, shift)``: the ``count`` rows of a block, bottom-up,
-      stepped up from its checkpoint ``c`` with every entry first shifted
-      right by ``shift`` bits (``sums`` are the images' ``_shared_sums``).
     - ``fold(x, digits)``: a path's prefix counts from letter ``x`` down a
       block, folded by Horner's rule with the transposed step; returns
       ``(w, y)``, ``y`` the letter below the last digit. A digit past its
       image raises ``DigitOutOfRangeError``.
-    - ``descend(rows, x, t)``: ``numeration._descend_rows`` on shifted rows,
-      fused with ``fold`` of the digits it takes; returns
-      ``(digits, y, w)``. An offset past every other child takes the last
-      child, so it never raises.
+    - ``descend(rows, x, t)``: ``numeration._descend_rows`` on the shifted
+      rows of ``block_rows``, fused with ``fold`` of the digits it takes;
+      returns ``(digits, y, w)``. An offset past every other child takes
+      the last child, so it never raises.
 
     Each level branches on its letter by a binary tree of ``if``/``else``,
     so the code nests only ``log2`` of the alphabet deep. In ``descend``
@@ -70,10 +65,8 @@ def kernel_source(image_idx: tuple[tuple[int, ...], ...], sums) -> str:
     about 1 ms on 3 letters, 6-10 ms on 60.
     """
     m = len(image_idx)
-    ps = ", ".join(f"p{y}" for y in range(m))
     ws = ", ".join(f"w{y}" for y in range(m))
     zeros = " = ".join(f"w{y}" for y in range(m)) + " = 0"
-    assigns, values = _sum_source(sums, [f"p{y}" for y in range(m)], "t")
     transposed: list[list[int]] = [[] for _ in range(m)]
     for x, im in enumerate(image_idx):
         for y in im:
@@ -103,18 +96,6 @@ def kernel_source(image_idx: tuple[tuple[int, ...], ...], sums) -> str:
         yield f"x = {im[-1]}; d = {len(im) - 1}"
 
     lines = [
-        "def steps(c, count, shift):",
-        "    if shift:",
-        "        c = [v >> shift for v in c]",
-        f"    {ps}, = c",
-        "    rows = [c]",
-        "    add = rows.append",
-        "    for _ in range(count - 1):",
-        *(f"        {line}" for line in assigns),
-        f"        row = [{', '.join(values)}]",
-        "        add(row)",
-        f"        {ps}, = row",
-        "    return rows",
         "def fold(x, digits):",
         f"    {zeros}",
         "    try:",

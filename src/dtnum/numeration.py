@@ -4,11 +4,11 @@ Integers map to digit words by descending the prefix-decomposition tree
 with exact image lengths; ``mu^k(seed)`` is never expanded as a string.
 Above a fixed memory budget the length table keeps only checkpoint rows,
 and the maps read each block of levels above a checkpoint through small
-integers, by kernels the table compiles per substitution (``kernels``):
-a path's sum over the block is a short vector, folded by the transposed
-row step (``fold``), dotted with the checkpoint, and the descent runs on
-the block's rows shifted down to a few hundred bits (``steps``), folding
-as it goes (``descend``), checked exactly by that sum
+integers, by kernels the table compiles per substitution: a path's sum
+over the block is a short vector, folded by the transposed row step
+(``fold``), dotted with the checkpoint, and the descent runs on the
+block's rows shifted down to a few hundred bits by the table's row step
+(``block_rows``), folding as it goes (``descend``), checked exactly by that sum
 (``_descend_block``). So values with hundreds of thousands of digits are
 fine. The kernels keep entries in locals and call nothing per level.
 The sign digit 0/1 selects the non-negative/negative subtree of a
@@ -140,13 +140,18 @@ def _descend_digits(sub: Substitution, root: int, k: int, offset: int) -> list[i
     digits: list[int] = []
     x, t = root, offset
     rows, blocks = sub.lengths.spans(k)
-    for checkpoint, count in blocks:
-        x, t = _descend_block(sub, checkpoint, count, x, t, digits)
+    if blocks:
+        # the same for every block: the bits the longest image adds to an
+        # offset per level, and the growing letters' indices
+        image_bits = max(map(len, sub.image_idx)).bit_length()
+        growing = [sub.index[a] for a in sub.growing]
+        for checkpoint, count in blocks:
+            x, t = _descend_block(sub, checkpoint, count, x, t, digits, image_bits, growing)
     _descend_rows(sub.image_idx, rows, x, t, digits.append)
     return digits
 
 
-def _descend_rows(image_idx, rows: list[list[int]], x: int, t: int, add) -> tuple[int, int]:
+def _descend_rows(image_idx, rows: list[tuple[int, ...]], x: int, t: int, add) -> tuple[int, int]:
     """Descend ``rows``, top row first, from letter ``x`` at offset ``t``;
     ``add`` each child digit and return the letter and offset reached.
 
@@ -171,10 +176,19 @@ def _descend_rows(image_idx, rows: list[list[int]], x: int, t: int, add) -> tupl
 
 
 def _descend_block(
-    sub: Substitution, checkpoint: list[int], count: int, x: int, t: int, digits: list[int]
+    sub: Substitution,
+    checkpoint: tuple[int, ...],
+    count: int,
+    x: int,
+    t: int,
+    digits: list[int],
+    image_bits: int,
+    growing: list[int],
 ) -> tuple[int, int]:
     """Append the digits of one streamed block of ``spans()`` to ``digits``,
     from letter ``x`` at offset ``t``; return the letter and offset below it.
+    ``image_bits`` are the bits of the longest image's length, and
+    ``growing`` the indices of the growing letters.
 
     The descent first runs on the block's rows stepped up from the
     checkpoint shifted right by ``s`` bits, with ``t >> s``, by the
@@ -191,11 +205,9 @@ def _descend_block(
     image once per level; the entries of bounded letters shift to 0. A
     block that fails is redone on its exact rows.
     """
-    image_idx = sub.image_idx
     lengths = sub.lengths
-    longest = max(map(len, image_idx))
-    least = min(checkpoint[sub.index[a]] for a in sub.growing)
-    s = least.bit_length() - _GUARD_BITS - count * longest.bit_length()
+    least = min(map(checkpoint.__getitem__, growing))
+    s = least.bit_length() - _GUARD_BITS - count * image_bits
     if s > 0:
         rows = lengths.block_rows(checkpoint, count, s)
         path, y, w = lengths.kernels().descend(rows, x, t >> s)
@@ -203,7 +215,8 @@ def _descend_block(
         if 0 <= r < checkpoint[y]:
             digits += path
             return y, r
-    return _descend_rows(image_idx, lengths.block_rows(checkpoint, count), x, t, digits.append)
+    rows = lengths.block_rows(checkpoint, count)
+    return _descend_rows(sub.image_idx, rows, x, t, digits.append)
 
 
 def decompose_prefix(

@@ -98,6 +98,12 @@ def descend_with_invariants(ns: NumerationSystem, n: int) -> list[int]:
     return digits
 
 
+def as_lists(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Length rows as lists, to compare their values with ``PlainRows``'s
+    whatever sequence type a table builds them as."""
+    return [list(row) for row in rows]
+
+
 class PlainRows:
     """Every row ``|mu^level(x)|`` in one plain list, summed from the images:
     the reference for the library's stored and streamed length rows."""

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import math
 import random
@@ -42,7 +43,7 @@ from dtnum import (
     validate_seed,
 )
 from dtnum import core
-from dtnum.core import _LengthTable, _step_source
+from dtnum.core import _LengthTable, _shared_sums, _steps_source, _sum_source
 from dtnum.errors import (
     DigitCapExceededError,
     DslSyntaxError,
@@ -51,7 +52,7 @@ from dtnum.errors import (
     NoGrowingLetterError,
     UnknownLetterError,
 )
-from helpers import PlainRows, expand_word, mat_pow, random_substitutions
+from helpers import PlainRows, as_lists, expand_word, mat_pow, random_substitutions
 
 
 class TestParse:
@@ -357,6 +358,17 @@ def _level_search_inputs(corpus: int | None = None):
     return inputs
 
 
+def _step_source(image_idx: tuple[tuple[int, ...], ...]) -> str:
+    """The row step's sums (``_shared_sums`` written by ``_sum_source``) as
+    the one-level function ``step(p)`` that the pinned hash was taken of;
+    the ``steps`` kernel runs the same assignments and entries on locals."""
+    names = [f"p[{y}]" for y in range(len(image_idx))]
+    assigns, values = _sum_source(_shared_sums(image_idx), names, "t")
+    lines = ["def step(p):", *(f"    {line}" for line in assigns)]
+    lines.append("    return [" + ", ".join(values) + "]")
+    return "\n".join(lines) + "\n"
+
+
 def _long_image_substitutions() -> list[Substitution]:
     letters = tuple(f"x{i}" for i in range(40))
     return [
@@ -385,7 +397,7 @@ class TestLengthTable:
             rows = sub.lengths._rows
             plain = PlainRows(sub)
             for level in range(61):
-                assert rows[level] == plain[level], (sub, level)
+                assert list(rows[level]) == plain[level], (sub, level)
 
     def test_rows_never_shrink_entrywise(self, fixture_substitutions):
         # images are non-empty, so |mu^(k+1)(x)| >= |mu^k(x)| at every level,
@@ -439,10 +451,10 @@ class TestLengthTable:
                             if height is not None:
                                 table.row(height)
                             assert table.level(root, need, r, p) == k, (sub, side, need, r, p)
-                            # never built past the answer
+                            # no row kept past the answer
                             built = max(k, 0 if height is None else height)
                             assert len(table._rows) == built + 1
-                            assert table._rows == naive.rows[: built + 1]
+                            assert as_lists(table._rows) == naive.rows[: built + 1]
         assert rounded_past_the_top > 0
 
     def test_long_images_grow_like_the_naive_recursion(self):
@@ -451,13 +463,13 @@ class TestLengthTable:
             rows = sub.lengths._rows
             plain = PlainRows(sub)
             for level in range(13):
-                assert rows[level] == plain[level], (sub, level)
-        assert "sum(" in _step_source(sub.image_idx)
+                assert list(rows[level]) == plain[level], (sub, level)
+        assert "sum(" in _steps_source(sub.image_idx)
 
     def test_step_shares_partial_sums(self, fixture_substitutions):
         additions = {}
         for sub in fixture_substitutions:
-            source = _step_source(sub.image_idx)
+            source = _steps_source(sub.image_idx)
             plain = sum(len(im) - 1 for im in sub.image_idx)
             assert source.count("+") <= plain, sub
             additions[sub.to_dsl()] = (source.count("+"), plain)
@@ -473,7 +485,7 @@ class TestLengthTable:
 
         plain = shared = 0
         for sub in random_substitutions(random.Random(1), 1000):
-            source = _step_source(sub.image_idx)
+            source = _steps_source(sub.image_idx)
             plain += sum(len(im) - 1 for im in sub.image_idx)
             shared += source.count("+")
             # every temporary is read after it is assigned
@@ -482,7 +494,7 @@ class TestLengthTable:
         assert plain == 3253 and shared <= 2756
 
     def test_step_source_is_pinned(self, fixture_substitutions):
-        """Every compiled row step over the fixtures, 9,000 random
+        """The sums of every row step over the fixtures, 9,000 random
         substitutions and the long images, hashed together: a change to
         which pairs are shared, or in what order, changes the hash."""
         subs = list(fixture_substitutions)
@@ -584,16 +596,16 @@ class TestStreamedTable:
             order = list(range(401))
             for levels in (sorted(order), sorted(order, reverse=True), rng.sample(order, 401)):
                 for level in levels:
-                    assert table.row(level) == naive[level], (text, level)
+                    assert list(table.row(level)) == naive[level], (text, level)
             stored = len(table._rows)
             assert 5 <= stored < 400
-            assert table._rows == naive.rows[:stored]
+            assert as_lists(table._rows) == naive.rows[:stored]
             for k in (0, 1, stored - 1, stored, stored + 1, 137, 401):
                 rows, blocks = table.spans(k)
                 # the top stored row is also the lowest checkpoint, read as such
                 assert len(rows) == (k if k <= stored else stored - 1)
                 assert all(count <= table._marks[1] for _, count in blocks)
-                assert _levels(table, k) == naive.rows[:k], (text, k)
+                assert as_lists(_levels(table, k)) == naive.rows[:k], (text, k)
                 # shifted, a row e levels up the checkpoint is short of the
                 # exact one by less than |mu^e(x)| in entry x
                 lowest = len(rows)
@@ -615,8 +627,8 @@ class TestStreamedTable:
         assert table._bits == sum(map(core._row_bits, marks))
         assert table._bits <= core._CHECKPOINT_BITS + core._row_bits(marks[-1])
         naive = PlainRows(sub)
-        assert all(m == naive[base + i * span] for i, m in enumerate(marks))
-        assert table.row(2999) == naive[2999] and table.row(3000) == naive[3000]
+        assert all(list(m) == naive[base + i * span] for i, m in enumerate(marks))
+        assert list(table.row(2999)) == naive[2999] and list(table.row(3000)) == naive[3000]
         with pytest.raises(DigitCapExceededError, match="cap"):
             table.row(core._MAX_LEVEL + 1)
 
@@ -632,18 +644,18 @@ class TestStreamedTable:
             layouts = []
             for reads in ([3000], [700, 1500, 2999, 3000], range(3001)):
                 table = _LengthTable(sub.image_idx, sub.alphabet)
-                step = table._step
-                steps = []
-                table._step = lambda p, step=step: steps.append(p) or step(p)
+                kernel = table._steps
+                steps = []  # the levels each call of the row-step kernel steps
+                table._steps = lambda c, count: steps.append(count - 1) or kernel(c, count)
                 for level in reads:
-                    assert table.row(level) == naive[level], (text, level)
+                    assert list(table.row(level)) == naive[level], (text, level)
                 base, span, marks = table._marks
                 assert span >= 8 * core._SPAN, text  # thinned three times or more
-                assert all(m == naive[base + i * span] for i, m in enumerate(marks)), text
+                assert all(list(m) == naive[base + i * span] for i, m in enumerate(marks)), text
                 assert table._front[0] == 3000
                 layouts.append((base, span, len(marks), table._bits))
                 if len(reads) == 1:  # one climb: jumps, not a step per level
-                    assert len(steps) < 1500, (text, len(steps))
+                    assert sum(steps) < 1500, (text, sum(steps))
             assert layouts[0] == layouts[1] == layouts[2], text
 
     def test_cold_level_search_builds_up_to_its_answer(self):
@@ -663,11 +675,12 @@ class TestStreamedTable:
                         k = naive.level(root, need, r, p)
                         table = _LengthTable(sub.image_idx, sub.alphabet)
                         assert table.level(root, need, r, p) == k, (text, need, r, p)
-                        assert table._front[0] == k and table._front[1] == naive[k]
+                        assert table._front[0] == k and list(table._front[1]) == naive[k]
                         if table._marks is not None:
                             base, span, marks = table._marks
                             assert base + (len(marks) - 1) * span <= k
-                            assert all(m == naive[base + i * span] for i, m in enumerate(marks))
+                            for i, m in enumerate(marks):
+                                assert list(m) == naive[base + i * span]
                         # the table it built answers the same search, and grows no further
                         assert table.level(root, need, r, p) == k
                         assert table._front[0] == k
@@ -692,7 +705,7 @@ class TestStreamedTable:
             table.level(0, naive[2003][0] + 1, 0, 1)
         with pytest.raises(DigitCapExceededError, match="digits"):
             _LengthTable(sub.image_idx, sub.alphabet).level(0, naive[2003][0] + 1, 1, 3)
-        assert table._front[0] == 2003 and table._front[1] == naive[2003]
+        assert table._front[0] == 2003 and list(table._front[1]) == naive[2003]
         base, span, marks = table._marks
         assert base + (len(marks) - 1) * span <= 2003
 
@@ -738,7 +751,7 @@ class TestStreamedTable:
                         if height is not None:
                             table.row(height)
                         assert table.level(root, need, r, p) == k, (sub, side, need, r, p)
-                        assert table.row(k) == naive[k]
+                        assert list(table.row(k)) == naive[k]
                         # never grown past the answer
                         assert table._front[0] <= max(k, height or 0)
 
@@ -796,12 +809,12 @@ class TestStreamedTable:
                 assert len(got) == len(calls)
                 for f, args, result in got:
                     if f == table.row:
-                        assert result == expected[args[0]]
+                        assert list(result) == expected[args[0]]
                     elif f == table.level:
                         assert result == next(k for k, row in enumerate(expected.rows) if row[a] >= args[1])
                     else:
-                        assert result == expected.rows[: args[0]]
-                assert [table.row(k) for k in range(601)] == expected.rows[:601]
+                        assert as_lists(result) == expected.rows[: args[0]]
+                assert [list(table.row(k)) for k in range(601)] == expected.rows[:601]
         finally:
             sys.setswitchinterval(interval)
 
@@ -852,12 +865,12 @@ class TestStoreClosesEarly:
                     assert table.level(root, need, r, p) == k, (text, need, r, p)
                     stored = len(table._rows)
                     assert stored <= core._SPAN, (text, level)
-                    assert table._rows == naive.rows[:stored]
+                    assert as_lists(table._rows) == naive.rows[:stored]
                     base, span, marks = table._marks
                     assert base == stored - 1
-                    assert all(m == naive[base + i * span] for i, m in enumerate(marks))
-                    assert table._front[0] == k and table._front[1] == naive[k]
-                    assert _levels(table, k + 1) == naive.rows[: k + 1], (text, k)
+                    assert all(list(m) == naive[base + i * span] for i, m in enumerate(marks))
+                    assert table._front[0] == k and list(table._front[1]) == naive[k]
+                    assert as_lists(_levels(table, k + 1)) == naive.rows[: k + 1], (text, k)
 
     def test_spans_past_the_store_keeps_one_span(self):
         """``spans(k)`` knows the level it climbs to: a cold one whose rows
@@ -870,12 +883,12 @@ class TestStoreClosesEarly:
             close = _budget_close(naive)
             for k in (close + 40, 1500, 2500):
                 table = _LengthTable(sub.image_idx, sub.alphabet)
-                assert _levels(table, k) == naive.rows[:k], (text, k)
+                assert as_lists(_levels(table, k)) == naive.rows[:k], (text, k)
                 assert len(table._rows) <= core._SPAN, (text, k)
                 assert table._front[0] == k - 1
             for k in (close // 2, 3 * close // 4):
                 table = _LengthTable(sub.image_idx, sub.alphabet)
-                assert _levels(table, k) == naive.rows[:k], (text, k)
+                assert as_lists(_levels(table, k)) == naive.rows[:k], (text, k)
                 assert table._marks is None and len(table._rows) == k, (text, k)
 
     def test_a_search_that_fits_fills_the_store_as_before(self):
@@ -893,12 +906,13 @@ class TestStoreClosesEarly:
                 k = naive.level(root, need, 0, 1)
                 table = _LengthTable(sub.image_idx, sub.alphabet)
                 assert table.level(root, need, 0, 1) == k, (text, level)
-                assert table._marks is None and table._rows == naive.rows[: k + 1]
+                assert table._marks is None and as_lists(table._rows) == naive.rows[: k + 1]
                 table.row(1600)
-                assert len(table._rows) == close + 1 and table._rows == naive.rows[: close + 1]
+                assert len(table._rows) == close + 1
+                assert as_lists(table._rows) == naive.rows[: close + 1]
                 base, span, marks = table._marks
                 assert base == close
-                assert all(m == naive[base + i * span] for i, m in enumerate(marks))
+                assert all(list(m) == naive[base + i * span] for i, m in enumerate(marks))
                 assert (span, len(marks), table._bits) == layout, (text, level)
 
     def test_row_reads_and_steps_that_pay_keep_the_store(self, monkeypatch):
@@ -910,7 +924,7 @@ class TestStoreClosesEarly:
             naive = PlainRows(sub)
             table = _LengthTable(sub.image_idx, sub.alphabet)
             for level in range(1600):
-                assert table.row(level) == naive[level], (text, level)
+                assert list(table.row(level)) == naive[level], (text, level)
             close = _budget_close(naive)
             assert len(table._rows) == close + 1 and table._marks[0] == close, text
         cycle = ", ".join(["x0 -> x0 x1"] + [f"x{i} -> x{(i + 1) % 30}" for i in range(1, 30)])
@@ -928,11 +942,95 @@ class TestStoreClosesEarly:
         assert table.level(0, need, 0, 1) == k
         assert asked and asked[0] < close  # the estimate passed the budget early ...
         assert table._power_of(core._SPAN) is None  # ... but a jump does not pay
-        assert len(table._rows) == close + 1 and table._rows == naive.rows[: close + 1]
+        assert len(table._rows) == close + 1 and as_lists(table._rows) == naive.rows[: close + 1]
         base, span, marks = table._marks
         assert base == close
-        assert all(m == naive[base + i * span] for i, m in enumerate(marks))
-        assert _levels(table, k + 1) == naive.rows[: k + 1]
+        assert all(list(m) == naive[base + i * span] for i, m in enumerate(marks))
+        assert as_lists(_levels(table, k + 1)) == naive.rows[: k + 1]
+
+
+class TestClimbAgainstPlainRows:
+    """The climb steps a block of rows per count span and keeps those up to
+    its answer; against ``PlainRows`` on a seeded corpus, at periods 1-3,
+    with small spans, budgets, blocks and level caps patched in, which the
+    row-step kernel and ``_climb`` read at call time."""
+
+    @pytest.mark.parametrize(
+        "span, bits, block, cap",
+        [(2, 600, 2**20, 150), (5, 2000, 40, 240), (7, 5000, 200, 263)],
+        ids=["2", "5", "7"],
+    )
+    def test_climbs_match_plain_rows(self, monkeypatch, span, bits, block, cap):
+        monkeypatch.setattr(core, "_SPAN", span)
+        monkeypatch.setattr(core, "_STORE_BITS", bits)
+        monkeypatch.setattr(core, "_CHECKPOINT_BITS", bits)
+        # a block of fewer levels than a span once the rows pass this many bits
+        monkeypatch.setattr(core, "_BLOCK_BITS", block)
+        monkeypatch.setattr(core, "_MAX_LEVEL", cap)
+        rng = random.Random(span)
+        refused = streamed = 0
+        for sub in random_substitutions(rng, 30):
+            naive = PlainRows(sub)
+            naive[cap]
+            root = rng.randrange(len(sub.alphabet))
+            most = naive[cap][root]
+            for p in (1, 2, 3):
+                r = rng.randrange(p)
+                for need in (1, rng.randint(1, most), most, most + 1):
+                    k = r
+                    while k <= cap and naive[k][root] < need:
+                        k += p
+                    for height in (None, rng.randrange(cap + 1)):
+                        table = _LengthTable(sub.image_idx, sub.alphabet)
+                        if height is not None:
+                            table.row(height)
+                        front = table._front[0]
+                        if k > cap:
+                            with pytest.raises(DigitCapExceededError) as raised:
+                                table.level(root, need, r, p)
+                            assert str(raised.value) == f"the answer needs more than {cap} digits"
+                            refused += 1
+                            continue
+                        assert table.level(root, need, r, p) == k, (sub, need, r, p)
+                        lv, row = table._front
+                        assert lv == max(k, front) and list(row) == naive[lv]
+                        # no row is kept above the answer
+                        assert len(table._rows) <= lv + 1
+                        assert as_lists(table._rows) == naive.rows[: len(table._rows)]
+                        if table._marks is not None:
+                            streamed += 1
+                            base, step, marks = table._marks
+                            assert base + (len(marks) - 1) * step <= lv
+                            for i, m in enumerate(marks):
+                                assert list(m) == naive[base + i * step]
+                        assert [list(table.row(j)) for j in range(lv + 1)] == naive.rows[: lv + 1]
+                        assert as_lists(_levels(table, lv + 1)) == naive.rows[: lv + 1]
+            table = _LengthTable(sub.image_idx, sub.alphabet)
+            assert list(table.row(cap)) == naive[cap]
+            with pytest.raises(DigitCapExceededError) as raised:
+                table.row(cap + 1)
+            assert str(raised.value) == f"level {cap + 1} is past the cap of {cap} levels"
+        assert refused and streamed
+
+
+class TestCollector:
+    def test_rows_leave_the_collector_after_one_pass(self):
+        """Stored rows, checkpoints and the front are tuples of integers,
+        which one pass of the cyclic collector stops tracking; growing a
+        table leaves the collector's settings as they were."""
+        enabled, threshold = gc.isenabled(), gc.get_threshold()
+        tables = []
+        for exponent in (1000, 3000):
+            table = parse_substitution("a->abc,b->c,c->ac").lengths
+            table.level(0, 10**exponent + 4243, 0, 1)
+            tables.append(table)
+        assert tables[0]._marks is None and tables[1]._marks is not None
+        gc.collect()
+        for table in tables:
+            marks = table._marks[2] if table._marks else []
+            for row in [*table._rows, *marks, table._front[1]]:
+                assert isinstance(row, tuple) and not gc.is_tracked(row)
+        assert (gc.isenabled(), gc.get_threshold()) == (enabled, threshold)
 
 
 _NAME_CHARS = st.sampled_from("ab->|,;. \t\n") | st.characters()
