@@ -15,7 +15,7 @@ import sys
 import threading
 from bisect import bisect_left
 from collections import Counter
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 from operator import attrgetter, itemgetter, mul
 from typing import TYPE_CHECKING, Iterable, Literal, Optional, Sequence, Union
@@ -65,6 +65,11 @@ _BLOCK_BITS = 2**20
 # the bits of one digit of a Python integer: a product of a big integer by
 # one of d digits makes about d passes over the big one
 _DIGIT_BITS = sys.int_info.bits_per_digit
+
+# the distinct image sets whose generated code stays compiled: tables of
+# equal images share their kernels, as ``re`` shares compiled patterns, and
+# the least recently used set past this many is compiled again when next used
+_KERNEL_CACHE = 128
 
 
 def _shared_sums(
@@ -164,6 +169,16 @@ def _steps_source(image_idx: tuple[tuple[int, ...], ...], sums=None) -> str:
     return "\n".join(lines) + "\n"
 
 
+@lru_cache(maxsize=_KERNEL_CACHE)
+def _row_step(image_idx: tuple[tuple[int, ...], ...]):
+    """The row-step kernel ``steps`` of the images (``_steps_source``) and
+    the big additions one step makes, for ``_power_of``; compiled once per
+    distinct image set and shared by every table of those images."""
+    entries, temps = sums = _shared_sums(image_idx)
+    adds = len(temps) + sum(sum(entry.values()) - 1 for entry in entries)
+    return _compile(_steps_source(image_idx, sums))["steps"], adds
+
+
 def _compile(source: str, **names) -> dict:
     """The namespace of ``source`` run with no builtins but ``sum``, ``range``
     and ``names``."""
@@ -184,25 +199,27 @@ def _times(matrix: list[list[int]], row: Sequence[int]) -> tuple[int, ...]:
 class _LengthTable:
     """Grow-on-demand rows of ``|mu^level(x)|`` per letter index.
 
-    Every row is stepped up from a row below by one kernel, compiled once
-    per table from integer letter indices only (``_steps_source``):
-    ``steps(c, count)`` returns the ``count`` rows from ``c`` up, ``c``
-    first, keeping the row in one local per letter and building each
-    level as one tuple. Entries share the partial sums that two or more
-    of them need, so ``a->abc,b->c,c->ac`` takes 2 big additions per
-    level, not 3, and a one-letter image's entry is the entry below it,
-    shared, not copied. Rows are tuples of integers, which the cyclic
-    collector stops tracking the first time it passes over them, so no
-    later collection visits a stored row or a checkpoint again.
+    Every row is stepped up from a row below by one kernel, generated from
+    integer letter indices only (``_steps_source``) and shared by equal
+    images through a bounded cache (``_row_step``): ``steps(c, count)``
+    returns the ``count`` rows from ``c`` up, ``c`` first, keeping the row
+    in one local per letter and building each level as one tuple. Entries
+    share the partial sums that two or more of them need, so
+    ``a->abc,b->c,c->ac`` takes 2 big additions per level, not 3, and a
+    one-letter image's entry is the entry below it, shared, not copied.
+    Rows are tuples of integers, which the cyclic collector stops tracking
+    the first time it passes over them, so no later collection visits a
+    stored row or a checkpoint again.
 
     Every new row comes from one loop, ``_climb``, which moves up from
     the highest row computed (the front) by one call of ``steps`` per
     count span: up to the next count level (``(level + 1) % _SPAN == 0``),
     in fewer levels where the span's rows would pass ``_BLOCK_BITS``
-    (``_block``). It bisects the block for its answer and keeps the rows
+    (``_block``) or where a level search would more than double the
+    front's rows. It bisects the block for its answer and keeps the rows
     up to it only. Rows are stored, appended fully built and never
     mutated, until they hold ``_STORE_BITS`` bits; a reader holding the
-    list may index any level below its current length while another call
+    list (``stored``) may index any level below its current length while another call
     grows it. Rows never shrink entrywise, so at every count level the
     newest row, times ``_SPAN``, bounds the bits of the rows it closes,
     and ``level`` finds its answer by bisection. Once the budget is
@@ -224,8 +241,9 @@ class _LengthTable:
     ``spans`` recomputes none: it hands out the checkpoints, and a reader
     reads a block by ``block_rows`` (``steps`` from the block's checkpoint
     shifted down to small integers, or exact only to redo it) and by the
-    two block-read kernels of ``dtnum.kernels`` (``kernels``, compiled on
-    the first read above the stored rows): ``fold`` carries a path's sum
+    two block-read kernels of ``dtnum.kernels`` (``kernels``, shared by
+    equal images through a bounded cache and compiled on the first read
+    above the stored rows that none had made): ``fold`` carries a path's sum
     over the block down to the checkpoint; ``descend`` is the shifted
     descent and that fold in one pass. Memory is then at most the two
     budgets plus one span of rows, held only while a block is redone.
@@ -238,18 +256,18 @@ class _LengthTable:
     """
 
     __slots__ = (
-        "_image_idx", "_alphabet", "_sums", "_steps", "_kernels", "_power",
+        "_image_idx", "_alphabet", "_steps", "_adds", "_kernels", "_power",
         "_rows", "_bits", "_marks", "_front", "_lock",
     )
 
-    def __init__(self, image_idx: tuple[tuple[int, ...], ...], alphabet: Sequence[str]):
+    def __init__(self, image_idx: tuple[tuple[int, ...], ...], alphabet: tuple[str, ...]):
         self._image_idx = image_idx
         self._alphabet = alphabet  # the letter names of error texts
-        self._sums = _shared_sums(image_idx)
-        self._steps = _compile(_steps_source(image_idx, self._sums))["steps"]
-        self._kernels: Optional[Kernels] = None  # compiled by ``kernels``
-        # (span, M^span, big additions per step, whether a jump pays), by ``_power_of``
-        self._power: Optional[tuple[int, list[list[int]], int, Optional[bool]]] = None
+        # the row-step kernel and the big additions of one step
+        self._steps, self._adds = _row_step(image_idx)
+        self._kernels: Optional[Kernels] = None  # by ``kernels``
+        # (span, M^span, whether a jump pays), by ``_power_of``
+        self._power: Optional[tuple[int, list[list[int]], Optional[bool]]] = None
         self._rows: list[tuple[int, ...]] = [(1,) * len(image_idx)]
         # the bits counted against a budget: the stored rows' until they
         # close, then the checkpoints'
@@ -270,7 +288,10 @@ class _LengthTable:
         above the front. From the top checkpoint, and from each one it
         steps to, ``_jump`` first brings the front up by whole spans; the
         rest is stepped a block at a time, each up to the next count level
-        at most, and up to ``k`` when there is no need. In each block the
+        at most, and up to ``k`` when there is no need. With a need, a block
+        from the front ``lv`` steps at most ``lv + 1`` levels, so a climb
+        from a low front doubles the rows built per block instead of
+        stepping a whole span it would mostly throw away. In each block the
         least level ``>= k`` whose entry reaches ``need`` is bisected and
         rounded up into the class; the rows up to it, and no further, are
         kept. No row past the next count level or ``_MAX_LEVEL`` is built.
@@ -285,7 +306,8 @@ class _LengthTable:
             lv, row, k = self._jump(lv, row, k, p, root, need)
         while k <= _MAX_LEVEL and (lv < k or row[root] < need):
             count = (lv + 1) // _SPAN * _SPAN + _SPAN - 1  # the next count level
-            block = self._block(row, min(count, _MAX_LEVEL if need else k) - lv)
+            last = min(count, _MAX_LEVEL, 2 * lv + 1) if need else min(count, k)
+            block = self._block(row, last - lv)
             j = lv + bisect_left(block, need, k - lv, key=key)
             k = j + (k - j) % p  # the answer, or past the block
             end = min(k, lv + len(block) - 1)
@@ -359,17 +381,15 @@ class _LengthTable:
             m = len(self._image_idx)
             units = [tuple(int(x == y) for x in range(m)) for y in range(m)]
             columns = [self._up(unit, span) for unit in units]
-            entries, temps = self._sums
-            adds = len(temps) + sum(sum(entry.values()) - 1 for entry in entries)
-            self._power = (span, [list(line) for line in zip(*columns)], adds, None)
-        s, power, adds, pays = self._power
+            self._power = (span, [list(line) for line in zip(*columns)], None)
+        s, power, pays = self._power
         if s < span or pays is None:
             while s < span:
                 power = [list(line) for line in zip(*[_times(power, c) for c in zip(*power)])]
                 s *= 2
             cost = sum(-(-e.bit_length() // _DIGIT_BITS) + 1 for line in power for e in line if e)
-            pays = cost < s * adds
-            self._power = (s, power, adds, pays)
+            pays = cost < s * self._adds
+            self._power = (s, power, pays)
         return power if pays else None
 
     def _count(
@@ -440,6 +460,12 @@ class _LengthTable:
         i = (level - base) // span
         return self._up(marks[i], level - base - i * span)
 
+    def stored(self) -> list[tuple[int, ...]]:
+        """The stored rows, bottom-up: the table's own list, not a copy. It
+        only grows, by rows appended fully built, so a reader may index any
+        level below its length while another call grows it."""
+        return self._rows
+
     def spans(
         self, k: int
     ) -> tuple[list[tuple[int, ...]], Sequence[tuple[tuple[int, ...], int]]]:
@@ -480,8 +506,9 @@ class _LengthTable:
         ``A^(j-b)`` times its checkpoint, ``A[x][y]`` counting ``y`` in the
         image of ``x``, so a path's sum over the block is the vector
         ``fold`` gives dotted with the checkpoint. The module is imported
-        and the kernels compiled on first use, by the first read above the
-        stored rows."""
+        and the kernels fetched on first use, by the first read above the
+        stored rows; ``compile_kernels`` shares them among tables of equal
+        images and alphabets."""
         if self._kernels is None:
             from .kernels import compile_kernels
 

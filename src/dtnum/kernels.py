@@ -4,23 +4,25 @@ the stored rows of a length table.
 Above its stored rows a length table keeps one checkpoint row per block of
 levels, and ``numeration`` reads each block on small integers. The block's
 rows come from the table's own row-step kernel, ``steps`` of
-``core._steps_source``, compiled with the table, which steps them up from
+``core._steps_source``, shared by equal images, which steps them up from
 the checkpoint shifted right (``block_rows``). This module adds the two
 kernels that read them: a path's prefix counts folded down the block by
 the transposed step into a short vector whose dot product with the
 checkpoint is the path's sum over the block (``fold``), and the shifted
 descent fused with that fold (``descend``). Each kernel keeps the vector's
 entries in local variables and calls nothing per level, so the source is
-generated from the images' letter indices and compiled once per
-substitution, on the table's first read above its stored rows. A table
-that never leaves them never imports this module.
+generated from the images' letter indices and compiled on a table's first
+read above its stored rows, then shared by equal images through a bounded
+cache (``compile_kernels``). A table that never leaves them never imports
+this module.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
-from .core import _compile, _shared_sums, _sum_source
+from .core import _KERNEL_CACHE, _compile, _shared_sums, _sum_source
 from .errors import DigitOutOfRangeError
 
 
@@ -31,9 +33,13 @@ class Kernels(NamedTuple):
     descend: Callable[[list[tuple[int, ...]], int, int], tuple[list[int], int, list[int]]]
 
 
-def compile_kernels(image_idx: tuple[tuple[int, ...], ...], alphabet: Sequence[str]) -> Kernels:
+@lru_cache(maxsize=_KERNEL_CACHE)
+def compile_kernels(
+    image_idx: tuple[tuple[int, ...], ...], alphabet: tuple[str, ...]
+) -> Kernels:
     """The kernels of the images ``image_idx``; ``alphabet`` names the
-    letters in the text of ``DigitOutOfRangeError``."""
+    letters in the text of ``DigitOutOfRangeError``, so it is part of the
+    key under which the last ``_KERNEL_CACHE`` compilations are shared."""
 
     def bad(d: int, x: int) -> DigitOutOfRangeError:
         return DigitOutOfRangeError(f"digit {d} >= |image({alphabet[x]})| = {len(image_idx[x])}")
@@ -61,8 +67,8 @@ def kernel_source(image_idx: tuple[tuple[int, ...], ...]) -> str:
     the shifted row below, so an offset past a letter's width passes every
     non-last child below it too, and the exact remainder check after the
     kernel decides the digits. The code grows linearly with the images;
-    compiling it is the cost of the first read above the stored rows:
-    about 1 ms on 3 letters, 6-10 ms on 60.
+    compiling it is the cost of the first read above the stored rows of
+    images the cache does not hold: about 1 ms on 3 letters, 6-10 ms on 60.
     """
     m = len(image_idx)
     ws = ", ".join(f"w{y}" for y in range(m))

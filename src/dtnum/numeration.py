@@ -4,7 +4,7 @@ Integers map to digit words by descending the prefix-decomposition tree
 with exact image lengths; ``mu^k(seed)`` is never expanded as a string.
 Above a fixed memory budget the length table keeps only checkpoint rows,
 and the maps read each block of levels above a checkpoint through small
-integers, by kernels the table compiles per substitution: a path's sum
+integers, by kernels that tables of equal images share: a path's sum
 over the block is a short vector, folded by the transposed row step
 (``fold``), dotted with the checkpoint, and the descent runs on the
 block's rows shifted down to a few hundred bits by the table's row step
@@ -118,6 +118,11 @@ class DigitWord(_Record):
 # -- descent ------------------------------------------------------------------
 
 
+# looked up once: looking them up per word was about a twentieth of a
+# small ``rep``
+_new_object, _set_field = object.__new__, object.__setattr__
+
+
 def _word(digits: tuple[int, ...], sign: Optional[int]) -> DigitWord:
     """A :class:`DigitWord` built without ``__post_init__``'s checks.
 
@@ -125,21 +130,34 @@ def _word(digits: tuple[int, ...], sign: Optional[int]) -> DigitWord:
     indices, so ``>= 0``, and the sign is 0, 1 or ``None`` by construction.
     The result is indistinguishable from ``DigitWord(digits, sign)``.
     """
-    word = object.__new__(DigitWord)
-    object.__setattr__(word, "digits", digits)
-    object.__setattr__(word, "sign", sign)
+    word = _new_object(DigitWord)
+    _set_field(word, "digits", digits)
+    _set_field(word, "sign", sign)
     return word
 
 
 def _descend_digits(sub: Substitution, root: int, k: int, offset: int) -> list[int]:
-    """Child indices along the path left of column ``offset`` below ``root``.
+    """Child indices along the path left of column ``offset`` below ``root``
+    at level ``k``; a negative offset, down to ``-|mu^k(root)|``, is the
+    column ``|mu^k(root)| + offset``.
 
-    The levels come from ``spans()``: each streamed block, top first, by
-    ``_descend_block``, then the stored rows by ``_descend_rows``.
+    Where the stored rows hold level ``k``, ``_descend_rows`` reads the
+    stored list in place, and a negative offset's width is its row's entry.
+    Otherwise the levels come from ``spans()``: each streamed block, top
+    first, by ``_descend_block``, then the stored rows by ``_descend_rows``.
     """
+    lengths = sub.lengths
+    rows = lengths.stored()
     digits: list[int] = []
+    if k < len(rows):
+        if offset < 0:
+            offset += rows[k][root]
+        _descend_rows(sub.image_idx, rows, k, root, offset, digits.append)
+        return digits
+    if offset < 0:
+        offset += lengths.row(k)[root]
     x, t = root, offset
-    rows, blocks = sub.lengths.spans(k)
+    rows, blocks = lengths.spans(k)
     if blocks:
         # the same for every block: the bits the longest image adds to an
         # offset per level, and the growing letters' indices
@@ -147,19 +165,22 @@ def _descend_digits(sub: Substitution, root: int, k: int, offset: int) -> list[i
         growing = [sub.index[a] for a in sub.growing]
         for checkpoint, count in blocks:
             x, t = _descend_block(sub, checkpoint, count, x, t, digits, image_bits, growing)
-    _descend_rows(sub.image_idx, rows, x, t, digits.append)
+    _descend_rows(sub.image_idx, rows, len(rows), x, t, digits.append)
     return digits
 
 
-def _descend_rows(image_idx, rows: list[tuple[int, ...]], x: int, t: int, add) -> tuple[int, int]:
-    """Descend ``rows``, top row first, from letter ``x`` at offset ``t``;
-    ``add`` each child digit and return the letter and offset reached.
+def _descend_rows(
+    image_idx, rows: list[tuple[int, ...]], top: int, x: int, t: int, add
+) -> tuple[int, int]:
+    """Descend the levels ``top - 1`` down to 0 of ``rows``, from letter
+    ``x`` at offset ``t``; ``add`` each child digit and return the letter
+    and offset reached.
 
     One level per digit, so the loop body is the cost on stored rows:
     the rows are read by index, and the child digit is counted by hand,
     which builds no ``reversed`` iterator and no ``enumerate`` per level.
     """
-    for j in range(len(rows) - 1, -1, -1):
+    for j in range(top - 1, -1, -1):
         row = rows[j]
         i = 0
         for y in image_idx[x]:
@@ -216,7 +237,7 @@ def _descend_block(
             digits += path
             return y, r
     rows = lengths.block_rows(checkpoint, count)
-    return _descend_rows(sub.image_idx, rows, x, t, digits.append)
+    return _descend_rows(sub.image_idx, rows, count, x, t, digits.append)
 
 
 def decompose_prefix(
@@ -252,19 +273,19 @@ def rep(ns: NumerationSystem, n: int) -> DigitWord:
     """The canonical digit word of ``n``: sign digit plus ``k`` digits with
     ``k`` congruent to the residue modulo the period."""
     sub = ns.substitution
+    seed = ns.seed
     if n >= 0:
-        sign, side, need = 0, ns.right, n + 1
+        sign, side, need = 0, seed.right, n + 1
         if side is None:
             raise SideMissingError("system has no right seed: cannot represent n >= 0")
     else:
-        sign, side, need = 1, ns.left, -n
+        sign, side, need = 1, seed.left, -n
         if side is None:
             raise SideMissingError("system has no left seed: cannot represent n < 0")
     root = sub.index[side]
-    k = sub.lengths.level(root, need, ns.residue, ns.period)
+    k = sub.lengths.level(root, need, ns.residue, seed.period)
     # a negative n is the column |mu^k(left)| + n of the left tree
-    offset = n % sub.lengths.row(k)[root]
-    return _word(tuple(_descend_digits(sub, root, k, offset)), sign)
+    return _word(tuple(_descend_digits(sub, root, k, n)), sign)
 
 
 def val(ns: NumerationSystem, word: Union[DigitWord, str]) -> tuple[int, bool]:

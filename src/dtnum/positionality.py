@@ -450,17 +450,19 @@ def fit_weights_oracle(ns: NumerationSystem, lo: int, hi: int) -> FitResult:
             original[("V", k)] = -1
         coeffs = dict(original)
         rhs = n
-        sources = {n}
+        used = []  # the sources of the rows substituted
         # rows hold no pivot variable, so substituting one row never brings
         # back another row's pivot
         for var in original:
             prow = pivots.get(var)
             if prow is not None:
                 rhs = _eliminate(coeffs, rhs, coeffs.pop(var), prow)
-                sources |= prow.sources
+                used.append(prow.sources)
         coeffs = {v: c for v, c in coeffs.items() if c}
         if not coeffs:
+            # most equations reduce to 0 = 0 and need no sources
             if rhs != 0:
+                sources = {n}.union(*used)
                 others = sorted(sources - {n})
                 return WeightContradiction(
                     tuple(sorted(sources)),
@@ -469,7 +471,7 @@ def fit_weights_oracle(ns: NumerationSystem, lo: int, hi: int) -> FitResult:
                 )
             continue
         pivot_var = min(coeffs)
-        new_row = _Row(coeffs.pop(pivot_var), coeffs, rhs, sources)
+        new_row = _Row(coeffs.pop(pivot_var), coeffs, rhs, {n}.union(*used))
         for var, prow in pivots.items():
             c = prow.coeffs.pop(pivot_var, None)
             if c:

@@ -38,14 +38,17 @@ from dtnum import (
     parse_seed,
     parse_substitution,
     reachable_letters,
+    rep,
     restrict,
     substitution_from_text,
+    val,
     validate_seed,
 )
-from dtnum import core
+from dtnum import core, kernels
 from dtnum.core import _LengthTable, _shared_sums, _steps_source, _sum_source
 from dtnum.errors import (
     DigitCapExceededError,
+    DigitOutOfRangeError,
     DslSyntaxError,
     EmptyImageError,
     InvalidSeedError,
@@ -1031,6 +1034,62 @@ class TestCollector:
             for row in [*table._rows, *marks, table._front[1]]:
                 assert isinstance(row, tuple) and not gc.is_tracked(row)
         assert (gc.isenabled(), gc.get_threshold()) == (enabled, threshold)
+
+
+class TestSharedKernels:
+    """Generated code is a pure function of the images, so tables of equal
+    images share it through a bounded cache; their rows stay their own."""
+
+    def test_equal_texts_share_the_kernels(self, monkeypatch):
+        text = "a->abc,b->c,c->ac"
+        first = make_system(text, "c|a").substitution.lengths
+        first.kernels()
+        compiled = []
+        for module in (core, kernels):
+            compile_ = module._compile
+            monkeypatch.setattr(
+                module,
+                "_compile",
+                lambda source, compile_=compile_, **names: compiled.append(source)
+                or compile_(source, **names),
+            )
+        second = make_system(text, "c|a").substitution.lengths
+        assert second._steps is first._steps
+        assert second.kernels() is first.kernels()
+        assert compiled == []  # a second table from the same images compiles nothing
+        second.row(40)
+        assert second._rows is not first._rows and len(first._rows) == 1
+
+    def test_renamed_letters_share_steps_and_name_their_own_letters(self, monkeypatch):
+        # a small store, so that the word's top digit is read by the fold kernel
+        monkeypatch.setattr(core, "_STORE_BITS", 2000)
+        monkeypatch.setattr(core, "_CHECKPOINT_BITS", 2000)
+        monkeypatch.setattr(core, "_SPAN", 5)
+        ns = make_system("a->abc,b->c,c->ac", "c|a")
+        renamed = make_system("x->xyz,y->z,z->xz", "z|x")
+        tables = [ns.substitution.lengths, renamed.substitution.lengths]
+        assert ns.substitution.image_idx == renamed.substitution.image_idx
+        assert tables[0]._steps is tables[1]._steps
+        assert tables[0].kernels() is not tables[1].kernels()
+        word = rep(ns, 10**60)
+        bad = DigitWord((3,) + word.digits[1:], 0)  # the root's image has 3 letters
+        for system, table, letter in ((ns, tables[0], "a"), (renamed, tables[1], "x")):
+            _, blocks = table.spans(len(bad.digits))
+            assert blocks
+            with pytest.raises(DigitOutOfRangeError) as raised:
+                val(system, bad)
+            assert str(raised.value) == f"digit 3 >= |image({letter})| = 3"
+
+    def test_the_caches_stay_at_their_bound(self):
+        bound = core._KERNEL_CACHE
+        subs = random_substitutions(random.Random(27), 4 * bound)
+        assert len({sub.image_idx for sub in subs}) > bound
+        for sub in subs:
+            table = _LengthTable(sub.image_idx, sub.alphabet)
+            table.kernels()
+        for cached in (core._row_step, kernels.compile_kernels):
+            info = cached.cache_info()
+            assert info.currsize == info.maxsize == bound
 
 
 _NAME_CHARS = st.sampled_from("ab->|,;. \t\n") | st.characters()

@@ -818,6 +818,82 @@ class TestStreamedRows:
         _assert_streamed(ns.substitution, 800)
 
 
+class TestStoredRowsInPlace:
+    """``rep`` descends the stored rows in place when they hold its level,
+    and through ``spans`` above them; tables of one text share kernels."""
+
+    @pytest.mark.parametrize(
+        "bits, span", [(2000, 5), (400, 2)], ids=["2000-bits-span-5", "400-bits-span-2"]
+    )
+    def test_windows_across_the_store_boundary(
+        self, monkeypatch, golden_complement, bits, span
+    ):
+        """Values on both sides of each level's width, from two spans
+        below the level where the store closes to two spans above it, on
+        both signs and at periods 1-3 times the minimal one."""
+        monkeypatch.setattr(core, "_STORE_BITS", bits)
+        monkeypatch.setattr(core, "_CHECKPOINT_BITS", bits)
+        monkeypatch.setattr(core, "_SPAN", span)
+        stored = streamed = 0
+        for entry, golden in golden_complement:
+            probe = _fresh(golden.substitution).lengths
+            probe.row(400)
+            if probe._marks is None:
+                continue
+            base = probe._marks[0]  # the top stored level
+            sub = _fresh(golden.substitution)
+            plain = PlainRows(sub)
+            for ns in period_multiples(sub, golden.seed):
+                table = sub.lengths
+                for level in range(max(base - 2 * span, 0), base + 2 * span):
+                    for side, sign in ((ns.right, 1), (ns.left, -1)):
+                        if side is None:
+                            continue
+                        width = plain[level][sub.index[side]]
+                        for n in {sign * v for v in range(width - 2, width + 2) if v > 0}:
+                            word = rep(ns, n)
+                            assert word == reference_rep(ns, n), (entry["name"], ns.period, n)
+                            if len(word.digits) < len(table.stored()):
+                                stored += 1
+                            else:
+                                streamed += 1
+        assert stored > 100 and streamed > 100, (stored, streamed)
+
+    def test_threads_build_tables_from_one_text(self):
+        """Two threads each make a system from one text, on a cold kernel
+        cache, and run ``rep`` at once: their words and rows equal those
+        of a table grown by one thread alone."""
+        text, seed = "a->abc,b->c,c->ac", "c|a"
+        values = [sign * v for v in (*range(1, 300), 10**300 + 4242) for sign in (1, -1)]
+        alone = make_system(text, seed)
+        expected = [rep(alone, n) for n in values]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                core._row_step.cache_clear()
+                systems = [None, None]
+                words = [None, None]
+
+                def work(i):
+                    systems[i] = make_system(text, seed)
+                    words[i] = [rep(systems[i], n) for n in values]
+
+                threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+                assert not any(t.is_alive() for t in threads)
+                assert words == [expected, expected]
+                for ns in systems:
+                    table = ns.substitution.lengths
+                    assert table.stored() == alone.substitution.lengths.stored()
+                    assert table._front == alone.substitution.lengths._front
+        finally:
+            sys.setswitchinterval(interval)
+
+
 def _kernel_system(rng: random.Random, size: int, longest: int = 3) -> NumerationSystem:
     """A random two-sided system on ``size`` letters, seeded ``x0|x0``: the
     image of ``x0`` starts and ends with it. From three letters on, the
