@@ -18,7 +18,7 @@ from collections import Counter
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 from operator import attrgetter, itemgetter, mul
-from typing import TYPE_CHECKING, Iterable, Literal, Optional, Sequence, Union
+from typing import Iterable, Literal, Optional, Sequence, Union
 
 from .errors import (
     DigitCapExceededError,
@@ -28,9 +28,6 @@ from .errors import (
     NoGrowingLetterError,
     UnknownLetterError,
 )
-
-if TYPE_CHECKING:
-    from .kernels import Kernels
 
 Domain = Literal["N", "Zneg", "Z"]
 
@@ -191,6 +188,14 @@ def _row_bits(row: Sequence[int]) -> int:
     return sum(map(int.bit_length, row))
 
 
+def _fit(row: Sequence[int]) -> int:
+    """The levels that one call of the row-step kernel may step up from
+    ``row``: as many as keep the rows it builds within about ``_BLOCK_BITS``
+    bits, counting each as ``row``'s letters times its longest entry's
+    bits, and at least one."""
+    return max(_BLOCK_BITS // (len(row) * max(row).bit_length()), 1)
+
+
 def _times(matrix: list[list[int]], row: Sequence[int]) -> tuple[int, ...]:
     """The product ``matrix · row``, the matrix given by its rows."""
     return tuple([sum(map(mul, line, row)) for line in matrix])
@@ -219,17 +224,19 @@ class _LengthTable:
     front's rows. It bisects the block for its answer and keeps the rows
     up to it only. Rows are stored, appended fully built and never
     mutated, until they hold ``_STORE_BITS`` bits; a reader holding the
-    list (``stored``) may index any level below its current length while another call
-    grows it. Rows never shrink entrywise, so at every count level the
-    newest row, times ``_SPAN``, bounds the bits of the rows it closes,
-    and ``level`` finds its answer by bisection. Once the budget is
-    reached the stored rows close; a level search whose answer, extended
-    from the last span's growth, would fill the budget closes them at once
-    where a jump pays (``_count``), and so does a climb of ``spans`` to a
-    level it knows. The levels above them are streamed: the table keeps
-    the front and a checkpoint row every ``span`` levels from the top
-    stored row up. When the checkpoints pass ``_CHECKPOINT_BITS``, every
-    other one is dropped and the span doubles. Rows satisfy
+    list (from ``spans``) may index any level below its current length
+    while another call grows it. Rows never shrink entrywise, so at every
+    count level the newest row, times ``_SPAN``, bounds the bits of the
+    rows it closes, and ``level`` finds its answer by bisection. Once the
+    budget is reached the stored rows close. One rule closes them
+    earlier, where a jump pays (``_count``): the bits they would hold at
+    the climb's top reach the budget, the top being a level search's
+    answer extended from the last span's growth, or the level that a
+    climb of ``row`` or ``spans`` is asked for. The levels above them
+    are streamed: the table keeps the front and a checkpoint row every
+    ``span`` levels from the top stored row up. When the checkpoints
+    pass ``_CHECKPOINT_BITS``, every other one is dropped and the span
+    doubles. Rows satisfy
     ``row(j + 1) = M · row(j)``, where ``M[x][y]`` counts ``y`` in the
     image of ``x``, so ``_climb`` makes each checkpoint by one jump,
     ``M^span`` times the checkpoint below (``_jump``; the power is cached
@@ -238,16 +245,14 @@ class _LengthTable:
     span, up to its answer. ``row`` recomputes a streamed row below the
     front by stepping up from the checkpoint below it (``_up``); ``level``
     bisects the checkpoints and then the one block it steps (``_scan``).
-    ``spans`` recomputes none: it hands out the checkpoints, and a reader
-    reads a block by ``block_rows`` (``steps`` from the block's checkpoint
-    shifted down to small integers, or exact only to redo it) and by the
-    two block-read kernels of ``dtnum.kernels`` (``kernels``, shared by
-    equal images through a bounded cache and compiled on the first read
-    above the stored rows that none had made): ``fold`` carries a path's sum
-    over the block down to the checkpoint; ``descend`` is the shifted
-    descent and that fold in one pass. Memory is then at most the two
-    budgets plus one span of rows, held only while a block is redone.
+    ``spans`` recomputes none: it hands out the stored list and the
+    checkpoints, and a reader steps a block's rows up from its checkpoint
+    by ``block_rows``, shifted down to small integers, or exact to redo
+    it. Memory is then at most the two budgets plus the rows of one
+    block read: a block's shifted rows, or exact rows of at most about
+    ``_BLOCK_BITS`` (``numeration._descend_blocks``).
 
+    ``level``, ``row``, ``spans`` and ``block_rows`` are the only reads.
     ``level`` holds the lock for its whole search; ``row`` and ``spans``
     take it only to grow, and climb inside it. So threads growing one
     table at once append each level exactly once and share the
@@ -256,16 +261,14 @@ class _LengthTable:
     """
 
     __slots__ = (
-        "_image_idx", "_alphabet", "_steps", "_adds", "_kernels", "_power",
-        "_rows", "_bits", "_marks", "_front", "_lock",
+        "_image_idx", "_steps", "_adds", "_power", "_rows", "_bits", "_marks",
+        "_front", "_lock",
     )
 
-    def __init__(self, image_idx: tuple[tuple[int, ...], ...], alphabet: tuple[str, ...]):
+    def __init__(self, image_idx: tuple[tuple[int, ...], ...]):
         self._image_idx = image_idx
-        self._alphabet = alphabet  # the letter names of error texts
         # the row-step kernel and the big additions of one step
         self._steps, self._adds = _row_step(image_idx)
-        self._kernels: Optional[Kernels] = None  # by ``kernels``
         # (span, M^span, whether a jump pays), by ``_power_of``
         self._power: Optional[tuple[int, list[list[int]], Optional[bool]]] = None
         self._rows: list[tuple[int, ...]] = [(1,) * len(image_idx)]
@@ -280,9 +283,7 @@ class _LengthTable:
 
     # -- growth, under the lock -------------------------------------------
 
-    def _climb(
-        self, k: int, p: int = 1, root: int = 0, need: int = 0, whole: bool = False
-    ) -> int:
+    def _climb(self, k: int, p: int = 1, root: int = 0, need: int = 0) -> int:
         """Bring the front up to the least level ``>= k``, ``≡ k (mod p)``,
         whose ``root`` entry reaches ``need``, and return it; ``k`` lies
         above the front. From the top checkpoint, and from each one it
@@ -295,13 +296,10 @@ class _LengthTable:
         least level ``>= k`` whose entry reaches ``need`` is bisected and
         rounded up into the class; the rows up to it, and no further, are
         kept. No row past the next count level or ``_MAX_LEVEL`` is built.
-        ``whole`` marks a climb of ``spans``, whose reader reads every level
-        up to ``k`` through blocks, so its top level ``k`` is known to
-        ``_count``."""
+        A climb with no need never moves ``k``, its top level for ``_count``."""
         lv, row = self._front
         rows = self._rows
         key = itemgetter(root)
-        top = k if whole else 0
         if self._marks is not None and k <= _MAX_LEVEL:
             lv, row, k = self._jump(lv, row, k, p, root, need)
         while k <= _MAX_LEVEL and (lv < k or row[root] < need):
@@ -314,7 +312,7 @@ class _LengthTable:
             if self._marks is None:
                 rows += block[1 : end - lv + 1]
             lv, row = end, block[end - lv]
-            if lv == count and self._count(lv, row, root, need, top):
+            if lv == count and self._count(lv, row, root, need, k):
                 # a checkpoint: jump on from it
                 lv, row, k = self._jump(lv, row, k, p, root, need)
         self._front = (lv, row)
@@ -330,8 +328,7 @@ class _LengthTable:
         """The rows from ``row`` up to ``levels`` levels above it, ``row``
         first, by one call of ``steps``; fewer, but at least one, where
         they would hold more than about ``_BLOCK_BITS`` bits."""
-        fit = _BLOCK_BITS // (len(row) * max(row).bit_length())
-        return self._steps(row, min(levels, max(fit, 1)) + 1)
+        return self._steps(row, min(levels, _fit(row)) + 1)
 
     def _up(self, row: tuple[int, ...], levels: int) -> tuple[int, ...]:
         """The row ``levels`` levels above ``row``, stepped a block at a time."""
@@ -397,11 +394,11 @@ class _LengthTable:
     ) -> bool:
         """Count the row at a count level against its budget; True if it
         becomes a checkpoint, the first one when it closes the stored rows.
-        A search for ``need`` in the ``root`` entry, or a climb of ``spans``
-        up to ``top`` (0 for any other climb), closes them at once when the
-        bits they would hold at its answer reach the budget and a jump pays:
-        the rows' bits there are extended from their growth over the last
-        span, and so are the levels left to a search's answer."""
+        A search for ``need`` in the ``root`` entry, or a climb with no need
+        up to ``top``, closes them at once when the bits they would hold at
+        its answer reach the budget and a jump pays: the rows' bits there
+        are extended from their growth over the last span, and so are the
+        levels left to a search's answer."""
         if self._marks is None:
             bits = _row_bits(row)
             self._bits += _SPAN * bits
@@ -414,10 +411,8 @@ class _LengthTable:
                     if left <= 0 or grown <= 0:
                         return False
                     ahead = left * gap / grown  # the levels left to the answer
-                elif top:
-                    ahead = top - level
                 else:
-                    return False
+                    ahead = top - level
                 growth = (bits - _row_bits(below)) / gap  # row bits per level
                 future = ahead * (bits + growth * (ahead + _SPAN) / 2)
                 if self._bits + future < _STORE_BITS or self._power_of(_SPAN) is None:
@@ -460,33 +455,29 @@ class _LengthTable:
         i = (level - base) // span
         return self._up(marks[i], level - base - i * span)
 
-    def stored(self) -> list[tuple[int, ...]]:
-        """The stored rows, bottom-up: the table's own list, not a copy. It
-        only grows, by rows appended fully built, so a reader may index any
-        level below its length while another call grows it."""
-        return self._rows
-
     def spans(
         self, k: int
-    ) -> tuple[list[tuple[int, ...]], Sequence[tuple[tuple[int, ...], int]]]:
-        """Levels ``0 .. k - 1`` as ``(rows, blocks)``, building no streamed
-        row. ``rows`` lists the rows of the lowest levels bottom-up, all
-        stored; ``blocks`` covers the streamed levels above them, top block
-        first, each a pair ``(checkpoint, count)``: the row at the block's
-        lowest level, which is a checkpoint, and the number of its levels."""
+    ) -> tuple[list[tuple[int, ...]], int, Sequence[tuple[tuple[int, ...], int]]]:
+        """Levels ``0 .. k - 1`` as ``(rows, top, blocks)``, building no
+        streamed row. ``rows`` is the stored list, bottom-up: the table's own,
+        not a copy. It only grows, by rows appended fully built, so a reader
+        may index any level below its length while another call grows it.
+        Its levels ``0 .. top - 1`` are the lowest of the ``k``; ``blocks``
+        covers the streamed levels above them, top block first, each a pair
+        ``(checkpoint, count)``: the row at the block's lowest level, which
+        is a checkpoint, and the number of its levels."""
         rows = self._rows
         if k > len(rows):
             with self._lock:
                 if k - 1 > self._front[0]:
-                    self._climb(k - 1, whole=True)
+                    self._climb(k - 1)
         if k <= len(rows):
-            return rows[:k], ()
+            return rows, k, ()
         base, span, marks = self._marks
-        top = base + (k - 1 - base) // span * span
-        blocks = [
-            (marks[(b - base) // span], min(span, k - b)) for b in range(top, base - 1, -span)
-        ]
-        return rows[:base], blocks
+        i = (k - 1 - base) // span  # the top block's checkpoint
+        # top block first, up to level k - 1, then whole spans; no
+        # comprehension, whose closure would cost every call of ``spans``
+        return rows, base, list(zip(marks[i::-1], [k - base - i * span] + [span] * i))
 
     def block_rows(
         self, checkpoint: tuple[int, ...], count: int, shift: int = 0
@@ -499,21 +490,6 @@ class _LengthTable:
         if shift:
             checkpoint = tuple([v >> shift for v in checkpoint])
         return self._steps(checkpoint, count)
-
-    def kernels(self) -> Kernels:
-        """The block-read kernels ``fold`` and ``descend`` of
-        ``dtnum.kernels``. Row ``j`` of a block at checkpoint level ``b`` is
-        ``A^(j-b)`` times its checkpoint, ``A[x][y]`` counting ``y`` in the
-        image of ``x``, so a path's sum over the block is the vector
-        ``fold`` gives dotted with the checkpoint. The module is imported
-        and the kernels fetched on first use, by the first read above the
-        stored rows; ``compile_kernels`` shares them among tables of equal
-        images and alphabets."""
-        if self._kernels is None:
-            from .kernels import compile_kernels
-
-            self._kernels = compile_kernels(self._image_idx, self._alphabet)
-        return self._kernels
 
     def _scan(self, root: int, need: int, lo: int) -> int:
         """The least streamed level from ``lo`` up to the front whose ``root``
@@ -714,7 +690,7 @@ class Substitution(_Record):
 
     @cached_property
     def lengths(self) -> _LengthTable:
-        return _LengthTable(self.image_idx, self.alphabet)
+        return _LengthTable(self.image_idx)
 
     # -- letter-level helpers ----------------------------------------------
 

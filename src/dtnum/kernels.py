@@ -11,10 +11,11 @@ the transposed step into a short vector whose dot product with the
 checkpoint is the path's sum over the block (``fold``), and the shifted
 descent fused with that fold (``descend``). Each kernel keeps the vector's
 entries in local variables and calls nothing per level, so the source is
-generated from the images' letter indices and compiled on a table's first
-read above its stored rows, then shared by equal images through a bounded
-cache (``compile_kernels``). A table that never leaves them never imports
-this module.
+generated from the images' letter indices. ``numeration`` fetches the
+kernels by ``compile_kernels`` once per read that has blocks; they are
+compiled the first time an image set is read above a table's stored
+rows, then shared by equal images through a bounded cache. A process
+whose reads never leave the stored rows never imports this module.
 """
 
 from __future__ import annotations

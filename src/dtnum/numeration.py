@@ -4,13 +4,17 @@ Integers map to digit words by descending the prefix-decomposition tree
 with exact image lengths; ``mu^k(seed)`` is never expanded as a string.
 Above a fixed memory budget the length table keeps only checkpoint rows,
 and the maps read each block of levels above a checkpoint through small
-integers, by kernels that tables of equal images share: a path's sum
-over the block is a short vector, folded by the transposed row step
+integers, by the kernels of ``dtnum.kernels``, fetched once per read
+that has blocks (``compile_kernels``, shared by equal images): a path's
+sum over the block is a short vector, folded by the transposed row step
 (``fold``), dotted with the checkpoint, and the descent runs on the
 block's rows shifted down to a few hundred bits by the table's row step
-(``block_rows``), folding as it goes (``descend``), checked exactly by that sum
-(``_descend_block``). So values with hundreds of thousands of digits are
-fine. The kernels keep entries in locals and call nothing per level.
+(``block_rows``), folding as it goes (``descend``), checked exactly by
+that sum (``_descend_blocks``), and a block that fails is redone on
+exact rows a bounded part at a time. So values with hundreds of
+thousands of digits are fine. The kernels keep entries in locals and
+call nothing per level. A read that stays in the stored rows imports
+no kernel.
 The sign digit 0/1 selects the non-negative/negative subtree of a
 two-sided system.
 
@@ -32,7 +36,7 @@ from __future__ import annotations
 from operator import mul
 from typing import Optional, Union
 
-from .core import NumerationSystem, Substitution, _Record, _seed_cycle
+from .core import NumerationSystem, Substitution, _Record, _fit, _seed_cycle
 from .errors import (
     DigitOutOfRangeError,
     NotFixedPointSeedError,
@@ -41,7 +45,7 @@ from .errors import (
 )
 
 # the bits below the smallest checkpoint entry that a shifted block
-# descent keeps, besides those its block's levels may lose (``_descend_block``)
+# descent keeps, besides those its block's levels may lose (``_descend_blocks``)
 _GUARD_BITS = 64
 
 
@@ -141,31 +145,18 @@ def _descend_digits(sub: Substitution, root: int, k: int, offset: int) -> list[i
     at level ``k``; a negative offset, down to ``-|mu^k(root)|``, is the
     column ``|mu^k(root)| + offset``.
 
-    Where the stored rows hold level ``k``, ``_descend_rows`` reads the
-    stored list in place, and a negative offset's width is its row's entry.
-    Otherwise the levels come from ``spans()``: each streamed block, top
-    first, by ``_descend_block``, then the stored rows by ``_descend_rows``.
+    The levels come from ``spans()``: the streamed blocks, top first, by
+    ``_descend_blocks``, then the stored rows, read in place, by
+    ``_descend_rows``.
     """
     lengths = sub.lengths
-    rows = lengths.stored()
-    digits: list[int] = []
-    if k < len(rows):
-        if offset < 0:
-            offset += rows[k][root]
-        _descend_rows(sub.image_idx, rows, k, root, offset, digits.append)
-        return digits
     if offset < 0:
         offset += lengths.row(k)[root]
-    x, t = root, offset
-    rows, blocks = lengths.spans(k)
-    if blocks:
-        # the same for every block: the bits the longest image adds to an
-        # offset per level, and the growing letters' indices
-        image_bits = max(map(len, sub.image_idx)).bit_length()
-        growing = [sub.index[a] for a in sub.growing]
-        for checkpoint, count in blocks:
-            x, t = _descend_block(sub, checkpoint, count, x, t, digits, image_bits, growing)
-    _descend_rows(sub.image_idx, rows, len(rows), x, t, digits.append)
+    rows, top, blocks = lengths.spans(k)
+    digits: list[int] = []
+    if blocks:  # then on from the letter and offset below the blocks
+        root, offset = _descend_blocks(sub, blocks, root, offset, digits)
+    _descend_rows(sub.image_idx, rows, top, root, offset, digits.append)
     return digits
 
 
@@ -196,22 +187,18 @@ def _descend_rows(
     return x, t
 
 
-def _descend_block(
+def _descend_blocks(
     sub: Substitution,
-    checkpoint: tuple[int, ...],
-    count: int,
+    blocks: list[tuple[tuple[int, ...], int]],
     x: int,
     t: int,
     digits: list[int],
-    image_bits: int,
-    growing: list[int],
 ) -> tuple[int, int]:
-    """Append the digits of one streamed block of ``spans()`` to ``digits``,
-    from letter ``x`` at offset ``t``; return the letter and offset below it.
-    ``image_bits`` are the bits of the longest image's length, and
-    ``growing`` the indices of the growing letters.
+    """Append the digits of the streamed ``blocks`` of ``spans()`` to
+    ``digits``, from letter ``x`` at offset ``t``; return the letter and
+    offset below them.
 
-    The descent first runs on the block's rows stepped up from the
+    The descent of a block first runs on its rows stepped up from the
     checkpoint shifted right by ``s`` bits, with ``t >> s``, by the
     ``descend`` kernel, which also folds the path's prefix counts into
     ``w``; the exact remainder is then ``t - w·checkpoint``. The subtrees
@@ -223,21 +210,46 @@ def _descend_block(
     short by up to ``|mu^e|``, which the descent's running offset sums
     over the block, so ``s`` leaves ``_GUARD_BITS`` below the smallest
     checkpoint entry of a growing letter plus the bits of the longest
-    image once per level; the entries of bounded letters shift to 0. A
-    block that fails is redone on its exact rows.
+    image once per level; the entries of bounded letters shift to 0.
+
+    A block that fails is redone on its exact rows where they ``_fit``
+    one call of the row step, and otherwise in halves, upper half first,
+    each tried shifted first: the upper half's checkpoint is stepped up
+    from the block's a ``_fit`` at a time, as the table's ``_up`` steps.
+    So a redo holds about ``_BLOCK_BITS`` bits of exact rows at most, and
+    one checkpoint per halving.
     """
+    from .kernels import compile_kernels
+
     lengths = sub.lengths
-    least = min(map(checkpoint.__getitem__, growing))
-    s = least.bit_length() - _GUARD_BITS - count * image_bits
-    if s > 0:
-        rows = lengths.block_rows(checkpoint, count, s)
-        path, y, w = lengths.kernels().descend(rows, x, t >> s)
-        r = t - sum(map(mul, w, checkpoint))
-        if 0 <= r < checkpoint[y]:
-            digits += path
-            return y, r
-    rows = lengths.block_rows(checkpoint, count)
-    return _descend_rows(sub.image_idx, rows, count, x, t, digits.append)
+    descend = compile_kernels(sub.image_idx, sub.alphabet).descend
+    # the bits the longest image adds to an offset per level
+    image_bits = max(map(len, sub.image_idx)).bit_length()
+    growing = [sub.index[a] for a in sub.growing]
+    parts = list(reversed(blocks))  # popped top first; a part that fails pushes its halves
+    while parts:
+        checkpoint, count = parts.pop()
+        least = min(map(checkpoint.__getitem__, growing))
+        s = least.bit_length() - _GUARD_BITS - count * image_bits
+        if s > 0:
+            path, y, w = descend(lengths.block_rows(checkpoint, count, s), x, t >> s)
+            r = t - sum(map(mul, w, checkpoint))
+            if 0 <= r < checkpoint[y]:
+                digits += path
+                x, t = y, r
+                continue
+        if count <= _fit(checkpoint):
+            rows = lengths.block_rows(checkpoint, count)
+            x, t = _descend_rows(sub.image_idx, rows, count, x, t, digits.append)
+            continue
+        half = count // 2
+        upper, levels = checkpoint, half
+        while levels:
+            rows = lengths.block_rows(upper, min(levels, _fit(upper)) + 1)
+            levels -= len(rows) - 1
+            upper = rows[-1]
+        parts += [(checkpoint, half), (upper, count - half)]
+    return x, t
 
 
 def decompose_prefix(
@@ -332,19 +344,24 @@ def _evaluate_path(
     x = root
     # the leading zeros of a long non-canonical word need no rows: the
     # first nonzero digit needs the highest one
-    top = 0
-    while top < k and not digits[top]:
+    i = 0
+    while i < k and not digits[i]:
         x = image_idx[x][0]
-        top += 1
-    rows, blocks = lengths.spans(k - top)
+        i += 1
+    rows, top, blocks = lengths.spans(k - i)
     total = 0
-    for checkpoint, count in blocks:
-        w, x = lengths.kernels().fold(x, digits[top : top + count])
-        top += count
-        total += sum(map(mul, w, checkpoint))
+    if blocks:
+        from .kernels import compile_kernels
+
+        fold = compile_kernels(image_idx, sub.alphabet).fold
+        for checkpoint, count in blocks:
+            w, x = fold(x, digits[i : i + count])
+            i += count
+            total += sum(map(mul, w, checkpoint))
     widths: list[int] = []
     add = widths.append
-    for row, d in zip(reversed(rows), digits[top:]):
+    # iterated, not indexed per level: ``rows[j]`` per level is slower
+    for row, d in zip(reversed(rows[:top]), digits[i:]):
         im = image_idx[x]
         if d >= len(im):
             raise DigitOutOfRangeError(

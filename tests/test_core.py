@@ -412,7 +412,7 @@ class TestLengthTable:
         subs = set(fixture_substitutions) | {ns.substitution for ns in corpus_systems()}
         subs |= set(random_substitutions(random.Random(8), 1000))
         for sub in subs:
-            table = _LengthTable(sub.image_idx, sub.alphabet)
+            table = _LengthTable(sub.image_idx)
             table.row(60)
             rows = table._rows
             for level in range(60):
@@ -450,7 +450,7 @@ class TestLengthTable:
                         # level that rounds up past the top stored row
                         rounded_past_the_top += reach < k
                         for height in (None, k - 1, k + 7, reach):
-                            table = _LengthTable(sub.image_idx, sub.alphabet)
+                            table = _LengthTable(sub.image_idx)
                             if height is not None:
                                 table.row(height)
                             assert table.level(root, need, r, p) == k, (sub, side, need, r, p)
@@ -574,8 +574,9 @@ class TestLengthTable:
 
 def _levels(table: _LengthTable, k: int) -> list[list[int]]:
     """Rows ``0 .. k - 1`` from ``spans``, each block stepped up from its checkpoint."""
-    rows, blocks = table.spans(k)
-    return rows + [row for c, count in reversed(blocks) for row in table.block_rows(c, count)]
+    rows, top, blocks = table.spans(k)
+    assert rows is table._rows  # the stored list itself, not a copy
+    return rows[:top] + [row for c, count in reversed(blocks) for row in table.block_rows(c, count)]
 
 
 class TestStreamedTable:
@@ -595,7 +596,7 @@ class TestStreamedTable:
             sub = parse_substitution(text)
             naive = PlainRows(sub)
             naive[400]  # rows 0 .. 400, for the slices below
-            table = _LengthTable(sub.image_idx, sub.alphabet)
+            table = _LengthTable(sub.image_idx)
             order = list(range(401))
             for levels in (sorted(order), sorted(order, reverse=True), rng.sample(order, 401)):
                 for level in levels:
@@ -604,14 +605,14 @@ class TestStreamedTable:
             assert 5 <= stored < 400
             assert as_lists(table._rows) == naive.rows[:stored]
             for k in (0, 1, stored - 1, stored, stored + 1, 137, 401):
-                rows, blocks = table.spans(k)
+                rows, top, blocks = table.spans(k)
                 # the top stored row is also the lowest checkpoint, read as such
-                assert len(rows) == (k if k <= stored else stored - 1)
+                assert top == (k if k <= stored else stored - 1)
                 assert all(count <= table._marks[1] for _, count in blocks)
                 assert as_lists(_levels(table, k)) == naive.rows[:k], (text, k)
                 # shifted, a row e levels up the checkpoint is short of the
                 # exact one by less than |mu^e(x)| in entry x
-                lowest = len(rows)
+                lowest = top
                 for checkpoint, count in reversed(blocks):
                     for shift in (1, 9):
                         shifted = table.block_rows(checkpoint, count, shift)
@@ -638,15 +639,23 @@ class TestStreamedTable:
     def test_jumped_checkpoints_match_the_naive_recursion(self):
         """Above the stored rows each checkpoint is one jump, ``M^span``
         times the checkpoint below, across several doublings of the span;
-        only the last part of a span is stepped. Tables grown in one climb,
-        in several, and row by row hold the same checkpoints."""
-        for text in ("a->abc,b->c,c->ac", "a->aab,b->a", "a->aab,b->b", "a->ab,b->ab"):
+        only the last part of a span is stepped. Tables grown in one climb
+        and in several hold the same checkpoints; row by row, no climb
+        looks past the next level, so the store fills up to its budget.
+        The layouts are (base, span, checkpoints, bits)."""
+        expected = {
+            "a->abc,b->c,c->ac": [(34, 2560, 2, 8999)] * 2,
+            "a->aab,b->a": [(4, 2560, 2, 6532), (39, 2560, 2, 6709)],
+            "a->aab,b->b": [(4, 2560, 2, 2572), (59, 2560, 2, 2682)],
+            "a->ab,b->ab": [(44, 2560, 2, 5300)] * 2,
+        }
+        for text, (climbed, stepped) in expected.items():
             sub = parse_substitution(text)
             naive = PlainRows(sub)
             naive[3000]
             layouts = []
             for reads in ([3000], [700, 1500, 2999, 3000], range(3001)):
-                table = _LengthTable(sub.image_idx, sub.alphabet)
+                table = _LengthTable(sub.image_idx)
                 kernel = table._steps
                 steps = []  # the levels each call of the row-step kernel steps
                 table._steps = lambda c, count: steps.append(count - 1) or kernel(c, count)
@@ -659,7 +668,7 @@ class TestStreamedTable:
                 layouts.append((base, span, len(marks), table._bits))
                 if len(reads) == 1:  # one climb: jumps, not a step per level
                     assert sum(steps) < 1500, (text, sum(steps))
-            assert layouts[0] == layouts[1] == layouts[2], text
+            assert layouts == [climbed, climbed, stepped], text
 
     def test_cold_level_search_builds_up_to_its_answer(self):
         """A level search on a new table jumps while the next checkpoint
@@ -676,7 +685,7 @@ class TestStreamedTable:
                     for p in (1, 2, 3):
                         r = rng.randrange(p)
                         k = naive.level(root, need, r, p)
-                        table = _LengthTable(sub.image_idx, sub.alphabet)
+                        table = _LengthTable(sub.image_idx)
                         assert table.level(root, need, r, p) == k, (text, need, r, p)
                         assert table._front[0] == k and list(table._front[1]) == naive[k]
                         if table._marks is not None:
@@ -695,19 +704,19 @@ class TestStreamedTable:
         naive = PlainRows(sub)
         for level in range(1500):
             k = naive.level(0, naive[level][0], 0, 1)
-            table = _LengthTable(sub.image_idx, sub.alphabet)
+            table = _LengthTable(sub.image_idx)
             assert table.level(0, naive[level][0], 0, 1) == k, level
 
     def test_jumps_stop_at_the_level_cap(self, monkeypatch):
         monkeypatch.setattr(core, "_MAX_LEVEL", 2003)
         sub = parse_substitution("a->abc,b->c,c->ac")
         naive = PlainRows(sub)
-        table = _LengthTable(sub.image_idx, sub.alphabet)
+        table = _LengthTable(sub.image_idx)
         assert table.level(0, naive[2003][0], 0, 1) == 2003
         with pytest.raises(DigitCapExceededError, match="digits"):
             table.level(0, naive[2003][0] + 1, 0, 1)
         with pytest.raises(DigitCapExceededError, match="digits"):
-            _LengthTable(sub.image_idx, sub.alphabet).level(0, naive[2003][0] + 1, 1, 3)
+            _LengthTable(sub.image_idx).level(0, naive[2003][0] + 1, 1, 3)
         assert table._front[0] == 2003 and list(table._front[1]) == naive[2003]
         base, span, marks = table._marks
         assert base + (len(marks) - 1) * span <= 2003
@@ -715,15 +724,16 @@ class TestStreamedTable:
     @pytest.mark.parametrize(
         "bits, span, expected",
         [
-            (2000, 5, [(35, 34, 2560, 2, 8999), (40, 39, 2560, 2, 6709), (45, 44, 2560, 2, 5300)]),
-            (3000, 7, [(42, 41, 1792, 2, 6417), (49, 48, 1792, 2, 4802), (56, 55, 1792, 2, 3808)]),
+            (2000, 5, [(35, 34, 2560, 2, 8999), (5, 4, 2560, 2, 6532), (45, 44, 2560, 2, 5300)]),
+            (3000, 7, [(42, 41, 1792, 2, 6417), (7, 6, 1792, 2, 4588), (56, 55, 1792, 2, 3808)]),
             (400, 2, [(16, 15, 2048, 2, 7116), (18, 17, 2048, 2, 5295), (20, 19, 2048, 2, 4176)]),
         ],
         ids=["2000-bits-span-5", "3000-bits-span-7", "400-bits-span-2"],
     )
     def test_memory_policy_is_pinned(self, monkeypatch, bits, span, expected):
         """Where the store closes, where the checkpoints sit and the bits
-        they hold after ``row(3000)``: (stored rows, base, span, checkpoints, bits)."""
+        they hold after ``row(3000)`` on a new table, one climb that weighs
+        its top level: (stored rows, base, span, checkpoints, bits)."""
         monkeypatch.setattr(core, "_STORE_BITS", bits)
         monkeypatch.setattr(core, "_CHECKPOINT_BITS", bits)
         monkeypatch.setattr(core, "_SPAN", span)
@@ -750,7 +760,7 @@ class TestStreamedTable:
                     while naive[reach][root] < need:
                         reach += 1
                     for height in (None, k - 1, k + 7, 250, reach):
-                        table = _LengthTable(sub.image_idx, sub.alphabet)
+                        table = _LengthTable(sub.image_idx)
                         if height is not None:
                             table.row(height)
                         assert table.level(root, need, r, p) == k, (sub, side, need, r, p)
@@ -834,11 +844,22 @@ def _budget_close(naive: PlainRows) -> int:
         level += core._SPAN
 
 
+def test_a_cold_row_read_past_the_store_keeps_one_span():
+    """At the default budget a cold ``row`` read far past the store knows
+    its top level, as a climb of ``spans`` does: it closes the store after
+    one span and jumps, where filling it would store 6,272 rows."""
+    sub = parse_substitution("a->abc,b->c,c->ac")
+    assert image_length(sub, "a", 7000) == PlainRows(sub)[7000][sub.index["a"]]
+    table = sub.lengths
+    assert len(table._rows) <= core._SPAN == 128
+    assert table._marks is not None and table._front[0] == 7000
+
+
 class TestStoreClosesEarly:
     """A level search whose answer the last span's growth puts past the
-    store budget, or a climb of ``spans`` to a level past it, closes the
-    stored rows at once, where a jump pays, and climbs by jumps; every
-    other climb fills the store up to its budget."""
+    store budget, or a climb of ``row`` or ``spans`` to a level past it,
+    closes the stored rows at once, where a jump pays, and climbs by
+    jumps; every other climb fills the store up to its budget."""
 
     TEXTS = ("a->abc,b->c,c->ac", "a->aab,b->a", "a->ab,b->ab")
 
@@ -853,7 +874,7 @@ class TestStoreClosesEarly:
         rng = random.Random(21)
         for text in self.TEXTS:
             sub = parse_substitution(text)
-            assert _LengthTable(sub.image_idx, sub.alphabet)._power_of(core._SPAN) is not None
+            assert _LengthTable(sub.image_idx)._power_of(core._SPAN) is not None
             naive = PlainRows(sub)
             naive[2500]
             close = _budget_close(naive)
@@ -864,7 +885,7 @@ class TestStoreClosesEarly:
                     p = rng.randint(1, 3)
                     r = rng.randrange(p)
                     k = naive.level(root, need, r, p)
-                    table = _LengthTable(sub.image_idx, sub.alphabet)
+                    table = _LengthTable(sub.image_idx)
                     assert table.level(root, need, r, p) == k, (text, need, r, p)
                     stored = len(table._rows)
                     assert stored <= core._SPAN, (text, level)
@@ -885,47 +906,56 @@ class TestStoreClosesEarly:
             naive[2500]
             close = _budget_close(naive)
             for k in (close + 40, 1500, 2500):
-                table = _LengthTable(sub.image_idx, sub.alphabet)
+                table = _LengthTable(sub.image_idx)
                 assert as_lists(_levels(table, k)) == naive.rows[:k], (text, k)
                 assert len(table._rows) <= core._SPAN, (text, k)
                 assert table._front[0] == k - 1
             for k in (close // 2, 3 * close // 4):
-                table = _LengthTable(sub.image_idx, sub.alphabet)
+                table = _LengthTable(sub.image_idx)
                 assert as_lists(_levels(table, k)) == naive.rows[:k], (text, k)
                 assert table._marks is None and len(table._rows) == k, (text, k)
 
     def test_a_search_that_fits_fills_the_store_as_before(self):
+        """A level search whose answer fits keeps every row up to it, as
+        before. A climb of ``row`` to 1600, whose rows would pass the
+        budget, then closes the store at the first count level above that
+        answer, as a table grown by that ``row`` read alone closes it at
+        the first count level."""
         for text in self.TEXTS:
             sub = parse_substitution(text)
             naive = PlainRows(sub)
             naive[1600]
             close = _budget_close(naive)
-            grown = _LengthTable(sub.image_idx, sub.alphabet)  # by row reads alone
+            grown = _LengthTable(sub.image_idx)  # by one row read alone
             grown.row(1600)
-            layout = (grown._marks[1], len(grown._marks[2]), grown._bits)
+            layout = (grown._marks[0], grown._marks[1], len(grown._marks[2]), grown._bits)
+            assert layout[:2] == (core._SPAN - 1, core._SPAN), text
             root = sub.index["a"]
             for level in (0, 1, close // 2, 3 * close // 4):
                 need = naive[level][root]
                 k = naive.level(root, need, 0, 1)
-                table = _LengthTable(sub.image_idx, sub.alphabet)
+                table = _LengthTable(sub.image_idx)
                 assert table.level(root, need, 0, 1) == k, (text, level)
                 assert table._marks is None and as_lists(table._rows) == naive.rows[: k + 1]
                 table.row(1600)
-                assert len(table._rows) == close + 1
-                assert as_lists(table._rows) == naive.rows[: close + 1]
                 base, span, marks = table._marks
-                assert base == close
+                assert base == (k + 1) // core._SPAN * core._SPAN + core._SPAN - 1 < close
+                assert len(table._rows) == base + 1
+                assert as_lists(table._rows) == naive.rows[: base + 1]
                 assert all(list(m) == naive[base + i * span] for i, m in enumerate(marks))
-                assert (span, len(marks), table._bits) == layout, (text, level)
+                assert table._bits == sum(map(core._row_bits, marks))
+                if base == layout[0]:
+                    assert (base, span, len(marks), table._bits) == layout, (text, level)
 
     def test_row_reads_and_steps_that_pay_keep_the_store(self, monkeypatch):
-        """Ascending ``row`` reads, which have no need, and a level search on
-        a 30-letter cycle, whose jumps do not pay, fill the store up to its
-        budget, though the cycle's search finds its answer past it."""
+        """Ascending ``row`` reads, each one level past the last, and a
+        level search on a 30-letter cycle, whose jumps do not pay, fill the
+        store up to its budget, though the cycle's search finds its answer
+        past it."""
         for text in self.TEXTS:
             sub = parse_substitution(text)
             naive = PlainRows(sub)
-            table = _LengthTable(sub.image_idx, sub.alphabet)
+            table = _LengthTable(sub.image_idx)
             for level in range(1600):
                 assert list(table.row(level)) == naive[level], (text, level)
             close = _budget_close(naive)
@@ -941,7 +971,7 @@ class TestStoreClosesEarly:
         monkeypatch.setattr(
             _LengthTable, "_power_of", lambda t, span: asked.append(len(t._rows)) or power_of(t, span)
         )
-        table = _LengthTable(sub.image_idx, sub.alphabet)
+        table = _LengthTable(sub.image_idx)
         assert table.level(0, need, 0, 1) == k
         assert asked and asked[0] < close  # the estimate passed the budget early ...
         assert table._power_of(core._SPAN) is None  # ... but a jump does not pay
@@ -984,7 +1014,7 @@ class TestClimbAgainstPlainRows:
                     while k <= cap and naive[k][root] < need:
                         k += p
                     for height in (None, rng.randrange(cap + 1)):
-                        table = _LengthTable(sub.image_idx, sub.alphabet)
+                        table = _LengthTable(sub.image_idx)
                         if height is not None:
                             table.row(height)
                         front = table._front[0]
@@ -1008,7 +1038,7 @@ class TestClimbAgainstPlainRows:
                                 assert list(m) == naive[base + i * step]
                         assert [list(table.row(j)) for j in range(lv + 1)] == naive.rows[: lv + 1]
                         assert as_lists(_levels(table, lv + 1)) == naive.rows[: lv + 1]
-            table = _LengthTable(sub.image_idx, sub.alphabet)
+            table = _LengthTable(sub.image_idx)
             assert list(table.row(cap)) == naive[cap]
             with pytest.raises(DigitCapExceededError) as raised:
                 table.row(cap + 1)
@@ -1042,8 +1072,9 @@ class TestSharedKernels:
 
     def test_equal_texts_share_the_kernels(self, monkeypatch):
         text = "a->abc,b->c,c->ac"
-        first = make_system(text, "c|a").substitution.lengths
-        first.kernels()
+        first_sub = make_system(text, "c|a").substitution
+        first = first_sub.lengths
+        fetched = kernels.compile_kernels(first_sub.image_idx, first_sub.alphabet)
         compiled = []
         for module in (core, kernels):
             compile_ = module._compile
@@ -1053,9 +1084,10 @@ class TestSharedKernels:
                 lambda source, compile_=compile_, **names: compiled.append(source)
                 or compile_(source, **names),
             )
-        second = make_system(text, "c|a").substitution.lengths
+        second_sub = make_system(text, "c|a").substitution
+        second = second_sub.lengths
         assert second._steps is first._steps
-        assert second.kernels() is first.kernels()
+        assert kernels.compile_kernels(second_sub.image_idx, second_sub.alphabet) is fetched
         assert compiled == []  # a second table from the same images compiles nothing
         second.row(40)
         assert second._rows is not first._rows and len(first._rows) == 1
@@ -1070,11 +1102,13 @@ class TestSharedKernels:
         tables = [ns.substitution.lengths, renamed.substitution.lengths]
         assert ns.substitution.image_idx == renamed.substitution.image_idx
         assert tables[0]._steps is tables[1]._steps
-        assert tables[0].kernels() is not tables[1].kernels()
+        subs = [ns.substitution, renamed.substitution]
+        fetched = [kernels.compile_kernels(sub.image_idx, sub.alphabet) for sub in subs]
+        assert fetched[0] is not fetched[1]
         word = rep(ns, 10**60)
         bad = DigitWord((3,) + word.digits[1:], 0)  # the root's image has 3 letters
         for system, table, letter in ((ns, tables[0], "a"), (renamed, tables[1], "x")):
-            _, blocks = table.spans(len(bad.digits))
+            _, _, blocks = table.spans(len(bad.digits))
             assert blocks
             with pytest.raises(DigitOutOfRangeError) as raised:
                 val(system, bad)
@@ -1085,8 +1119,8 @@ class TestSharedKernels:
         subs = random_substitutions(random.Random(27), 4 * bound)
         assert len({sub.image_idx for sub in subs}) > bound
         for sub in subs:
-            table = _LengthTable(sub.image_idx, sub.alphabet)
-            table.kernels()
+            _LengthTable(sub.image_idx)
+            kernels.compile_kernels(sub.image_idx, sub.alphabet)
         for cached in (core._row_step, kernels.compile_kernels):
             info = cached.cache_info()
             assert info.currsize == info.maxsize == bound

@@ -29,7 +29,7 @@ from dtnum import (
     NumerationSystem,
     Substitution,
 )
-from dtnum import core, numeration
+from dtnum import core, kernels, numeration
 from dtnum.errors import (
     DigitCapExceededError,
     DigitOutOfRangeError,
@@ -550,14 +550,14 @@ class _BlockLog:
         self.calls: list[tuple[int, int]] = []
         self.checked = 0
         block_rows = core._LengthTable.block_rows
-        kernels = core._LengthTable.kernels
+        compile_ = kernels.compile_kernels
 
         def logged(table, checkpoint, count, shift=0):
             self.calls.append((id(checkpoint), shift))
             return block_rows(table, checkpoint, count, shift)
 
-        def counted(table):
-            compiled = kernels(table)
+        def counted(image_idx, alphabet):
+            compiled = compile_(image_idx, alphabet)
 
             def descend(*args):
                 self.checked += 1
@@ -566,7 +566,7 @@ class _BlockLog:
             return compiled._replace(descend=descend)
 
         monkeypatch.setattr(core._LengthTable, "block_rows", logged)
-        monkeypatch.setattr(core._LengthTable, "kernels", counted)
+        monkeypatch.setattr(kernels, "compile_kernels", counted)
 
     @property
     def shifted(self) -> int:
@@ -670,6 +670,45 @@ class TestStreamedRows:
                 shifted += log.shifted
                 _assert_streamed(sub, k)
             assert shifted > 0, text
+
+    def test_a_redo_steps_few_exact_rows_at_a_time(self, monkeypatch):
+        """Under a small ``_BLOCK_BITS`` a block whose shifted descent fails
+        is redone in halves: no exact block read steps more levels than
+        that bound allows from its first row, as the table's own climb
+        counts them, and the digits still equal the reference's. The
+        offsets are a level's first and last columns and both sides of
+        each boundary between the root's children, where blocks fail."""
+        monkeypatch.setattr(core, "_STORE_BITS", 100_000)
+        monkeypatch.setattr(core, "_SPAN", 128)
+        monkeypatch.setattr(core, "_BLOCK_BITS", 20_000)
+        reads = []  # per exact read: the levels it steps, and those allowed
+        block_rows = core._LengthTable.block_rows
+
+        def logged(table, checkpoint, count, shift=0):
+            rows = block_rows(table, checkpoint, count, shift)
+            if not shift:
+                fit = core._BLOCK_BITS // (len(checkpoint) * max(checkpoint).bit_length())
+                reads.append((len(rows) - 1, max(fit, 1)))
+            return rows
+
+        monkeypatch.setattr(core._LengthTable, "block_rows", logged)
+        k = 3000
+        for text in ("a->abc,b->c,c->ac", "a->aab,b->b"):
+            sub = parse_substitution(text)
+            plain = PlainRows(sub)
+            x = sub.index["a"]
+            offsets = {0, plain[k][x] - 1}
+            start = 0
+            for y in sub.image_idx[x][:-1]:
+                start += plain[k - 1][y]
+                offsets |= {start - 1, start}
+            for n in sorted(offsets):
+                reads.clear()
+                digits = decompose_prefix(sub, "a", k, n).digits
+                assert list(digits) == plain.descend(x, k, n), (text, n)
+                assert all(stepped <= fit for stepped, fit in reads), (text, n, reads)
+            _assert_streamed(sub, k)
+        assert reads
 
     def test_smaller_reads_after_an_early_close(self, monkeypatch):
         """A cold ``rep`` whose level search lies past the store closes it
@@ -853,7 +892,7 @@ class TestStoredRowsInPlace:
                         for n in {sign * v for v in range(width - 2, width + 2) if v > 0}:
                             word = rep(ns, n)
                             assert word == reference_rep(ns, n), (entry["name"], ns.period, n)
-                            if len(word.digits) < len(table.stored()):
+                            if len(word.digits) < len(table._rows):
                                 stored += 1
                             else:
                                 streamed += 1
@@ -888,7 +927,7 @@ class TestStoredRowsInPlace:
                 assert words == [expected, expected]
                 for ns in systems:
                     table = ns.substitution.lengths
-                    assert table.stored() == alone.substitution.lengths.stored()
+                    assert table._rows == alone.substitution.lengths._rows
                     assert table._front == alone.substitution.lengths._front
         finally:
             sys.setswitchinterval(interval)
@@ -930,7 +969,7 @@ class TestBlockKernels:
         rng = random.Random(7)
         for ns in _kernel_systems():
             sub = ns.substitution
-            fold = _fresh(sub).lengths.kernels().fold
+            fold = kernels.compile_kernels(sub.image_idx, sub.alphabet).fold
             for _ in range(20):
                 x = rng.randrange(len(sub.alphabet))
                 digits = random_path(rng, sub, sub.alphabet[x], rng.randrange(60))
