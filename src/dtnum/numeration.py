@@ -214,8 +214,8 @@ def _descend_blocks(
 
     A block that fails is redone on its exact rows where they ``_fit``
     one call of the row step, and otherwise in halves, upper half first,
-    each tried shifted first: the upper half's checkpoint is stepped up
-    from the block's a ``_fit`` at a time, as the table's ``_up`` steps.
+    each tried shifted first: the upper half's checkpoint is the table's
+    ``_up`` from the block's, stepped a ``_fit`` at a time.
     So a redo holds about ``_BLOCK_BITS`` bits of exact rows at most, and
     one checkpoint per halving.
     """
@@ -243,12 +243,7 @@ def _descend_blocks(
             x, t = _descend_rows(sub.image_idx, rows, count, x, t, digits.append)
             continue
         half = count // 2
-        upper, levels = checkpoint, half
-        while levels:
-            rows = lengths.block_rows(upper, min(levels, _fit(upper)) + 1)
-            levels -= len(rows) - 1
-            upper = rows[-1]
-        parts += [(checkpoint, half), (upper, count - half)]
+        parts += [(checkpoint, half), (lengths._up(checkpoint, half), count - half)]
     return x, t
 
 

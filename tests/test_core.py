@@ -920,18 +920,30 @@ class TestStoreClosesEarly:
         before. A climb of ``row`` to 1600, whose rows would pass the
         budget, then closes the store at the first count level above that
         answer, as a table grown by that ``row`` read alone closes it at
-        the first count level."""
-        for text in self.TEXTS:
+        the first count level. The layouts after ``row(1600)``, for the
+        table grown alone and for each level searched first (0, 1,
+        ``close // 2``, ``3 * close // 4``), are (base, span, checkpoints,
+        bits)."""
+        expected = {
+            "a->abc,b->c,c->ac": [(15, 16, 100, 276341)] * 3
+            + [(255, 16, 85, 269810), (367, 16, 78, 262543)],
+            "a->aab,b->a": [(15, 16, 100, 205260)] * 3
+            + [(287, 16, 83, 199072), (431, 16, 74, 191037)],
+            "a->ab,b->ab": [(15, 16, 100, 161600)] * 3
+            + [(335, 16, 80, 154880), (495, 16, 70, 146720)],
+        }
+        assert tuple(expected) == self.TEXTS
+        for text, layouts in expected.items():
             sub = parse_substitution(text)
             naive = PlainRows(sub)
             naive[1600]
             close = _budget_close(naive)
             grown = _LengthTable(sub.image_idx)  # by one row read alone
             grown.row(1600)
-            layout = (grown._marks[0], grown._marks[1], len(grown._marks[2]), grown._bits)
-            assert layout[:2] == (core._SPAN - 1, core._SPAN), text
+            base, span, marks = grown._marks
+            assert (base, span, len(marks), grown._bits) == layouts[0], text
             root = sub.index["a"]
-            for level in (0, 1, close // 2, 3 * close // 4):
+            for level, layout in zip((0, 1, close // 2, 3 * close // 4), layouts[1:]):
                 need = naive[level][root]
                 k = naive.level(root, need, 0, 1)
                 table = _LengthTable(sub.image_idx)
@@ -939,13 +951,13 @@ class TestStoreClosesEarly:
                 assert table._marks is None and as_lists(table._rows) == naive.rows[: k + 1]
                 table.row(1600)
                 base, span, marks = table._marks
+                assert (base, span, len(marks), table._bits) == layout, (text, level)
                 assert base == (k + 1) // core._SPAN * core._SPAN + core._SPAN - 1 < close
+                assert len(marks) == (1600 - base) // span + 1
                 assert len(table._rows) == base + 1
                 assert as_lists(table._rows) == naive.rows[: base + 1]
                 assert all(list(m) == naive[base + i * span] for i, m in enumerate(marks))
                 assert table._bits == sum(map(core._row_bits, marks))
-                if base == layout[0]:
-                    assert (base, span, len(marks), table._bits) == layout, (text, level)
 
     def test_row_reads_and_steps_that_pay_keep_the_store(self, monkeypatch):
         """Ascending ``row`` reads, each one level past the last, and a
