@@ -216,9 +216,10 @@ class _LengthTable:
     the first time it passes over them, so no later collection visits a
     stored row or a checkpoint again.
 
-    Every new row comes from one loop, ``_climb``, which moves up from
-    the highest row computed (the front) by one call of ``steps`` per
-    count span: up to the next count level (``(level + 1) % _SPAN == 0``),
+    Every new row and every checkpoint comes from one loop, ``_climb``,
+    which moves up from the highest row computed (the front). Each turn
+    jumps (below) or steps one block by one call of ``steps``: up to the
+    next count level (``(level + 1) % _SPAN == 0``),
     in fewer levels where the span's rows would pass ``_BLOCK_BITS``
     (``_block``) or where a level search would more than double the
     front's rows. It bisects the block for its answer and keeps the rows
@@ -238,11 +239,12 @@ class _LengthTable:
     pass ``_CHECKPOINT_BITS``, every other one is dropped and the span
     doubles. Rows satisfy
     ``row(j + 1) = M · row(j)``, where ``M[x][y]`` counts ``y`` in the
-    image of ``x``, so ``_climb`` makes each checkpoint by one jump,
-    ``M^span`` times the checkpoint below (``_jump``; the power is cached
-    and squared when the span doubles), wherever a jump costs less than
-    stepping the span (``_power_of``), and steps only the last part of a
-    span, up to its answer. ``row`` recomputes a streamed row below the
+    image of ``x``, so a turn of ``_climb`` whose front is the top
+    checkpoint makes the next one by one jump, ``M^span`` times it (the
+    power is cached and squared when the span doubles), wherever a jump
+    costs less than stepping the span (``_power_of``). A jump past the
+    climb's answer is dropped, and the last part of the span is stepped,
+    up to the answer. ``row`` recomputes a streamed row below the
     front by stepping up from the checkpoint below it (``_up``); ``level``
     bisects the checkpoints and then the one block it steps (``_scan``).
     ``spans`` recomputes none: it hands out the stored list and the
@@ -254,19 +256,17 @@ class _LengthTable:
 
     ``level``, ``row``, ``spans`` and ``block_rows`` are the only reads.
     ``level`` holds the lock for its whole search; ``row`` and ``spans``
-    take it only to grow, and climb inside it. So threads growing one
-    table at once append each level exactly once and share the
-    checkpoints. Growth past ``_MAX_LEVEL`` raises
+    take it for any level past the stored rows, and climb inside it. So
+    threads growing one table at once append each level exactly once and
+    share the checkpoints. Growth past ``_MAX_LEVEL`` raises
     ``DigitCapExceededError``; reading built rows checks nothing.
     """
 
     __slots__ = (
-        "_image_idx", "_steps", "_adds", "_power", "_rows", "_bits", "_marks",
-        "_front", "_lock",
+        "_steps", "_adds", "_power", "_rows", "_bits", "_marks", "_front", "_lock",
     )
 
     def __init__(self, image_idx: tuple[tuple[int, ...], ...]):
-        self._image_idx = image_idx
         # the row-step kernel and the big additions of one step
         self._steps, self._adds = _row_step(image_idx)
         # (span, M^span, whether a jump pays), by ``_power_of``
@@ -285,36 +285,47 @@ class _LengthTable:
 
     def _climb(self, k: int, p: int = 1, root: int = 0, need: int = 0) -> int:
         """Bring the front up to the least level ``>= k``, ``≡ k (mod p)``,
-        whose ``root`` entry reaches ``need``, and return it; ``k`` lies
-        above the front. From the top checkpoint, and from each one it
-        steps to, ``_jump`` first brings the front up by whole spans; the
-        rest is stepped a block at a time, each up to the next count level
-        at most, and up to ``k`` when there is no need. With a need, a block
-        from the front ``lv`` steps at most ``lv + 1`` levels, so a climb
-        from a low front doubles the rows built per block instead of
-        stepping a whole span it would mostly throw away. In each block the
-        least level ``>= k`` whose entry reaches ``need`` is bisected and
-        rounded up into the class; the rows up to it, and no further, are
-        kept. No row past the next count level or ``_MAX_LEVEL`` is built.
-        A climb with no need never moves ``k``, its top level for ``_count``."""
+        whose ``root`` entry reaches ``need``, and return it; at or below
+        the front it returns at once. Each turn either jumps or steps one
+        block. It jumps when the front sits on the top checkpoint, the next
+        one lies at most at ``_MAX_LEVEL``, a jump pays (``_power_of``), and
+        the jumped row, ``M^span`` times the front, lies at most at ``k`` or
+        its entry is still short of ``need``: that row becomes the front and
+        the next checkpoint, and ``k`` is rounded up into its class past it.
+        A jumped row that fails the test is dropped, and the turn steps
+        instead. A block steps up to the next count level at most, and up
+        to ``k`` when there is no need. With a need, a block from the front
+        ``lv`` steps at most ``lv + 1`` levels, so a climb from a low front
+        doubles the rows built per block instead of stepping a whole span
+        it would mostly throw away. In each block the least level ``>= k``
+        whose entry reaches ``need`` is bisected and rounded up into the
+        class; the rows up to it, and no further, are kept. No row past the
+        next count level or ``_MAX_LEVEL`` is built. A climb with no need
+        never moves ``k``, its top level for ``_count``."""
         lv, row = self._front
-        rows = self._rows
-        key = itemgetter(root)
-        if self._marks is not None and k <= _MAX_LEVEL:
-            lv, row, k = self._jump(lv, row, k, p, root, need)
         while k <= _MAX_LEVEL and (lv < k or row[root] < need):
+            if self._marks is not None:
+                base, span, marks = self._marks
+                top = base + len(marks) * span  # the next checkpoint
+                jump = lv + span == top <= _MAX_LEVEL and (top <= k or need)
+                if jump and (power := self._power_of(span)):
+                    up = _times(power, row)
+                    if top <= k or up[root] < need:
+                        lv, row = self._front = (top, up)
+                        self._mark(up)
+                        k = max(k, k - (k - lv) // p * p)
+                        continue
             count = (lv + 1) // _SPAN * _SPAN + _SPAN - 1  # the next count level
             last = min(count, _MAX_LEVEL, 2 * lv + 1) if need else min(count, k)
             block = self._block(row, last - lv)
-            j = lv + bisect_left(block, need, k - lv, key=key)
+            j = lv + bisect_left(block, need, k - lv, key=itemgetter(root))
             k = j + (k - j) % p  # the answer, or past the block
             end = min(k, lv + len(block) - 1)
             if self._marks is None:
-                rows += block[1 : end - lv + 1]
+                self._rows += block[1 : end - lv + 1]
             lv, row = end, block[end - lv]
-            if lv == count and self._count(lv, row, root, need, k):
-                # a checkpoint: jump on from it
-                lv, row, k = self._jump(lv, row, k, p, root, need)
+            if lv == count:
+                self._count(lv, row, root, need, k)
         self._front = (lv, row)
         if k > _MAX_LEVEL:
             raise DigitCapExceededError(
@@ -338,33 +349,6 @@ class _LengthTable:
             row = block[-1]
         return row
 
-    def _jump(
-        self, lv: int, row: tuple[int, ...], k: int, p: int, root: int, need: int
-    ) -> tuple[int, tuple[int, ...], int]:
-        """From the front ``(lv, row)`` below level ``k`` of ``_climb``, move
-        up checkpoint by checkpoint, each made by one jump, ``M^span``
-        times the checkpoint below, while the next one lies at most at
-        ``k`` or its ``root`` entry is short of ``need``, and at most at
-        ``_MAX_LEVEL``: never past the answer. The jumped row that fails
-        the test is dropped. Returns the new front and ``k``, rounded up
-        into its class past a jumped row short of the need."""
-        while True:
-            base, span, marks = self._marks
-            top = base + len(marks) * span  # the next checkpoint, above the front
-            if top > _MAX_LEVEL or (top > k and not need):
-                break
-            power = self._power_of(span)
-            if power is None:  # stepping the span costs less
-                break
-            up = _times(power, marks[-1])
-            if top > k and up[root] >= need:
-                break
-            lv, row = self._front = (top, up)
-            self._mark(up)
-        if lv > k:
-            k -= (k - lv) // p * p
-        return lv, row, k
-
     def _power_of(self, span: int) -> Optional[list[list[int]]]:
         """``M^span`` by rows, where ``M[x][y]`` counts ``y`` in the image of
         ``x`` (the transpose of ``Substitution.adjacency``); None when one
@@ -375,7 +359,7 @@ class _LengthTable:
         unit row up ``span`` levels (the step is ``p -> M · p``, so that
         gives its columns); when the span doubles it is squared."""
         if self._power is None:
-            m = len(self._image_idx)
+            m = len(self._rows[0])
             units = [tuple(int(x == y) for x in range(m)) for y in range(m)]
             columns = [self._up(unit, span) for unit in units]
             self._power = (span, [list(line) for line in zip(*columns)], None)
@@ -391,14 +375,14 @@ class _LengthTable:
 
     def _count(
         self, level: int, row: tuple[int, ...], root: int, need: int, top: int
-    ) -> bool:
-        """Count the row at a count level against its budget; True if it
-        becomes a checkpoint, the first one when it closes the stored rows.
-        A search for ``need`` in the ``root`` entry, or a climb with no need
-        up to ``top``, closes them at once when the bits they would hold at
-        its answer reach the budget and a jump pays: the rows' bits there
-        are extended from their growth over the last span, and so are the
-        levels left to a search's answer."""
+    ) -> None:
+        """Count the row at a count level against its budget, and make it a
+        checkpoint where one falls, the first one when it closes the stored
+        rows. A search for ``need`` in the ``root`` entry, or a climb with
+        no need up to ``top``, closes them at once when the bits they would
+        hold at its answer reach the budget and a jump pays: the rows' bits
+        there are extended from their growth over the last span, and so are
+        the levels left to a search's answer."""
         if self._marks is None:
             bits = _row_bits(row)
             self._bits += _SPAN * bits
@@ -409,22 +393,18 @@ class _LengthTable:
                     left = need.bit_length() - row[root].bit_length()
                     grown = row[root].bit_length() - below[root].bit_length()
                     if left <= 0 or grown <= 0:
-                        return False
+                        return
                     ahead = left * gap / grown  # the levels left to the answer
                 else:
                     ahead = top - level
                 growth = (bits - _row_bits(below)) / gap  # row bits per level
                 future = ahead * (bits + growth * (ahead + _SPAN) / 2)
                 if self._bits + future < _STORE_BITS or self._power_of(_SPAN) is None:
-                    return False
+                    return
             self._marks = (level, _SPAN, [row])
             self._bits = bits
-            return True
-        base, span, _ = self._marks
-        if (level - base) % span:
-            return False
-        self._mark(row)
-        return True
+        elif not (level - self._marks[0]) % self._marks[1]:
+            self._mark(row)
 
     def _mark(self, row: tuple[int, ...]) -> None:
         """Append the next checkpoint; past ``_CHECKPOINT_BITS``, drop every
@@ -444,8 +424,7 @@ class _LengthTable:
         if level < len(rows):
             return rows[level]
         with self._lock:
-            if level > self._front[0]:
-                self._climb(level)
+            self._climb(level)
         if level < len(rows):
             return rows[level]
         lv, row = self._front
@@ -469,8 +448,7 @@ class _LengthTable:
         rows = self._rows
         if k > len(rows):
             with self._lock:
-                if k - 1 > self._front[0]:
-                    self._climb(k - 1)
+                self._climb(k - 1)
         if k <= len(rows):
             return rows, k, ()
         base, span, marks = self._marks

@@ -171,7 +171,7 @@ def compute_residue_sets(ns: NumerationSystem) -> ResidueSets:
     for j, im, c in _left_spine(ns, p):
         if len(im) < 2:
             continue  # column -2 node (if any) hangs off a different parent
-        if sub.lengths.row(p - j)[im[-1]] > 1:
+        if _longer_than_one(img, im[-1], p - j):
             if c not in base_sets[j]:
                 added[j] = (names[c],)
         elif j <= ns.residue:
@@ -190,6 +190,18 @@ def compute_residue_sets(ns: NumerationSystem) -> ResidueSets:
         added=tuple(added),
         obligations=tuple(obligations),
     )
+
+
+def _longer_than_one(img: tuple[tuple[int, ...], ...], x: int, e: int) -> bool:
+    """Whether ``|mu^e(x)| > 1``, with no length row: that is when the walk
+    along one-letter images from ``x`` meets an image of two or more
+    letters within ``e`` steps. Past ``|alphabet|`` steps the walk only
+    cycles, so that many steps decide it at most."""
+    for _ in range(min(e, len(img))):
+        if len(img[x]) > 1:
+            return True
+        x = img[x][0]
+    return False
 
 
 def _left_spine(ns: NumerationSystem, level_bound: int):

@@ -192,6 +192,75 @@ def reference_val(ns: NumerationSystem, word: DigitWord) -> tuple[int, bool]:
     return value, reference_rep(ns, value) == word
 
 
+# -- fingerprints: a word checked modulo primes, with no length row -----------------
+
+# the fixed primes of ``fingerprint_primes``; it adds one of ``SEEDED_PRIMES``,
+# picked by a seeded generator, so that runs repeat
+FINGERPRINT_PRIMES = (2**61 - 1, 2**31 - 1)
+SEEDED_PRIMES = (
+    998_244_353, 1_000_000_007, 1_000_000_009, 2**64 - 59, 2**89 - 1, 2**107 - 1, 2**127 - 1
+)
+
+
+def fingerprint_primes(seed: int = 0) -> tuple[int, ...]:
+    return FINGERPRINT_PRIMES + (random.Random(seed).choice(SEEDED_PRIMES),)
+
+
+def path_fingerprint(
+    sub: Substitution, root: int, digits: Sequence[int], negative: bool, q: int
+) -> int:
+    """The value of the path ``digits`` below letter index ``root`` modulo
+    ``q``, from ``sub.image_idx`` alone: no length row, no row step and no
+    power of the library. The path's prefix counts fold top-down by
+    Horner's rule, ``w ← Aᵀw + c (mod q)``: ``w[y]`` counts the letters
+    ``y`` left of the path one level down, ``Aᵀ`` carries each letter to
+    its image, and ``c`` counts the letters left of the child taken. Level
+    0 is all ones, so the value is ``sum(w)``. A negative word then
+    subtracts ``|mu^k(root)| mod q``, its rows stepped modulo ``q``.
+    Raises ``DigitOutOfRangeError`` on a digit past its letter's image."""
+    img = sub.image_idx
+    m = len(img)
+    # (Aᵀ w)[y] sums w over the letters whose images hold y, once per occurrence
+    sources = [[x for x, im in enumerate(img) for z in im if z == y] for y in range(m)]
+    # the letters left of child d of each letter, counted per letter
+    lefts = [[[im[:d].count(y) for y in range(m)] for d in range(len(im))] for im in img]
+    w = [0] * m
+    x = root
+    for d in digits:
+        if not 0 <= d < len(img[x]):
+            raise DigitOutOfRangeError(f"digit {d} >= |image({sub.alphabet[x]})| = {len(img[x])}")
+        w = [(sum([w[s] for s in src]) + c) % q for src, c in zip(sources, lefts[x][d])]
+        x = img[x][d]
+    value = sum(w)
+    if negative:
+        row = [1] * m
+        for _ in digits:
+            row = [sum([row[y] for y in im]) % q for im in img]
+        value -= row[root]
+    return value % q
+
+
+def check_fingerprints(ns: NumerationSystem, n: int, word: DigitWord, seed: int = 0) -> None:
+    """Raise ``AssertionError`` unless ``word`` is the canonical
+    representation of ``n`` up to the fingerprints' error bound, by checks
+    that share nothing with the length table: the word's sign is ``n``'s,
+    its digits are in range, its ``path_fingerprint`` equals ``n`` modulo
+    each of ``fingerprint_primes(seed)``, and it passes the spine rule:
+    its length lies in the residue class and it does not begin with the
+    seed side's spine digits (``spine_digits``)."""
+    sub, p = ns.substitution, ns.period
+    negative = word.sign == 1
+    if negative != (n < 0):
+        raise AssertionError(f"sign digit {word.sign} for a value of sign {(n > 0) - (n < 0)}")
+    side = ns.left if negative else ns.right
+    for q in fingerprint_primes(seed):
+        if path_fingerprint(sub, sub.index[side], word.digits, negative, q) != n % q:
+            raise AssertionError(f"the fingerprint modulo {q} differs from the value's")
+    spine = spine_digits(sub, side, p, -word.sign)
+    if (len(word.digits) - ns.residue) % p or word.digits[:p] == spine:
+        raise AssertionError(f"the {len(word.digits)} digits fail the spine rule")
+
+
 # -- baselines the systems are compared with ----------------------------------------
 
 

@@ -565,6 +565,27 @@ class TestLengthTable:
         # built rows are read without a check
         assert table.level(0, 51, 1, 7) == 50
 
+    def test_a_cold_search_makes_one_product_per_checkpoint(self, monkeypatch):
+        """At the default budget a cold level search past the store steps to
+        its first checkpoint and jumps to every later one; the one jump past
+        its answer is dropped once, never retried. So it makes one
+        ``M^span`` product per checkpoint, at a span that never doubled."""
+        products = []
+        times = core._times
+        monkeypatch.setattr(core, "_times", lambda m, row: products.append(m) or times(m, row))
+        marks_at = {
+            "a->abc,b->c,c->ac": (68, 227),
+            "a->aab,b->a": (61, 204),
+            "a->ab,b->ab": (77, 259),
+        }
+        for text, counts in marks_at.items():
+            for e, count in zip((3000, 10000), counts):
+                table = _LengthTable(parse_substitution(text).image_idx)
+                products.clear()
+                table.level(0, 10**e + 4243, 0, 1)
+                base, span, marks = table._marks
+                assert (len(products), len(marks), span) == (count, count, core._SPAN), (text, e)
+
     def test_rows_past_the_cap_are_refused_before_growing(self):
         sub = parse_substitution("a->ab,b->a")
         with pytest.raises(DigitCapExceededError):

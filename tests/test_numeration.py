@@ -41,6 +41,7 @@ from dtnum.errors import (
 )
 from helpers import (
     canonicality_words,
+    check_fingerprints,
     corpus_systems,
     descend_with_invariants,
     expand_word,
@@ -638,6 +639,21 @@ class TestStreamedRows:
                     assert rep(ns, n) == reference_rep(ns, n), (entry["name"], n)
         passed = log.shifted - log.redone
         assert log.shifted > 0 and log.checked > passed  # the check refused some
+
+    def test_huge_words_pass_their_fingerprints(self, golden_complement):
+        """At the default budget, on a new table, the words of
+        ±(10^3000 + 4242) pass the fingerprint check, which reads no length
+        row: a wrong checkpoint or jump, which ``rep`` and ``val`` read
+        alike, gives a word that round-trips but fails it."""
+        for i, (entry, ns) in enumerate(golden_complement):
+            sub = _fresh(ns.substitution)
+            ns = NumerationSystem(sub, ns.seed, ns.residue)
+            for n in (10**3000 + 4242, -(10**3000) - 4242):
+                if ns.contains(n):
+                    word = rep(ns, n)
+                    assert val(ns, word) == (n, True), entry["name"]
+                    check_fingerprints(ns, n, word, seed=i)
+            assert sub.lengths._marks is not None, entry["name"]  # read above the store
 
     def test_a_read_redoes_at_most_one_block(self, monkeypatch):
         """Exact block reads (``block_rows`` with ``shift=0``): past the

@@ -26,6 +26,8 @@ from dtnum import (
 )
 from dtnum.core import _MAX_LEVEL
 from dtnum.errors import DigitCapExceededError, NotPositionalSystemError
+from dtnum.positionality import _longer_than_one
+from helpers import random_substitutions
 
 
 def tree_occurrences(ns, depth):
@@ -104,6 +106,25 @@ class TestResidueSets:
             found = tree_occurrences(ns, depth)
             for j in range(ns.period):
                 assert found[j] == set(rs.base[j]), (text, j)
+
+    def test_longer_than_one_agrees_with_the_rows(self):
+        """The walk along one-letter images answers ``|mu^e(x)| > 1``
+        exactly as the length row does, for every letter and level."""
+        for sub in random_substitutions(random.Random(3), 400):
+            for x in range(len(sub.alphabet)):
+                for e in range(30):
+                    expected = sub.lengths.row(e)[x] > 1
+                    assert _longer_than_one(sub.image_idx, x, e) == expected, (sub.to_dsl(), x, e)
+
+    def test_a_long_period_reads_no_length_row(self):
+        """The column -2 test at every left-spine level of a long period
+        grows no length table: each level past the stored rows would step
+        up again from a checkpoint."""
+        sub = substitution_from_text("a->abb,b->ab")
+        ns = NumerationSystem(sub, SeedSpec("b", "a", 30_000), 0)
+        rs = compute_residue_sets(ns)
+        assert rs.full(29_999) == ("a", "b")
+        assert len(sub.lengths._rows) == 1 and sub.lengths._front[0] == 0
 
     def test_unreachable_letters_dropped(self):
         ns = make_system("a->ab,b->a,c->cb", "_|a")
