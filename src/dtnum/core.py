@@ -239,12 +239,12 @@ class _LengthTable:
     pass ``_CHECKPOINT_BITS``, every other one is dropped and the span
     doubles. Rows satisfy
     ``row(j + 1) = M · row(j)``, where ``M[x][y]`` counts ``y`` in the
-    image of ``x``, so a turn of ``_climb`` whose front is the top
-    checkpoint makes the next one by one jump, ``M^span`` times it (the
-    power is cached and squared when the span doubles), wherever a jump
-    costs less than stepping the span (``_power_of``). A jump past the
-    climb's answer is dropped, and the last part of the span is stepped,
-    up to the answer. ``row`` recomputes a streamed row below the
+    image of ``x``, so a turn of ``_climb`` makes the next checkpoint by
+    one jump, ``M^span`` times the top one (the power is cached and
+    squared when the span doubles), wherever a jump costs less than
+    stepping the span (``_power_of``), also when the front lies between
+    the two. A jump past the climb's answer is dropped, and the levels
+    below the answer are stepped. ``row`` recomputes a streamed row below the
     front by stepping up from the checkpoint below it (``_up``); ``level``
     bisects the checkpoints and then the one block it steps (``_scan``).
     ``spans`` recomputes none: it hands out the stored list and the
@@ -256,10 +256,12 @@ class _LengthTable:
 
     ``level``, ``row``, ``spans`` and ``block_rows`` are the only reads.
     ``level`` holds the lock for its whole search; ``row`` and ``spans``
-    take it for any level past the stored rows, and climb inside it. So
-    threads growing one table at once append each level exactly once and
-    share the checkpoints. Growth past ``_MAX_LEVEL`` raises
-    ``DigitCapExceededError``; reading built rows checks nothing.
+    take it only for a level past the front, and climb inside it: the
+    front only moves up, and is set only once every row and checkpoint
+    below it is in place, or is itself the one checkpoint not yet
+    appended. So threads growing one table at once append each level
+    exactly once and share the checkpoints. Growth past ``_MAX_LEVEL``
+    raises ``DigitCapExceededError``; reading built rows checks nothing.
     """
 
     __slots__ = (
@@ -287,13 +289,16 @@ class _LengthTable:
         """Bring the front up to the least level ``>= k``, ``≡ k (mod p)``,
         whose ``root`` entry reaches ``need``, and return it; at or below
         the front it returns at once. Each turn either jumps or steps one
-        block. It jumps when the front sits on the top checkpoint, the next
-        one lies at most at ``_MAX_LEVEL``, a jump pays (``_power_of``), and
-        the jumped row, ``M^span`` times the front, lies at most at ``k`` or
-        its entry is still short of ``need``: that row becomes the front and
-        the next checkpoint, and ``k`` is rounded up into its class past it.
-        A jumped row that fails the test is dropped, and the turn steps
-        instead. A block steps up to the next count level at most, and up
+        block. It jumps when the next checkpoint lies at most at
+        ``_MAX_LEVEL``, a jump pays (``_power_of``), and the jumped row,
+        ``M^span`` times the top checkpoint, at or below the front, lies at
+        most at ``k`` or its entry is still short of ``need``: that row
+        becomes the front and the next checkpoint, and ``k`` is rounded up
+        into its class past it. A jumped row that fails the test is
+        dropped, and the turn steps instead; no later turn of the climb
+        tries a jump to that checkpoint again, as each try costs a product,
+        but once the front has stepped to it, the class may have rounded
+        ``k`` past it, and jumps from it are tried. A block steps up to the next count level at most, and up
         to ``k`` when there is no need. With a need, a block from the front
         ``lv`` steps at most ``lv + 1`` levels, so a climb from a low front
         doubles the rows built per block instead of stepping a whole span
@@ -303,18 +308,20 @@ class _LengthTable:
         next count level or ``_MAX_LEVEL`` is built. A climb with no need
         never moves ``k``, its top level for ``_count``."""
         lv, row = self._front
+        dropped = 0  # the checkpoint of a dropped jump, not tried again
         while k <= _MAX_LEVEL and (lv < k or row[root] < need):
             if self._marks is not None:
                 base, span, marks = self._marks
                 top = base + len(marks) * span  # the next checkpoint
-                jump = lv + span == top <= _MAX_LEVEL and (top <= k or need)
+                jump = dropped != top <= _MAX_LEVEL and (top <= k or need)
                 if jump and (power := self._power_of(span)):
-                    up = _times(power, row)
+                    up = _times(power, marks[-1])
                     if top <= k or up[root] < need:
                         lv, row = self._front = (top, up)
                         self._mark(up)
                         k = max(k, k - (k - lv) // p * p)
                         continue
+                    dropped = top
             count = (lv + 1) // _SPAN * _SPAN + _SPAN - 1  # the next count level
             last = min(count, _MAX_LEVEL, 2 * lv + 1) if need else min(count, k)
             block = self._block(row, last - lv)
@@ -423,8 +430,9 @@ class _LengthTable:
         rows = self._rows
         if level < len(rows):
             return rows[level]
-        with self._lock:
-            self._climb(level)
+        if level > self._front[0]:
+            with self._lock:
+                self._climb(level)
         if level < len(rows):
             return rows[level]
         lv, row = self._front
@@ -446,7 +454,7 @@ class _LengthTable:
         ``(checkpoint, count)``: the row at the block's lowest level, which
         is a checkpoint, and the number of its levels."""
         rows = self._rows
-        if k > len(rows):
+        if k - 1 > self._front[0]:
             with self._lock:
                 self._climb(k - 1)
         if k <= len(rows):
@@ -471,14 +479,18 @@ class _LengthTable:
 
     def _scan(self, root: int, need: int, lo: int) -> int:
         """The least streamed level from ``lo`` up to the front whose ``root``
-        entry reaches ``need``, or the level above the front if none does:
-        the checkpoints are bisected by that entry, then the one block
-        below the first that reaches it is stepped up from its checkpoint
+        entry reaches ``need``, or the level above the front if none does,
+        which the front's entry tells at once. Otherwise the checkpoints are
+        bisected by that entry, then the one block below the first that
+        reaches it, or below the front, is stepped up from its checkpoint
         and bisected from ``lo`` or from the checkpoint, whichever is higher."""
+        front, row = self._front
+        if row[root] < need:
+            return front + 1
         base, span, marks = self._marks
         key = itemgetter(root)
         i = bisect_left(marks, need, (lo - base) // span + 1, key=key)
-        top = base + i * span if i < len(marks) else self._front[0] + 1
+        top = base + i * span if i < len(marks) else front + 1
         lv, row = base + (i - 1) * span, marks[i - 1]
         while True:
             block = self._block(row, top - 1 - lv)
@@ -669,6 +681,14 @@ class Substitution(_Record):
     @cached_property
     def lengths(self) -> _LengthTable:
         return _LengthTable(self.image_idx)
+
+    @cached_property
+    def kernels(self):
+        """The descent and fold kernels of ``dtnum.kernels``, fetched once:
+        a fetch from its cache hashes the nested image tuples."""
+        from . import kernels
+
+        return kernels.compile_kernels(self.image_idx, self.alphabet)
 
     # -- letter-level helpers ----------------------------------------------
 

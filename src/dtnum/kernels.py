@@ -1,21 +1,22 @@
-"""Block-read kernels: code compiled per substitution for the reads above
-the stored rows of a length table.
+"""Read kernels: code compiled per substitution for the top-down descent
+and for a path's sum over a block of levels.
 
 Above its stored rows a length table keeps one checkpoint row per block of
 levels, and ``numeration`` reads each block on small integers. The block's
 rows come from the table's own row-step kernel, ``steps`` of
 ``core._steps_source``, shared by equal images, which steps them up from
-the checkpoint shifted right (``block_rows``). This module adds the two
-kernels that read them: a path's prefix counts folded down the block by
-the transposed step into a short vector whose dot product with the
-checkpoint is the path's sum over the block (``fold``), and the shifted
-descent fused with that fold (``descend``). Each kernel keeps the vector's
-entries in local variables and calls nothing per level, so the source is
-generated from the images' letter indices. ``numeration`` fetches the
-kernels by ``compile_kernels`` once per read that has blocks; they are
-compiled the first time an image set is read above a table's stored
-rows, then shared by equal images through a bounded cache. A process
-whose reads never leave the stored rows never imports this module.
+the checkpoint, shifted right or exact (``block_rows``). This module adds
+the two kernels that read rows: the descent that picks each level's child
+digit, on the stored rows and on a block's rows alike (``descend``), and a
+path's prefix counts folded down a block by the transposed step into a
+short vector whose dot product with the checkpoint is the path's sum over
+the block (``fold``). Each kernel keeps its state in local variables and
+calls nothing per level but ``append``, so the source is generated from
+the images' letter indices. A substitution fetches its kernels once
+(``Substitution.kernels``, by ``compile_kernels``); they are compiled the
+first time an image set is read, then shared by equal images through a
+bounded cache. ``rep`` imports this module; a ``val`` whose reads stay in
+the stored rows does not.
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ from .errors import DigitOutOfRangeError
 
 
 class Kernels(NamedTuple):
-    """The block-read kernels of one substitution (``kernel_source``)."""
+    """The read kernels of one substitution (``kernel_source``)."""
 
     fold: Callable[[int, Sequence[int]], tuple[list[int], int]]
-    descend: Callable[[list[tuple[int, ...]], int, int], tuple[list[int], int, list[int]]]
+    descend: Callable[[list[tuple[int, ...]], int, int], tuple[list[int], int, int]]
 
 
 @lru_cache(maxsize=_KERNEL_CACHE)
@@ -50,26 +51,32 @@ def compile_kernels(
 
 
 def kernel_source(image_idx: tuple[tuple[int, ...], ...]) -> str:
-    """Source of the two block-read kernels, vector entries in locals.
+    """Source of the two read kernels, their state in locals.
 
     - ``fold(x, digits)``: a path's prefix counts from letter ``x`` down a
       block, folded by Horner's rule with the transposed step; returns
       ``(w, y)``, ``y`` the letter below the last digit. A digit past its
       image raises ``DigitOutOfRangeError``.
-    - ``descend(rows, x, t)``: ``numeration._descend_rows`` on the shifted
-      rows of ``block_rows``, fused with ``fold`` of the digits it takes;
-      returns ``(digits, y, w)``. An offset past every other child takes
-      the last child, so it never raises.
+    - ``descend(rows, x, t)``: the descent from letter ``x`` at offset
+      ``t`` down ``rows``, top level last: at each level the child digit
+      is the first child whose row entry exceeds the offset left, less
+      the entries of the children before it; returns ``(digits, y, t)``,
+      ``y`` the letter and ``t`` the offset reached. An offset past every
+      other child takes the last child, so it never raises.
 
     Each level branches on its letter by a binary tree of ``if``/``else``,
     so the code nests only ``log2`` of the alphabet deep. In ``descend``
     every child but the last is one flat test ending in ``continue``, and
-    the last child is taken unchecked: a shifted row is the exact sum of
-    the shifted row below, so an offset past a letter's width passes every
+    the last child is taken unchecked. On exact rows an offset in range
+    stays in range, and one past a letter's width stays past the width of
+    every letter below it, so the offset reached tells which it was: on
+    the stored rows, down to the all-ones level 0, it is 0 exactly when
+    the offset was in range. A shifted row is the exact sum of the
+    shifted row below, so an offset past a letter's width passes every
     non-last child below it too, and the exact remainder check after the
     kernel decides the digits. The code grows linearly with the images;
-    compiling it is the cost of the first read above the stored rows of
-    images the cache does not hold: about 1 ms on 3 letters, 6-10 ms on 60.
+    compiling it is the cost of the first read of images the cache does
+    not hold: about 1 ms on 3 letters, 6-10 ms on 60.
     """
     m = len(image_idx)
     ws = ", ".join(f"w{y}" for y in range(m))
@@ -99,8 +106,8 @@ def kernel_source(image_idx: tuple[tuple[int, ...], ...]) -> str:
     def descend_leaf(im: tuple[int, ...]):
         for d, y in enumerate(im[:-1]):
             yield f"if t < (v := row[{y}]): x = {y}; add({d}); continue"
-            yield f"t -= v; w{y} += 1"
-        yield f"x = {im[-1]}; d = {len(im) - 1}"
+            yield "t -= v"
+        yield f"x = {im[-1]}; add({len(im) - 1})"
 
     lines = [
         "def fold(x, digits):",
@@ -115,11 +122,8 @@ def kernel_source(image_idx: tuple[tuple[int, ...], ...]) -> str:
         "def descend(rows, x, t):",
         "    digits = []",
         "    add = digits.append",
-        f"    {zeros}",
         "    for row in rows[::-1]:",
-        *(f"        {line}" for line in back),
         *branches(0, m, "        ", descend_leaf),
-        "        add(d)",
-        f"    return digits, x, [{ws}]",
+        "    return digits, x, t",
     ]
     return "\n".join(lines) + "\n"

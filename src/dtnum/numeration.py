@@ -2,19 +2,19 @@
 
 Integers map to digit words by descending the prefix-decomposition tree
 with exact image lengths; ``mu^k(seed)`` is never expanded as a string.
-Above a fixed memory budget the length table keeps only checkpoint rows,
-and the maps read each block of levels above a checkpoint through small
-integers, by the kernels of ``dtnum.kernels``, fetched once per read
-that has blocks (``compile_kernels``, shared by equal images): a path's
-sum over the block is a short vector, folded by the transposed row step
-(``fold``), dotted with the checkpoint, and the descent runs on the
-block's rows shifted down to a few hundred bits by the table's row step
-(``block_rows``), folding as it goes (``descend``), checked exactly by
-that sum (``_descend_blocks``), and a block that fails is redone on
-exact rows a bounded part at a time. So values with hundreds of
-thousands of digits are fine. The kernels keep entries in locals and
-call nothing per level. A read that stays in the stored rows imports
-no kernel.
+Every level of the descent runs in one loop, the ``descend`` kernel of
+``dtnum.kernels``, fetched once per substitution (``Substitution.kernels``,
+shared by equal images). Above a fixed memory budget the length table
+keeps only checkpoint rows, and the maps read each block of levels above
+a checkpoint through small integers: a path's sum over the block is a
+short vector, folded by the transposed row step (``fold``), dotted with
+the checkpoint, and the descent runs on the block's rows shifted down to
+a few hundred bits by the table's row step (``block_rows``), checked
+exactly by that sum (``_descend_blocks``), and a block that fails is
+redone on exact rows a bounded part at a time. So values with hundreds
+of thousands of digits are fine. The kernels keep their state in locals
+and call nothing per level but ``append``. A ``val`` whose reads stay in
+the stored rows imports no kernel.
 The sign digit 0/1 selects the non-negative/negative subtree of a
 two-sided system.
 
@@ -146,8 +146,10 @@ def _descend_digits(sub: Substitution, root: int, k: int, offset: int) -> list[i
     column ``|mu^k(root)| + offset``.
 
     The levels come from ``spans()``: the streamed blocks, top first, by
-    ``_descend_blocks``, then the stored rows, read in place, by
-    ``_descend_rows``.
+    ``_descend_blocks``, then the stored rows, read in place, by the
+    ``descend`` kernel. Its last child is taken unchecked, and level-0
+    rows are all ones, so the offset is in range exactly when the
+    descent ends at offset 0.
     """
     lengths = sub.lengths
     if offset < 0:
@@ -156,35 +158,11 @@ def _descend_digits(sub: Substitution, root: int, k: int, offset: int) -> list[i
     digits: list[int] = []
     if blocks:  # then on from the letter and offset below the blocks
         root, offset = _descend_blocks(sub, blocks, root, offset, digits)
-    _descend_rows(sub.image_idx, rows, top, root, offset, digits.append)
+    path, _, t = sub.kernels.descend(rows[:top], root, offset)
+    if t:
+        raise OffsetOutOfRangeError("offset beyond row width")
+    digits += path
     return digits
-
-
-def _descend_rows(
-    image_idx, rows: list[tuple[int, ...]], top: int, x: int, t: int, add
-) -> tuple[int, int]:
-    """Descend the levels ``top - 1`` down to 0 of ``rows``, from letter
-    ``x`` at offset ``t``; ``add`` each child digit and return the letter
-    and offset reached.
-
-    One level per digit, so the loop body is the cost on stored rows:
-    the rows are read by index, and the child digit is counted by hand,
-    which builds no ``reversed`` iterator and no ``enumerate`` per level.
-    """
-    for j in range(top - 1, -1, -1):
-        row = rows[j]
-        i = 0
-        for y in image_idx[x]:
-            w = row[y]
-            if t < w:
-                break
-            t -= w
-            i += 1
-        else:  # only possible on an out-of-range offset
-            raise OffsetOutOfRangeError("offset beyond row width")
-        add(i)
-        x = y
-    return x, t
 
 
 def _descend_blocks(
@@ -200,8 +178,9 @@ def _descend_blocks(
 
     The descent of a block first runs on its rows stepped up from the
     checkpoint shifted right by ``s`` bits, with ``t >> s``, by the
-    ``descend`` kernel, which also folds the path's prefix counts into
-    ``w``; the exact remainder is then ``t - w·checkpoint``. The subtrees
+    ``descend`` kernel; the ``fold`` kernel folds the path's prefix
+    counts into ``w``, and the exact remainder is then
+    ``t - w·checkpoint``. The subtrees
     at the block's lowest level tile its columns, so the digits are the
     true ones exactly when that remainder lies inside the subtree they
     reach, ``[0, checkpoint[y])``; the check is a proof on its own,
@@ -212,17 +191,16 @@ def _descend_blocks(
     checkpoint entry of a growing letter plus the bits of the longest
     image once per level; the entries of bounded letters shift to 0.
 
-    A block that fails is redone on its exact rows where they ``_fit``
-    one call of the row step, and otherwise in halves, upper half first,
-    each tried shifted first: the upper half's checkpoint is the table's
+    A block that fails is redone by ``descend`` on its exact rows where
+    they ``_fit`` one call of the row step, and otherwise in halves,
+    upper half first, each tried shifted first: the upper half's
+    checkpoint is the table's
     ``_up`` from the block's, stepped a ``_fit`` at a time.
     So a redo holds about ``_BLOCK_BITS`` bits of exact rows at most, and
     one checkpoint per halving.
     """
-    from .kernels import compile_kernels
-
     lengths = sub.lengths
-    descend = compile_kernels(sub.image_idx, sub.alphabet).descend
+    fold, descend = sub.kernels
     # the bits the longest image adds to an offset per level
     image_bits = max(map(len, sub.image_idx)).bit_length()
     growing = [sub.index[a] for a in sub.growing]
@@ -232,15 +210,16 @@ def _descend_blocks(
         least = min(map(checkpoint.__getitem__, growing))
         s = least.bit_length() - _GUARD_BITS - count * image_bits
         if s > 0:
-            path, y, w = descend(lengths.block_rows(checkpoint, count, s), x, t >> s)
+            path = descend(lengths.block_rows(checkpoint, count, s), x, t >> s)[0]
+            w, y = fold(x, path)
             r = t - sum(map(mul, w, checkpoint))
             if 0 <= r < checkpoint[y]:
                 digits += path
                 x, t = y, r
                 continue
         if count <= _fit(checkpoint):
-            rows = lengths.block_rows(checkpoint, count)
-            x, t = _descend_rows(sub.image_idx, rows, count, x, t, digits.append)
+            path, x, t = descend(lengths.block_rows(checkpoint, count), x, t)
+            digits += path
             continue
         half = count // 2
         parts += [(checkpoint, half), (lengths._up(checkpoint, half), count - half)]
@@ -346,9 +325,7 @@ def _evaluate_path(
     rows, top, blocks = lengths.spans(k - i)
     total = 0
     if blocks:
-        from .kernels import compile_kernels
-
-        fold = compile_kernels(image_idx, sub.alphabet).fold
+        fold = sub.kernels.fold
         for checkpoint, count in blocks:
             w, x = fold(x, digits[i : i + count])
             i += count

@@ -586,6 +586,90 @@ class TestLengthTable:
                 base, span, marks = table._marks
                 assert (len(products), len(marks), span) == (count, count, core._SPAN), (text, e)
 
+    @staticmethod
+    def _stepped(table: _LengthTable) -> list[int]:
+        """The levels ``table`` steps per ``steps`` call from now on."""
+        stepped, steps = [], table._steps
+        table._steps = lambda c, count: stepped.append(count - 1) or steps(c, count)
+        return stepped
+
+    def test_a_second_search_jumps_from_between_checkpoints(self, monkeypatch):
+        """A cold search leaves the front at its answer, between two
+        checkpoints. A second, higher search jumps from the checkpoint below
+        the front at once: one product per new checkpoint, plus the one jump
+        past its answer, dropped and never retried, and fewer than a span of
+        stepped levels, those below the answer. Stepping from the front up
+        to the next checkpoint first, or stepping the streamed levels below
+        the front to bisect them, steps more."""
+        products = []
+        times = core._times
+        monkeypatch.setattr(core, "_times", lambda m, row: products.append(m) or times(m, row))
+        for text in ("a->abc,b->c,c->ac", "a->aab,b->a", "a->ab,b->ab"):
+            table = _LengthTable(parse_substitution(text).image_idx)
+            table.level(0, 10**3000 + 1, 0, 1)
+            before = len(table._marks[2])
+            products.clear()
+            stepped = self._stepped(table)
+            k = table.level(0, 10**3300 + 1, 0, 1)
+            base, span, marks = table._marks
+            assert len(products) == len(marks) - before + 1, text
+            assert sum(stepped) < span == core._SPAN, text
+            assert table.row(k - 1)[0] <= 10**3300 < table.row(k)[0], text
+
+    def test_a_long_period_rounds_past_a_dropped_jump(self, monkeypatch):
+        """With a period of many spans, the least level reaching the need
+        lies below the next checkpoint, so the jump there is dropped, but
+        the class rounds the answer many checkpoints past it: the climb
+        steps up to that checkpoint and jumps on from it, so it steps fewer
+        than two spans of levels, and makes one product per new checkpoint
+        and at most the two dropped ones."""
+        products = []
+        times = core._times
+        monkeypatch.setattr(core, "_times", lambda m, row: products.append(m) or times(m, row))
+        sub = parse_substitution("a->abc,b->c,c->ac")
+        for p in (2000, 5000):
+            table = _LengthTable(sub.image_idx)
+            table.level(0, 10**3000 + 1, 0, 1)
+            front = table._front[0]
+            need = _LengthTable(sub.image_idx).row(front + 20)[0]
+            before = len(table._marks[2])
+            products.clear()
+            stepped = self._stepped(table)
+            k = table.level(0, need, (front + 1) % p, p)
+            base, span, marks = table._marks
+            assert k == front + 1 + p, p  # the need is reached 20 levels up
+            assert len(marks) - before + 1 <= len(products) <= len(marks) - before + 2, p
+            assert sum(stepped) < 2 * span, p
+            reference = _LengthTable(sub.image_idx)
+            assert reference.row(k - p)[0] < need <= reference.row(k)[0] == table.row(k)[0], p
+
+    def test_reads_at_or_below_the_front_take_no_lock(self):
+        """``row`` and ``spans`` of a level at or below the front, stored or
+        streamed, read without the lock; a level past the front takes it
+        once, to climb."""
+
+        class CountingLock:
+            def __init__(self):
+                self.entered = 0
+
+            def __enter__(self):
+                self.entered += 1
+
+            def __exit__(self, *exc):
+                return False
+
+        table = _LengthTable(parse_substitution("a->abc,b->c,c->ac").image_idx)
+        table.level(0, 10**3000 + 1, 0, 1)
+        front = table._front[0]
+        base, span, marks = table._marks
+        lock = table._lock = CountingLock()
+        for level in (0, base, base + 1, base + span, front - 1, front):
+            table.row(level)
+            table.spans(level + 1)
+        assert lock.entered == 0
+        assert table.row(front + 1) == table._front[1]
+        assert lock.entered == 1
+
     def test_rows_past_the_cap_are_refused_before_growing(self):
         sub = parse_substitution("a->ab,b->a")
         with pytest.raises(DigitCapExceededError):

@@ -506,7 +506,10 @@ class TestKernel:
             sub.lengths.row(height)
             assert sub.lengths.level(0, need, 1, 3) == k
 
-    def test_out_of_range_offset_raises(self):
+    def test_out_of_range_offset_raises(self, monkeypatch):
+        """On stored rows, and on a streamed level under each small budget,
+        whose blocks pass an offset past their columns on to the stored
+        rows below them: the one check after the descent raises."""
         from dtnum.numeration import _descend_digits
 
         sub = parse_substitution("a->abc,b->c,c->ac")
@@ -515,20 +518,38 @@ class TestKernel:
         assert len(_descend_digits(sub, root, 6, width - 1)) == 6
         with pytest.raises(OffsetOutOfRangeError):
             _descend_digits(sub, root, 6, width)
+        k = 1000
+        for bits, span in _SMALL_BUDGETS:
+            monkeypatch.setattr(core, "_STORE_BITS", bits)
+            monkeypatch.setattr(core, "_CHECKPOINT_BITS", bits)
+            monkeypatch.setattr(core, "_SPAN", span)
+            sub = parse_substitution("a->abc,b->c,c->ac")
+            width = sub.lengths.row(k)[root]
+            _assert_streamed(sub, k - 1)
+            assert len(_descend_digits(sub, root, k, width - 1)) == k
+            for offset in (width, width + 1, -width - 1):
+                with pytest.raises(OffsetOutOfRangeError):
+                    _descend_digits(sub, root, k, offset)
 
 
-@pytest.fixture(
-    params=[(3000, 7), (400, 2), (100_000, 128)],
-    ids=["3000-bits-span-7", "400-bits-span-2", "100000-bits-span-128"],
-)
+# store and checkpoint budgets of a few rows, in bits, and their spans
+_SMALL_BUDGETS = [(3000, 7), (400, 2), (100_000, 128)]
+_SMALL_BUDGET_IDS = ["3000-bits-span-7", "400-bits-span-2", "100000-bits-span-128"]
+
+
+@pytest.fixture(params=_SMALL_BUDGETS, ids=_SMALL_BUDGET_IDS)
 def small_budget(request, monkeypatch):
     """A budget of a few rows, for the stored rows and for the checkpoints,
     so tables stream past the first levels and their checkpoints thin;
-    under the last one the span stays at the default 128 levels."""
-    bits, span = request.param
-    monkeypatch.setattr(core, "_STORE_BITS", bits)
-    monkeypatch.setattr(core, "_CHECKPOINT_BITS", bits)
-    monkeypatch.setattr(core, "_SPAN", span)
+    under the last one the span stays at the default 128 levels. A test
+    may add the default budget as the parameter None, by indirect
+    parametrization; the fixture's value is the parameter."""
+    if request.param is not None:
+        bits, span = request.param
+        monkeypatch.setattr(core, "_STORE_BITS", bits)
+        monkeypatch.setattr(core, "_CHECKPOINT_BITS", bits)
+        monkeypatch.setattr(core, "_SPAN", span)
+    return request.param
 
 
 def _fresh(sub: Substitution) -> Substitution:
@@ -544,29 +565,41 @@ def _assert_streamed(sub: Substitution, level: int) -> None:
 
 class _BlockLog:
     """The streamed blocks a descent reads: ``block_rows`` calls, in order,
-    and the calls of the ``descend`` kernel, each a shifted descent that
-    reached the block's bottom and whose remainder was then checked."""
+    and the shifted checks, the calls of the ``fold`` kernel made by
+    ``_descend_blocks``: each folds the path of a shifted descent of a
+    block, whose exact remainder is then checked. The kernels are counted
+    on substitutions that have not fetched theirs yet."""
 
     def __init__(self, monkeypatch):
         self.calls: list[tuple[int, int]] = []
         self.checked = 0
+        self.reading = False  # inside ``_descend_blocks``
         block_rows = core._LengthTable.block_rows
+        descend_blocks = numeration._descend_blocks
         compile_ = kernels.compile_kernels
 
         def logged(table, checkpoint, count, shift=0):
             self.calls.append((id(checkpoint), shift))
             return block_rows(table, checkpoint, count, shift)
 
+        def reading(*args):
+            self.reading = True
+            try:
+                return descend_blocks(*args)
+            finally:
+                self.reading = False
+
         def counted(image_idx, alphabet):
             compiled = compile_(image_idx, alphabet)
 
-            def descend(*args):
-                self.checked += 1
-                return compiled.descend(*args)
+            def fold(*args):
+                self.checked += self.reading
+                return compiled.fold(*args)
 
-            return compiled._replace(descend=descend)
+            return compiled._replace(fold=fold)
 
         monkeypatch.setattr(core._LengthTable, "block_rows", logged)
+        monkeypatch.setattr(numeration, "_descend_blocks", reading)
         monkeypatch.setattr(kernels, "compile_kernels", counted)
 
     @property
@@ -1004,7 +1037,13 @@ class TestBlockKernels:
                     fold(x, bad)
                 assert str(got.value) == str(expected.value)
 
-    def test_rep_through_descend_matches_the_reference(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "small_budget", [None, *_SMALL_BUDGETS], ids=["default", *_SMALL_BUDGET_IDS], indirect=True
+    )
+    def test_rep_through_descend_matches_the_reference(self, monkeypatch, small_budget):
+        """Under a small budget the words are read through shifted blocks
+        and the stored rows; at the default budget through the stored rows
+        alone, by the kernel's exact descent."""
         log = _BlockLog(monkeypatch)
         rng = random.Random(8)
         for ns in _kernel_systems():
@@ -1015,8 +1054,12 @@ class TestBlockKernels:
                     word = rep(ns, n)
                     assert word == reference_rep(ns, n), (ns.substitution, n)
                     assert val(ns, word) == (n, True), (ns.substitution, n)
-            _assert_streamed(ns.substitution, len(word.digits))
-        assert log.checked > 0
+            if small_budget is not None:
+                _assert_streamed(ns.substitution, len(word.digits))
+        if small_budget is None:
+            assert log.calls == [] and log.checked == 0
+        else:
+            assert log.checked > 0
 
 
 def _outcome(f, *args):
