@@ -46,10 +46,17 @@ _MAX_INLINE_TERMS = 32
 # polynomially growing a->ab,b->b, is refused instead of built
 _MAX_LEVEL = 10**6
 
-# the stored rows of a table hold at most about this many bits (8 MiB);
+# the stored rows of a table hold at most about this many bits (512 KiB);
 # above them the table keeps one checkpoint row every ``_SPAN`` levels, and
-# reads of the levels between two checkpoints start from the lower one
-_STORE_BITS = 2**26
+# reads of the levels between two checkpoints start from the lower one.
+# Stored rows pay only where one table is read many times: the store closes
+# at level 1023 on eight letters (values up to about 10^308) and at 1535 on
+# a->abc,b->c,c->ac (about 10^527), so round trips up to 10^300 read no
+# block. Half this budget closes the eight-letter store at level 767, below
+# 10^300, which made such round trips about 18% slower; twice it stores rows
+# that cold searches past the store do not read again, and raised the
+# benchmark's peak memory by 3-14%
+_STORE_BITS = 2**22
 # the checkpoints hold at most about this many bits (64 MiB): past it every
 # other one is dropped and the span doubles
 _CHECKPOINT_BITS = 2**29
@@ -228,16 +235,14 @@ class _LengthTable:
     list (from ``spans``) may index any level below its current length
     while another call grows it. Rows never shrink entrywise, so at every
     count level the newest row, times ``_SPAN``, bounds the bits of the
-    rows it closes, and ``level`` finds its answer by bisection. Once the
-    budget is reached the stored rows close. One rule closes them
-    earlier, where a jump pays (``_count``): the bits they would hold at
-    the climb's top reach the budget, the top being a level search's
-    answer extended from the last span's growth, or the level that a
-    climb of ``row`` or ``spans`` is asked for. The levels above them
-    are streamed: the table keeps the front and a checkpoint row every
-    ``span`` levels from the top stored row up. When the checkpoints
-    pass ``_CHECKPOINT_BITS``, every other one is dropped and the span
-    doubles. Rows satisfy
+    rows it closes, and ``level`` finds its answer by bisection. The
+    stored rows close when they reach the budget, and at no other time
+    (``_count``), so a table's layout (stored rows, base, span,
+    checkpoints) depends only on how high it has grown, not on the reads
+    that grew it. The levels above them are streamed: the table keeps the
+    front and a checkpoint row every ``span`` levels from the top stored
+    row up. When the checkpoints pass ``_CHECKPOINT_BITS``, every other
+    one is dropped and the span doubles. Rows satisfy
     ``row(j + 1) = M · row(j)``, where ``M[x][y]`` counts ``y`` in the
     image of ``x``, so a turn of ``_climb`` makes the next checkpoint by
     one jump, ``M^span`` times the top one (the power is cached and
@@ -305,8 +310,7 @@ class _LengthTable:
         it would mostly throw away. In each block the least level ``>= k``
         whose entry reaches ``need`` is bisected and rounded up into the
         class; the rows up to it, and no further, are kept. No row past the
-        next count level or ``_MAX_LEVEL`` is built. A climb with no need
-        never moves ``k``, its top level for ``_count``."""
+        next count level or ``_MAX_LEVEL`` is built."""
         lv, row = self._front
         dropped = 0  # the checkpoint of a dropped jump, not tried again
         while k <= _MAX_LEVEL and (lv < k or row[root] < need):
@@ -332,7 +336,7 @@ class _LengthTable:
                 self._rows += block[1 : end - lv + 1]
             lv, row = end, block[end - lv]
             if lv == count:
-                self._count(lv, row, root, need, k)
+                self._count(lv, row)
         self._front = (lv, row)
         if k > _MAX_LEVEL:
             raise DigitCapExceededError(
@@ -380,36 +384,17 @@ class _LengthTable:
             self._power = (s, power, pays)
         return power if pays else None
 
-    def _count(
-        self, level: int, row: tuple[int, ...], root: int, need: int, top: int
-    ) -> None:
+    def _count(self, level: int, row: tuple[int, ...]) -> None:
         """Count the row at a count level against its budget, and make it a
-        checkpoint where one falls, the first one when it closes the stored
-        rows. A search for ``need`` in the ``root`` entry, or a climb with
-        no need up to ``top``, closes them at once when the bits they would
-        hold at its answer reach the budget and a jump pays: the rows' bits
-        there are extended from their growth over the last span, and so are
-        the levels left to a search's answer."""
+        checkpoint where one falls. The stored rows close when their bits
+        reach ``_STORE_BITS``, and at no other time; the row that closes
+        them is the first checkpoint."""
         if self._marks is None:
             bits = _row_bits(row)
             self._bits += _SPAN * bits
-            if self._bits < _STORE_BITS:
-                gap = min(level, _SPAN)  # the last span's levels
-                below = self._rows[level - gap]
-                if need:
-                    left = need.bit_length() - row[root].bit_length()
-                    grown = row[root].bit_length() - below[root].bit_length()
-                    if left <= 0 or grown <= 0:
-                        return
-                    ahead = left * gap / grown  # the levels left to the answer
-                else:
-                    ahead = top - level
-                growth = (bits - _row_bits(below)) / gap  # row bits per level
-                future = ahead * (bits + growth * (ahead + _SPAN) / 2)
-                if self._bits + future < _STORE_BITS or self._power_of(_SPAN) is None:
-                    return
-            self._marks = (level, _SPAN, [row])
-            self._bits = bits
+            if self._bits >= _STORE_BITS:
+                self._marks = (level, _SPAN, [row])
+                self._bits = bits
         elif not (level - self._marks[0]) % self._marks[1]:
             self._mark(row)
 

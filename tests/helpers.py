@@ -20,6 +20,7 @@ from dtnum import (
     SeedSpec,
     Substitution,
     WeightContradiction,
+    core,
     find_seeds,
     make_system,
     rep,
@@ -149,6 +150,19 @@ class PlainRows:
             total += sum(self[k - 1 - i][y] for y in im[:d])
             x = im[d]
         return total
+
+
+def budget_close(naive: PlainRows) -> int:
+    """The level at which a length table's stored rows close, by their
+    budget alone: the first count level at which ``_SPAN`` times the bits
+    of each count level's row, summed, reach ``_STORE_BITS``. Both
+    constants are read at call time, so a patched budget counts."""
+    level, bits = core._SPAN - 1, 0
+    while True:
+        bits += core._SPAN * sum(v.bit_length() for v in naive[level])
+        if bits >= core._STORE_BITS:
+            return level
+        level += core._SPAN
 
 
 def horner_fold(sub: Substitution, x: int, digits: Sequence[int]) -> tuple[list[int], int]:

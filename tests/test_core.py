@@ -55,7 +55,7 @@ from dtnum.errors import (
     NoGrowingLetterError,
     UnknownLetterError,
 )
-from helpers import PlainRows, as_lists, expand_word, mat_pow, random_substitutions
+from helpers import PlainRows, as_lists, budget_close, expand_word, mat_pow, random_substitutions
 
 
 class TestParse:
@@ -566,17 +566,18 @@ class TestLengthTable:
         assert table.level(0, 51, 1, 7) == 50
 
     def test_a_cold_search_makes_one_product_per_checkpoint(self, monkeypatch):
-        """At the default budget a cold level search past the store steps to
-        its first checkpoint and jumps to every later one; the one jump past
-        its answer is dropped once, never retried. So it makes one
-        ``M^span`` product per checkpoint, at a span that never doubled."""
+        """At the default budget a cold level search past the store steps up
+        to the store's close, its first checkpoint, and jumps to every later
+        one; the one jump past its answer is dropped once, never retried. So
+        it makes one ``M^span`` product per checkpoint, at a span that never
+        doubled."""
         products = []
         times = core._times
         monkeypatch.setattr(core, "_times", lambda m, row: products.append(m) or times(m, row))
         marks_at = {
-            "a->abc,b->c,c->ac": (68, 227),
-            "a->aab,b->a": (61, 204),
-            "a->ab,b->ab": (77, 259),
+            "a->abc,b->c,c->ac": (57, 216),
+            "a->aab,b->a": (48, 191),
+            "a->ab,b->ab": (62, 244),
         }
         for text, counts in marks_at.items():
             for e, count in zip((3000, 10000), counts):
@@ -744,17 +745,16 @@ class TestStreamedTable:
     def test_jumped_checkpoints_match_the_naive_recursion(self):
         """Above the stored rows each checkpoint is one jump, ``M^span``
         times the checkpoint below, across several doublings of the span;
-        only the last part of a span is stepped. Tables grown in one climb
-        and in several hold the same checkpoints; row by row, no climb
-        looks past the next level, so the store fills up to its budget.
-        The layouts are (base, span, checkpoints, bits)."""
+        only the last part of a span is stepped. Tables grown in one climb,
+        in several and row by row hold the same layout, as the store closes
+        at its budget in each: (base, span, checkpoints, bits)."""
         expected = {
-            "a->abc,b->c,c->ac": [(34, 2560, 2, 8999)] * 2,
-            "a->aab,b->a": [(4, 2560, 2, 6532), (39, 2560, 2, 6709)],
-            "a->aab,b->b": [(4, 2560, 2, 2572), (59, 2560, 2, 2682)],
-            "a->ab,b->ab": [(44, 2560, 2, 5300)] * 2,
+            "a->abc,b->c,c->ac": (34, 2560, 2, 8999),
+            "a->aab,b->a": (39, 2560, 2, 6709),
+            "a->aab,b->b": (59, 2560, 2, 2682),
+            "a->ab,b->ab": (44, 2560, 2, 5300),
         }
-        for text, (climbed, stepped) in expected.items():
+        for text, layout in expected.items():
             sub = parse_substitution(text)
             naive = PlainRows(sub)
             naive[3000]
@@ -773,7 +773,7 @@ class TestStreamedTable:
                 layouts.append((base, span, len(marks), table._bits))
                 if len(reads) == 1:  # one climb: jumps, not a step per level
                     assert sum(steps) < 1500, (text, sum(steps))
-            assert layouts == [climbed, climbed, stepped], text
+            assert layouts == [layout] * 3, text
 
     def test_cold_level_search_builds_up_to_its_answer(self):
         """A level search on a new table jumps while the next checkpoint
@@ -829,16 +829,16 @@ class TestStreamedTable:
     @pytest.mark.parametrize(
         "bits, span, expected",
         [
-            (2000, 5, [(35, 34, 2560, 2, 8999), (5, 4, 2560, 2, 6532), (45, 44, 2560, 2, 5300)]),
-            (3000, 7, [(42, 41, 1792, 2, 6417), (7, 6, 1792, 2, 4588), (56, 55, 1792, 2, 3808)]),
+            (2000, 5, [(35, 34, 2560, 2, 8999), (40, 39, 2560, 2, 6709), (45, 44, 2560, 2, 5300)]),
+            (3000, 7, [(42, 41, 1792, 2, 6417), (49, 48, 1792, 2, 4802), (56, 55, 1792, 2, 3808)]),
             (400, 2, [(16, 15, 2048, 2, 7116), (18, 17, 2048, 2, 5295), (20, 19, 2048, 2, 4176)]),
         ],
         ids=["2000-bits-span-5", "3000-bits-span-7", "400-bits-span-2"],
     )
     def test_memory_policy_is_pinned(self, monkeypatch, bits, span, expected):
         """Where the store closes, where the checkpoints sit and the bits
-        they hold after ``row(3000)`` on a new table, one climb that weighs
-        its top level: (stored rows, base, span, checkpoints, bits)."""
+        they hold after ``row(3000)`` on a new table, the store closed at
+        its budget: (stored rows, base, span, checkpoints, bits)."""
         monkeypatch.setattr(core, "_STORE_BITS", bits)
         monkeypatch.setattr(core, "_CHECKPOINT_BITS", bits)
         monkeypatch.setattr(core, "_SPAN", span)
@@ -937,34 +937,12 @@ class TestStreamedTable:
             sys.setswitchinterval(interval)
 
 
-def _budget_close(naive: PlainRows) -> int:
-    """The level at which the stored rows close by their budget alone: the
-    first count level at which ``_SPAN`` times the bits of each count
-    level's row, summed, reach ``_STORE_BITS``."""
-    level, bits = core._SPAN - 1, 0
-    while True:
-        bits += core._SPAN * core._row_bits(naive[level])
-        if bits >= core._STORE_BITS:
-            return level
-        level += core._SPAN
-
-
-def test_a_cold_row_read_past_the_store_keeps_one_span():
-    """At the default budget a cold ``row`` read far past the store knows
-    its top level, as a climb of ``spans`` does: it closes the store after
-    one span and jumps, where filling it would store 6,272 rows."""
-    sub = parse_substitution("a->abc,b->c,c->ac")
-    assert image_length(sub, "a", 7000) == PlainRows(sub)[7000][sub.index["a"]]
-    table = sub.lengths
-    assert len(table._rows) <= core._SPAN == 128
-    assert table._marks is not None and table._front[0] == 7000
-
-
 class TestStoreClosesEarly:
-    """A level search whose answer the last span's growth puts past the
-    store budget, or a climb of ``row`` or ``spans`` to a level past it,
-    closes the stored rows at once, where a jump pays, and climbs by
-    jumps; every other climb fills the store up to its budget."""
+    """The stored rows close at their budget and at no other time, so a
+    level search or a climb of ``row`` or ``spans`` past the budget stores
+    the rows up to it, closing them before its answer, and climbs by jumps
+    from there; one within it stores every row it reads. A table's layout
+    depends on its front alone."""
 
     TEXTS = ("a->abc,b->c,c->ac", "a->aab,b->a", "a->ab,b->ab")
 
@@ -975,14 +953,14 @@ class TestStoreClosesEarly:
         monkeypatch.setattr(core, "_CHECKPOINT_BITS", 400_000)
         monkeypatch.setattr(core, "_SPAN", 16)
 
-    def test_a_search_past_the_store_keeps_one_span(self):
+    def test_a_search_past_the_store_fills_it_to_its_budget(self):
         rng = random.Random(21)
         for text in self.TEXTS:
             sub = parse_substitution(text)
             assert _LengthTable(sub.image_idx)._power_of(core._SPAN) is not None
             naive = PlainRows(sub)
             naive[2500]
-            close = _budget_close(naive)
+            close = budget_close(naive)
             assert 300 < close < 1500, text
             root = sub.index["a"]
             for level in [close + 40, 1500, 2400] + rng.sample(range(close + 1, 2400), 4):
@@ -993,7 +971,7 @@ class TestStoreClosesEarly:
                     table = _LengthTable(sub.image_idx)
                     assert table.level(root, need, r, p) == k, (text, need, r, p)
                     stored = len(table._rows)
-                    assert stored <= core._SPAN, (text, level)
+                    assert stored == close + 1, (text, level)
                     assert as_lists(table._rows) == naive.rows[:stored]
                     base, span, marks = table._marks
                     assert base == stored - 1
@@ -1001,19 +979,18 @@ class TestStoreClosesEarly:
                     assert table._front[0] == k and list(table._front[1]) == naive[k]
                     assert as_lists(_levels(table, k + 1)) == naive.rows[: k + 1], (text, k)
 
-    def test_spans_past_the_store_keeps_one_span(self):
-        """``spans(k)`` knows the level it climbs to: a cold one whose rows
-        would pass the budget closes the store after one span, one well
-        within it stores every row it reads."""
+    def test_spans_past_the_store_fills_it_to_its_budget(self):
+        """``spans(k)`` past the budget stores the rows up to it and streams
+        the levels above; one well within it stores every row it reads."""
         for text in self.TEXTS:
             sub = parse_substitution(text)
             naive = PlainRows(sub)
             naive[2500]
-            close = _budget_close(naive)
+            close = budget_close(naive)
             for k in (close + 40, 1500, 2500):
                 table = _LengthTable(sub.image_idx)
                 assert as_lists(_levels(table, k)) == naive.rows[:k], (text, k)
-                assert len(table._rows) <= core._SPAN, (text, k)
+                assert len(table._rows) == close + 1, (text, k)
                 assert table._front[0] == k - 1
             for k in (close // 2, 3 * close // 4):
                 table = _LengthTable(sub.image_idx)
@@ -1022,33 +999,28 @@ class TestStoreClosesEarly:
 
     def test_a_search_that_fits_fills_the_store_as_before(self):
         """A level search whose answer fits keeps every row up to it, as
-        before. A climb of ``row`` to 1600, whose rows would pass the
-        budget, then closes the store at the first count level above that
-        answer, as a table grown by that ``row`` read alone closes it at
-        the first count level. The layouts after ``row(1600)``, for the
-        table grown alone and for each level searched first (0, 1,
-        ``close // 2``, ``3 * close // 4``), are (base, span, checkpoints,
-        bits)."""
+        before. A climb of ``row`` to 1600 then closes the store at its
+        budget, as a table grown by that ``row`` read alone closes it. The
+        layout after ``row(1600)``, for the table grown alone and for each
+        level searched first (0, 1, ``close // 2``, ``3 * close // 4``),
+        is (base, span, checkpoints, bits)."""
         expected = {
-            "a->abc,b->c,c->ac": [(15, 16, 100, 276341)] * 3
-            + [(255, 16, 85, 269810), (367, 16, 78, 262543)],
-            "a->aab,b->a": [(15, 16, 100, 205260)] * 3
-            + [(287, 16, 83, 199072), (431, 16, 74, 191037)],
-            "a->ab,b->ab": [(15, 16, 100, 161600)] * 3
-            + [(335, 16, 80, 154880), (495, 16, 70, 146720)],
+            "a->abc,b->c,c->ac": (479, 16, 71, 252593),
+            "a->aab,b->a": (559, 16, 66, 181125),
+            "a->ab,b->ab": (639, 16, 61, 136640),
         }
         assert tuple(expected) == self.TEXTS
-        for text, layouts in expected.items():
+        for text, layout in expected.items():
             sub = parse_substitution(text)
             naive = PlainRows(sub)
             naive[1600]
-            close = _budget_close(naive)
+            close = budget_close(naive)
             grown = _LengthTable(sub.image_idx)  # by one row read alone
             grown.row(1600)
             base, span, marks = grown._marks
-            assert (base, span, len(marks), grown._bits) == layouts[0], text
+            assert (base, span, len(marks), grown._bits) == layout, text
             root = sub.index["a"]
-            for level, layout in zip((0, 1, close // 2, 3 * close // 4), layouts[1:]):
+            for level in (0, 1, close // 2, 3 * close // 4):
                 need = naive[level][root]
                 k = naive.level(root, need, 0, 1)
                 table = _LengthTable(sub.image_idx)
@@ -1057,7 +1029,7 @@ class TestStoreClosesEarly:
                 table.row(1600)
                 base, span, marks = table._marks
                 assert (base, span, len(marks), table._bits) == layout, (text, level)
-                assert base == (k + 1) // core._SPAN * core._SPAN + core._SPAN - 1 < close
+                assert base == close
                 assert len(marks) == (1600 - base) // span + 1
                 assert len(table._rows) == base + 1
                 assert as_lists(table._rows) == naive.rows[: base + 1]
@@ -1068,35 +1040,66 @@ class TestStoreClosesEarly:
         """Ascending ``row`` reads, each one level past the last, and a
         level search on a 30-letter cycle, whose jumps do not pay, fill the
         store up to its budget, though the cycle's search finds its answer
-        past it."""
+        past it; a jump's cost is first weighed once the store has closed."""
         for text in self.TEXTS:
             sub = parse_substitution(text)
             naive = PlainRows(sub)
             table = _LengthTable(sub.image_idx)
             for level in range(1600):
                 assert list(table.row(level)) == naive[level], (text, level)
-            close = _budget_close(naive)
+            close = budget_close(naive)
             assert len(table._rows) == close + 1 and table._marks[0] == close, text
         cycle = ", ".join(["x0 -> x0 x1"] + [f"x{i} -> x{(i + 1) % 30}" for i in range(1, 30)])
         sub = parse_substitution(cycle)
         naive = PlainRows(sub)
-        close = _budget_close(naive)
+        close = budget_close(naive)
         need = naive[3 * close][0]
         k = naive.level(0, need, 0, 1)
-        asked = []  # the levels at which a jump's cost is weighed
+        asked = []  # the stored rows when a jump's cost is weighed
         power_of = _LengthTable._power_of
         monkeypatch.setattr(
             _LengthTable, "_power_of", lambda t, span: asked.append(len(t._rows)) or power_of(t, span)
         )
         table = _LengthTable(sub.image_idx)
         assert table.level(0, need, 0, 1) == k
-        assert asked and asked[0] < close  # the estimate passed the budget early ...
-        assert table._power_of(core._SPAN) is None  # ... but a jump does not pay
+        assert asked and asked[0] == close + 1  # weighed past the budget only ...
+        assert table._power_of(core._SPAN) is None  # ... where a jump does not pay
         assert len(table._rows) == close + 1 and as_lists(table._rows) == naive.rows[: close + 1]
         base, span, marks = table._marks
         assert base == close
         assert all(list(m) == naive[base + i * span] for i, m in enumerate(marks))
         assert as_lists(_levels(table, k + 1)) == naive.rows[: k + 1]
+
+    def test_the_layout_depends_on_the_front_alone(self):
+        """A table grown by random ``level``, ``row`` and ``spans`` reads,
+        below the budget and past it, holds the layout (stored rows, base,
+        span, checkpoints, bits) of a new table grown by one ``row`` read
+        of its front."""
+        rng = random.Random(31)
+
+        def layout(table):
+            base, span, marks = table._marks or (None, None, ())
+            return len(table._rows), base, span, len(marks), table._bits
+
+        for text in self.TEXTS:
+            sub = parse_substitution(text)
+            naive = PlainRows(sub)
+            naive[2500]
+            root = sub.index["a"]
+            for _ in range(6):
+                table = _LengthTable(sub.image_idx)
+                for _ in range(rng.randint(1, 5)):
+                    read, level = rng.choice(("level", "row", "spans")), rng.randrange(2500)
+                    if read == "level":
+                        p = rng.randint(1, 3)
+                        table.level(root, naive[level][root] + rng.randrange(2), rng.randrange(p), p)
+                    elif read == "row":
+                        table.row(level)
+                    else:
+                        table.spans(level + 1)
+                front = _LengthTable(sub.image_idx)
+                front.row(table._front[0])
+                assert layout(table) == layout(front), (text, table._front[0])
 
 
 class TestClimbAgainstPlainRows:
@@ -1170,7 +1173,7 @@ class TestCollector:
         table leaves the collector's settings as they were."""
         enabled, threshold = gc.isenabled(), gc.get_threshold()
         tables = []
-        for exponent in (1000, 3000):
+        for exponent in (300, 3000):  # within the default store, and past it
             table = parse_substitution("a->abc,b->c,c->ac").lengths
             table.level(0, 10**exponent + 4243, 0, 1)
             tables.append(table)

@@ -40,6 +40,7 @@ from dtnum.errors import (
     SideMissingError,
 )
 from helpers import (
+    budget_close,
     canonicality_words,
     check_fingerprints,
     corpus_systems,
@@ -726,8 +727,11 @@ class TestStreamedRows:
         that bound allows from its first row, as the table's own climb
         counts them, and the digits still equal the reference's. The
         offsets are a level's first and last columns and both sides of
-        each boundary between the root's children, where blocks fail."""
-        monkeypatch.setattr(core, "_STORE_BITS", 100_000)
+        each boundary between the root's children, where blocks fail. The
+        budget closes both stores at level 127, whose entries of about 128
+        bits are too short to shift even half a block, so the lowest block
+        is read exactly, in halves."""
+        monkeypatch.setattr(core, "_STORE_BITS", 10_000)
         monkeypatch.setattr(core, "_SPAN", 128)
         monkeypatch.setattr(core, "_BLOCK_BITS", 20_000)
         reads = []  # per exact read: the levels it steps, and those allowed
@@ -760,11 +764,14 @@ class TestStreamedRows:
         assert reads
 
     def test_smaller_reads_after_an_early_close(self, monkeypatch):
-        """A cold ``rep`` whose level search lies past the store closes it
-        after one span and jumps; ``rep`` and ``val`` of smaller values then
-        read the same table through its blocks, on both sides, down to a
-        level's last value (a right edge) and its first (offset 0)."""
-        monkeypatch.setattr(core, "_STORE_BITS", 1_000_000)
+        """A cold ``rep`` whose level search lies past the store fills it
+        up to its budget, closing it below the answer, and jumps; ``rep``
+        and ``val`` of smaller values then read the same table through its
+        stored rows and its blocks, on both sides, down to a level's last
+        value (a right edge) and its first (offset 0)."""
+        # the stores close at levels 511 and 639: above the words of 10^100,
+        # below those of 10^300
+        monkeypatch.setattr(core, "_STORE_BITS", 500_000)
         monkeypatch.setattr(core, "_SPAN", 128)
         rng = random.Random(14)
         for text, seed in (("a->abc,b->c,c->ac", "c|a"), ("a->aab,b->a", "b|a")):
@@ -773,7 +780,8 @@ class TestStreamedRows:
             table = sub.lengths
             for n in (10**1000 + 4242, -(10**1000) - 4242):
                 assert rep(ns, n) == reference_rep(ns, n), (text, n)
-            assert len(table._rows) == core._SPAN, text  # closed early
+            close = budget_close(PlainRows(sub))
+            assert len(table._rows) == close + 1, text  # closed at the budget
             right, left = sub.index[ns.right], sub.index[ns.left]
             values = [sign * rng.randrange(10**e, 2 * 10**e) for e in (30, 100, 300) for sign in (1, -1)]
             for need in (10**100, 10**300):
@@ -784,31 +792,7 @@ class TestStreamedRows:
                 assert word == reference_rep(ns, n), (text, n)
                 assert val(ns, word) == (n, True), (text, n)
             _assert_streamed(sub, len(word.digits))
-            assert len(table._rows) == core._SPAN, text
-
-    def test_cold_val_closes_the_store_early(self, monkeypatch):
-        """A cold ``val`` climbs to its word's length, a level it knows
-        exactly: at the default budget, a word past the store closes it
-        after one span and jumps, as a cold ``rep`` of its value does, and
-        answers as on a warm table. Smaller reads of the same table then
-        match the reference."""
-        monkeypatch.setattr(core, "_STORE_BITS", 2**26)
-        monkeypatch.setattr(core, "_SPAN", 128)
-        rng = random.Random(15)
-        text, seed = "a->abc,b->c,c->ac", "c|a"
-        warm = make_system(text, seed)
-        for n in (10**3000 + 4242, -(10**3000) - 4242):
-            word = rep(warm, n)
-            ns = make_system(text, seed)  # a new table
-            assert val(ns, word) == val(warm, word) == (n, True), n
-            assert len(ns.substitution.lengths._rows) <= core._SPAN, n
-        smaller = [rng.randrange(10**e, 2 * 10**e) for e in (3, 100, 300)]
-        for n in smaller + [-n for n in smaller]:
-            word = rep(ns, n)
-            assert word == reference_rep(ns, n), n
-            assert val(ns, word) == (n, True), n
-        _assert_streamed(ns.substitution, len(word.digits))
-        assert len(ns.substitution.lengths._rows) <= core._SPAN
+            assert len(table._rows) == close + 1, text
 
     def test_rep_and_val_match_the_reference(self, small_budget, golden_complement):
         rng = random.Random(20261018)
@@ -947,6 +931,24 @@ class TestStoredRowsInPlace:
                                 streamed += 1
         assert stored > 100 and streamed > 100, (stored, streamed)
 
+    def test_round_trips_at_10_300_read_no_block(self, golden_complement):
+        """At the default budget every golden system's store closes above
+        the levels of the words of ±10^300 (the eight-letter ones at level
+        1,023, above 998): a table filled by those two ``rep`` calls holds
+        every level that a round trip of a smaller value reads, so none
+        reads a block."""
+        for entry, ns in golden_complement:
+            sub = _fresh(ns.substitution)
+            ns = NumerationSystem(sub, ns.seed, ns.residue)
+            close = budget_close(PlainRows(sub))
+            for sign in (1, -1):
+                if ns.contains(sign):
+                    word = rep(ns, sign * 10**300)
+                    assert len(word.digits) < close, (entry["name"], sign)
+                    assert val(ns, word) == (sign * 10**300, True)
+            assert sub.lengths._marks is None, entry["name"]
+            assert sub.lengths._front[0] < close, entry["name"]
+
     def test_threads_build_tables_from_one_text(self):
         """Two threads each make a system from one text, on a cold kernel
         cache, and run ``rep`` at once: their words and rows equal those
@@ -1043,12 +1045,13 @@ class TestBlockKernels:
     def test_rep_through_descend_matches_the_reference(self, monkeypatch, small_budget):
         """Under a small budget the words are read through shifted blocks
         and the stored rows; at the default budget through the stored rows
-        alone, by the kernel's exact descent."""
+        alone, by the kernel's exact descent: the 60-letter system's store
+        closes at level 383, above the words of 10^100."""
         log = _BlockLog(monkeypatch)
         rng = random.Random(8)
         for ns in _kernel_systems():
             ns = NumerationSystem(_fresh(ns.substitution), ns.seed, ns.residue)
-            for exponent in (30, 300):
+            for exponent in (30, 300 if small_budget else 100):
                 for sign in (1, -1):
                     n = sign * rng.randrange(10**exponent, 2 * 10**exponent)
                     word = rep(ns, n)
