@@ -18,7 +18,7 @@ from collections import Counter
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 from operator import attrgetter, itemgetter, mul
-from typing import Iterable, Literal, Optional, Sequence, Union
+from typing import Callable, Iterable, Literal, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
     DigitCapExceededError,
@@ -70,9 +70,10 @@ _BLOCK_BITS = 2**20
 # one of d digits makes about d passes over the big one
 _DIGIT_BITS = sys.int_info.bits_per_digit
 
-# the distinct image sets whose generated code stays compiled: tables of
-# equal images share their kernels, as ``re`` shares compiled patterns, and
-# the least recently used set past this many is compiled again when next used
+# the distinct image sets whose kernels stay compiled (``compile_kernels``):
+# tables and substitutions of equal images share them, as ``re`` shares
+# compiled patterns, and the least recently used set past this many is
+# compiled again when next used
 _KERNEL_CACHE = 128
 
 
@@ -173,22 +174,105 @@ def _steps_source(image_idx: tuple[tuple[int, ...], ...], sums=None) -> str:
     return "\n".join(lines) + "\n"
 
 
+class Kernels(NamedTuple):
+    """The generated code of one image set (``_kernel_source``), and the
+    big additions one row step makes, for ``_power_of``."""
+
+    steps: Callable[[tuple[int, ...], int], list[tuple[int, ...]]]
+    adds: int
+    fold: Callable[[int, Sequence[int]], tuple[list[int], int]]
+    descend: Callable[[list[tuple[int, ...]], int, int], tuple[list[int], int, int]]
+
+
 @lru_cache(maxsize=_KERNEL_CACHE)
-def _row_step(image_idx: tuple[tuple[int, ...], ...]):
-    """The row-step kernel ``steps`` of the images (``_steps_source``) and
-    the big additions one step makes, for ``_power_of``; compiled once per
-    distinct image set and shared by every table of those images."""
+def compile_kernels(image_idx: tuple[tuple[int, ...], ...]) -> Kernels:
+    """The kernels of the images ``image_idx``: their one source run by one
+    ``exec``, with no builtins but ``sum`` and ``range``. Every length
+    table and substitution of equal images shares them; a table compiles
+    the read kernels with its ``steps``, also where no read descends it."""
     entries, temps = sums = _shared_sums(image_idx)
     adds = len(temps) + sum(sum(entry.values()) - 1 for entry in entries)
-    return _compile(_steps_source(image_idx, sums))["steps"], adds
+    namespace = {"__builtins__": {}, "sum": sum, "range": range}
+    exec(_kernel_source(image_idx, sums), namespace)
+    return Kernels(namespace["steps"], adds, namespace["fold"], namespace["descend"])
 
 
-def _compile(source: str, **names) -> dict:
-    """The namespace of ``source`` run with no builtins but ``sum``, ``range``
-    and ``names``."""
-    namespace = {"__builtins__": {}, "sum": sum, "range": range, **names}
-    exec(source, namespace)
-    return namespace
+def _kernel_source(image_idx: tuple[tuple[int, ...], ...], sums) -> str:
+    """Source of the three kernels of the images, their state in locals:
+    the row step ``steps`` (``_steps_source``, from the images'
+    ``_shared_sums`` ``sums``) and the two that read rows.
+
+    - ``fold(x, digits)``: a path's prefix counts from letter ``x`` down a
+      block, folded by Horner's rule with the transposed step; returns
+      ``(w, y)``, ``y`` the letter below the last digit. A digit past its
+      image raises ``IndexError``, which ``numeration`` names.
+    - ``descend(rows, x, t)``: the descent from letter ``x`` at offset
+      ``t`` down ``rows``, top level last: at each level the child digit
+      is the first child whose row entry exceeds the offset left, less
+      the entries of the children before it; returns ``(digits, y, t)``,
+      ``y`` the letter and ``t`` the offset reached. An offset past every
+      other child takes the last child, so it never raises.
+
+    Each level branches on its letter by a binary tree of ``if``/``else``,
+    so the code nests only ``log2`` of the alphabet deep. In ``descend``
+    every child but the last is one flat test ending in ``continue``, and
+    the last child is taken unchecked. On exact rows an offset in range
+    stays in range, and one past a letter's width stays past the width of
+    every letter below it, so the offset reached tells which it was: on
+    the stored rows, down to the all-ones level 0, it is 0 exactly when
+    the offset was in range. A shifted row is the exact sum of the
+    shifted row below, so an offset past a letter's width passes every
+    non-last child below it too, and the exact remainder check after the
+    kernel decides the digits. The code grows linearly with the images;
+    compiling it is the cost of the first table of images the cache does
+    not hold: about 0.5 ms on 3 letters, 7-10 ms on 60.
+    """
+    m = len(image_idx)
+    ws = ", ".join(f"w{y}" for y in range(m))
+    zeros = " = ".join(f"w{y}" for y in range(m)) + " = 0"
+    transposed: list[list[int]] = [[] for _ in range(m)]
+    for x, im in enumerate(image_idx):
+        for y in im:
+            transposed[y].append(x)
+    back, back_values = _sum_source(_shared_sums(transposed), [f"w{y}" for y in range(m)], "u")
+    back.append(f"{ws}, = {', '.join(back_values)},")
+
+    def branches(lo: int, hi: int, indent: str, leaf):
+        if hi - lo == 1:
+            yield from (indent + line for line in leaf(image_idx[lo]))
+            return
+        mid = (lo + hi) // 2
+        yield f"{indent}if x < {mid}:"
+        yield from branches(lo, mid, indent + "    ", leaf)
+        yield f"{indent}else:"
+        yield from branches(mid, hi, indent + "    ", leaf)
+
+    def fold_leaf(im: tuple[int, ...]):
+        for i, y in enumerate(im[:-1]):
+            yield f"w{y} += d > {i}"
+        yield f"x = {im}[d]"  # IndexError past the image
+
+    def descend_leaf(im: tuple[int, ...]):
+        for d, y in enumerate(im[:-1]):
+            yield f"if t < (v := row[{y}]): x = {y}; add({d}); continue"
+            yield "t -= v"
+        yield f"x = {im[-1]}; add({len(im) - 1})"
+
+    lines = [
+        "def fold(x, digits):",
+        f"    {zeros}",
+        "    for d in digits:",
+        *(f"        {line}" for line in back),
+        *branches(0, m, "        ", fold_leaf),
+        f"    return [{ws}], x",
+        "def descend(rows, x, t):",
+        "    digits = []",
+        "    add = digits.append",
+        "    for row in rows[::-1]:",
+        *branches(0, m, "        ", descend_leaf),
+        "    return digits, x, t",
+    ]
+    return _steps_source(image_idx, sums) + "\n".join(lines) + "\n"
 
 
 def _row_bits(row: Sequence[int]) -> int:
@@ -212,8 +296,9 @@ class _LengthTable:
     """Grow-on-demand rows of ``|mu^level(x)|`` per letter index.
 
     Every row is stepped up from a row below by one kernel, generated from
-    integer letter indices only (``_steps_source``) and shared by equal
-    images through a bounded cache (``_row_step``): ``steps(c, count)``
+    integer letter indices only (``_steps_source``) and compiled with the
+    read kernels of the same images by ``compile_kernels``, whose bounded
+    cache shares them between equal images: ``steps(c, count)``
     returns the ``count`` rows from ``c`` up, ``c`` first, keeping the row
     in one local per letter and building each level as one tuple. Entries
     share the partial sums that two or more of them need, so
@@ -275,7 +360,8 @@ class _LengthTable:
 
     def __init__(self, image_idx: tuple[tuple[int, ...], ...]):
         # the row-step kernel and the big additions of one step
-        self._steps, self._adds = _row_step(image_idx)
+        kernels = compile_kernels(image_idx)
+        self._steps, self._adds = kernels.steps, kernels.adds
         # (span, M^span, whether a jump pays), by ``_power_of``
         self._power: Optional[tuple[int, list[list[int]], Optional[bool]]] = None
         self._rows: list[tuple[int, ...]] = [(1,) * len(image_idx)]
@@ -668,12 +754,10 @@ class Substitution(_Record):
         return _LengthTable(self.image_idx)
 
     @cached_property
-    def kernels(self):
-        """The descent and fold kernels of ``dtnum.kernels``, fetched once:
-        a fetch from its cache hashes the nested image tuples."""
-        from . import kernels
-
-        return kernels.compile_kernels(self.image_idx, self.alphabet)
+    def kernels(self) -> Kernels:
+        """The kernels of the images (``compile_kernels``), fetched once: a
+        fetch from the cache hashes the nested image tuples."""
+        return compile_kernels(self.image_idx)
 
     # -- letter-level helpers ----------------------------------------------
 

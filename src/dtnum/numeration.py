@@ -2,21 +2,22 @@
 
 Integers map to digit words by descending the prefix-decomposition tree
 with exact image lengths; ``mu^k(seed)`` is never expanded as a string.
-Every level of the descent runs in one loop, the ``descend`` kernel of
-``dtnum.kernels``, fetched once per substitution (``Substitution.kernels``,
-shared by equal images). Above a fixed memory budget the length table
-keeps only checkpoint rows, and the maps read each block of levels above
-a checkpoint through small integers: a path's sum over the block is a
-short vector, folded by the transposed row step (``fold``), dotted with
-the checkpoint, and the descent runs on the block's rows shifted down to
-a few hundred bits by the table's row step (``block_rows``), checked
-exactly by that sum (``_descend_blocks``), and a block that fails is
-redone on exact rows a bounded part at a time. So values with hundreds
-of thousands of digits are fine. The kernels keep their state in locals
-and call nothing per level but ``append``. A ``val`` whose reads stay in
-the stored rows imports no kernel.
-The sign digit 0/1 selects the non-negative/negative subtree of a
-two-sided system.
+Every level of the descent runs in one loop, the ``descend`` kernel that
+``core.compile_kernels`` generates, fetched once per substitution
+(``Substitution.kernels``, shared by equal images). Above a fixed memory
+budget the length table keeps only checkpoint rows, and the maps read
+each block of levels above a checkpoint through small integers: a path's
+sum over the block is a short vector, folded by the transposed row step
+(``fold``), dotted with the checkpoint, and the descent runs on the
+block's rows shifted down to a few hundred bits by the table's row step
+(``block_rows``), checked exactly by that sum (``_descend_blocks``), and
+a block that fails is redone on exact rows a bounded part at a time. So
+values with hundreds of thousands of digits are fine. The kernels keep
+their state in locals and call nothing per level but ``append``. A
+digit past its letter's image raises ``IndexError`` in ``fold`` or in
+the loop over the stored rows, and ``_evaluate_path`` alone names it
+(``DigitOutOfRangeError``). The sign digit 0/1 selects the
+non-negative/negative subtree of a two-sided system.
 
 ``rep`` finds its level by the length table's ``level``: the least
 admissible ``k`` with ``|mu^k(root)| >= need``, where ``need`` is
@@ -200,7 +201,7 @@ def _descend_blocks(
     one checkpoint per halving.
     """
     lengths = sub.lengths
-    fold, descend = sub.kernels
+    _, _, fold, descend = sub.kernels
     # the bits the longest image adds to an offset per level
     image_bits = max(map(len, sub.image_idx)).bit_length()
     growing = [sub.index[a] for a in sub.growing]
@@ -324,25 +325,34 @@ def _evaluate_path(
         i += 1
     rows, top, blocks = lengths.spans(k - i)
     total = 0
-    if blocks:
-        fold = sub.kernels.fold
-        for checkpoint, count in blocks:
-            w, x = fold(x, digits[i : i + count])
-            i += count
-            total += sum(map(mul, w, checkpoint))
     widths: list[int] = []
     add = widths.append
-    # iterated, not indexed per level: ``rows[j]`` per level is slower
-    for row, d in zip(reversed(rows[:top]), digits[i:]):
-        im = image_idx[x]
-        if d >= len(im):
-            raise DigitOutOfRangeError(
-                f"digit {d} >= |image({sub.alphabet[x]})| = {len(im)}"
-            )
-        if d:
-            for y in im[:d]:
-                add(row[y])
-        x = im[d]
+    try:
+        if blocks:
+            fold = sub.kernels.fold
+            for checkpoint, count in blocks:
+                w, x = fold(x, digits[i : i + count])
+                i += count
+                total += sum(map(mul, w, checkpoint))
+        # iterated, not indexed per level: ``rows[j]`` per level is slower
+        for row, d in zip(reversed(rows[:top]), digits[i:]):
+            im = image_idx[x]
+            if d:
+                for y in im[:d]:
+                    add(row[y])
+            x = im[d]
+    except IndexError:
+        # the first digit past its image, from the root; an IndexError
+        # that no digit explains is raised again
+        x = root
+        for d in digits:
+            im = image_idx[x]
+            if d >= len(im):
+                raise DigitOutOfRangeError(
+                    f"digit {d} >= |image({sub.alphabet[x]})| = {len(im)}"
+                ) from None
+            x = im[d]
+        raise
     # smallest first: the running total grows with its terms instead of
     # being copied at full size by every addition
     total += sum(reversed(widths))

@@ -502,8 +502,6 @@ print(code, *sorted(m for m in sys.modules if m == "json" or m.split(".")[0] == 
 """
 _BASE = ("dtnum", "dtnum.cli", "dtnum.core", "dtnum.errors")
 _NUMERATION = _BASE + ("dtnum.numeration",)
-# ``rep`` reads every level through the compiled ``descend`` kernel
-_REP = _NUMERATION + ("dtnum.kernels",)
 
 # every name the package exported eagerly before its namespace became lazy,
 # less the test-only baselines that moved to tests/helpers.py
@@ -531,10 +529,10 @@ class TestImports:
     @pytest.mark.parametrize(
         "argv, modules",
         [
-            (("rep", "--sub", SUB3, "--seed", "c|a", "-n", "-5"), _REP),
-            (("rep", "--sub", SUB3, "--seed", "c|a", "--range", "-3..3"), _REP),
+            (("rep", "--sub", SUB3, "--seed", "c|a", "-n", "-5"), _NUMERATION),
+            (("rep", "--sub", SUB3, "--seed", "c|a", "--range", "-3..3"), _NUMERATION),
             (("rep", "--sub", SUB3, "--seed", "c|a", "-n", "5", "--format", "json"),
-             _REP + ("json",)),
+             _NUMERATION + ("json",)),
             (("val", "--sub", SUB3, "--seed", "c|a", "--word", "100"), _NUMERATION),
             (("tree", "--sub", SUB3, "--seed", "c|a", "--depth", "3"),
              _NUMERATION + ("dtnum.trees",)),

@@ -44,7 +44,7 @@ from dtnum import (
     val,
     validate_seed,
 )
-from dtnum import core, kernels
+from dtnum import core
 from dtnum.core import _LengthTable, _shared_sums, _steps_source, _sum_source
 from dtnum.errors import (
     DigitCapExceededError,
@@ -937,7 +937,7 @@ class TestStreamedTable:
             sys.setswitchinterval(interval)
 
 
-class TestStoreClosesEarly:
+class TestStoreClosesAtItsBudget:
     """The stored rows close at their budget and at no other time, so a
     level search or a climb of ``row`` or ``spans`` past the budget stores
     the rows up to it, closing them before its answer, and climbs by jumps
@@ -1187,27 +1187,27 @@ class TestCollector:
 
 
 class TestSharedKernels:
-    """Generated code is a pure function of the images, so tables of equal
-    images share it through a bounded cache; their rows stay their own."""
+    """Generated code is a pure function of the images, so tables and
+    substitutions of equal images share it through one bounded cache;
+    their rows stay their own."""
 
     def test_equal_texts_share_the_kernels(self, monkeypatch):
         text = "a->abc,b->c,c->ac"
         first_sub = make_system(text, "c|a").substitution
         first = first_sub.lengths
-        fetched = kernels.compile_kernels(first_sub.image_idx, first_sub.alphabet)
+        fetched = core.compile_kernels(first_sub.image_idx)
+        assert first_sub.kernels is fetched
         compiled = []
-        for module in (core, kernels):
-            compile_ = module._compile
-            monkeypatch.setattr(
-                module,
-                "_compile",
-                lambda source, compile_=compile_, **names: compiled.append(source)
-                or compile_(source, **names),
-            )
+        source = core._kernel_source
+        monkeypatch.setattr(
+            core,
+            "_kernel_source",
+            lambda image_idx, sums: compiled.append(image_idx) or source(image_idx, sums),
+        )
         second_sub = make_system(text, "c|a").substitution
         second = second_sub.lengths
         assert second._steps is first._steps
-        assert kernels.compile_kernels(second_sub.image_idx, second_sub.alphabet) is fetched
+        assert second_sub.kernels is fetched
         assert compiled == []  # a second table from the same images compiles nothing
         second.row(40)
         assert second._rows is not first._rows and len(first._rows) == 1
@@ -1222,9 +1222,7 @@ class TestSharedKernels:
         tables = [ns.substitution.lengths, renamed.substitution.lengths]
         assert ns.substitution.image_idx == renamed.substitution.image_idx
         assert tables[0]._steps is tables[1]._steps
-        subs = [ns.substitution, renamed.substitution]
-        fetched = [kernels.compile_kernels(sub.image_idx, sub.alphabet) for sub in subs]
-        assert fetched[0] is not fetched[1]
+        assert ns.substitution.kernels is renamed.substitution.kernels
         word = rep(ns, 10**60)
         bad = DigitWord((3,) + word.digits[1:], 0)  # the root's image has 3 letters
         for system, table, letter in ((ns, tables[0], "a"), (renamed, tables[1], "x")):
@@ -1240,10 +1238,9 @@ class TestSharedKernels:
         assert len({sub.image_idx for sub in subs}) > bound
         for sub in subs:
             _LengthTable(sub.image_idx)
-            kernels.compile_kernels(sub.image_idx, sub.alphabet)
-        for cached in (core._row_step, kernels.compile_kernels):
-            info = cached.cache_info()
-            assert info.currsize == info.maxsize == bound
+            assert sub.kernels is core.compile_kernels(sub.image_idx)
+        info = core.compile_kernels.cache_info()
+        assert info.currsize == info.maxsize == bound
 
 
 _NAME_CHARS = st.sampled_from("ab->|,;. \t\n") | st.characters()

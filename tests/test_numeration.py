@@ -29,7 +29,7 @@ from dtnum import (
     NumerationSystem,
     Substitution,
 )
-from dtnum import core, kernels, numeration
+from dtnum import core, numeration
 from dtnum.errors import (
     DigitCapExceededError,
     DigitOutOfRangeError,
@@ -577,7 +577,7 @@ class _BlockLog:
         self.reading = False  # inside ``_descend_blocks``
         block_rows = core._LengthTable.block_rows
         descend_blocks = numeration._descend_blocks
-        compile_ = kernels.compile_kernels
+        compile_ = core.compile_kernels
 
         def logged(table, checkpoint, count, shift=0):
             self.calls.append((id(checkpoint), shift))
@@ -590,8 +590,8 @@ class _BlockLog:
             finally:
                 self.reading = False
 
-        def counted(image_idx, alphabet):
-            compiled = compile_(image_idx, alphabet)
+        def counted(image_idx):
+            compiled = compile_(image_idx)
 
             def fold(*args):
                 self.checked += self.reading
@@ -601,7 +601,7 @@ class _BlockLog:
 
         monkeypatch.setattr(core._LengthTable, "block_rows", logged)
         monkeypatch.setattr(numeration, "_descend_blocks", reading)
-        monkeypatch.setattr(kernels, "compile_kernels", counted)
+        monkeypatch.setattr(core, "compile_kernels", counted)
 
     @property
     def shifted(self) -> int:
@@ -961,7 +961,7 @@ class TestStoredRowsInPlace:
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(5):
-                core._row_step.cache_clear()
+                core.compile_kernels.cache_clear()
                 systems = [None, None]
                 words = [None, None]
 
@@ -1007,6 +1007,15 @@ def _kernel_systems() -> list[NumerationSystem]:
     return [_kernel_system(rng, size) for size in sizes] + [_kernel_system(rng, 3, 150)]
 
 
+def _raised(sub: Substitution, x: int, digits, i: int, past: int) -> tuple[int, ...]:
+    """``digits`` below letter ``x`` with digit ``i`` raised ``past``
+    beyond the last child of its letter."""
+    y = x
+    for d in digits[:i]:
+        y = sub.image_idx[y][d]
+    return (*digits[:i], len(sub.image_idx[y]) + past, *digits[i + 1 :])
+
+
 class TestBlockKernels:
     """The compiled block-read kernels against references that do not use
     them: ``fold`` against a plain Horner fold, ``rep`` (whose blocks run
@@ -1017,27 +1026,53 @@ class TestBlockKernels:
         pass
 
     def test_fold_matches_a_plain_horner_fold(self):
+        """``fold`` equals the plain fold, and raises ``IndexError`` on a
+        digit past its image, which ``val`` names as the plain fold does:
+        on random paths, and on the word of 10^300 with a digit raised in
+        a block and in the stored rows."""
         rng = random.Random(7)
         for ns in _kernel_systems():
             sub = ns.substitution
-            fold = kernels.compile_kernels(sub.image_idx, sub.alphabet).fold
+            fold = sub.kernels.fold
             for _ in range(20):
                 x = rng.randrange(len(sub.alphabet))
                 digits = random_path(rng, sub, sub.alphabet[x], rng.randrange(60))
                 assert fold(x, digits) == horner_fold(sub, x, digits), (sub, x, digits)
-                if not digits:
-                    continue
-                # a digit past its image: today's error text, from both
-                i = rng.randrange(len(digits))
-                y = x
-                for d in digits[:i]:
-                    y = sub.image_idx[y][d]
-                bad = (*digits[:i], len(sub.image_idx[y]) + rng.randrange(3), *digits[i + 1 :])
+                if digits:
+                    bad = _raised(sub, x, digits, rng.randrange(len(digits)), rng.randrange(3))
+                    with pytest.raises(DigitOutOfRangeError):
+                        horner_fold(sub, x, bad)
+                    with pytest.raises(IndexError):
+                        fold(x, bad)
+            word = rep(ns, 10**300)
+            k = len(word.digits)
+            _, top, blocks = sub.lengths.spans(k)
+            assert blocks and 0 < top < k
+            # digits 0 .. k - top - 1 are read in blocks, the rest in the stored rows
+            for i in (rng.randrange(k - top), rng.randrange(k - top, k)):
+                bad = _raised(sub, 0, word.digits, i, rng.randrange(3))
                 with pytest.raises(DigitOutOfRangeError) as expected:
-                    horner_fold(sub, x, bad)
+                    horner_fold(sub, 0, bad)
+                with pytest.raises(IndexError):
+                    fold(0, bad)
                 with pytest.raises(DigitOutOfRangeError) as got:
-                    fold(x, bad)
+                    val(ns, DigitWord(bad, 0))
                 assert str(got.value) == str(expected.value)
+
+    def test_val_lets_an_index_error_no_digit_explains_escape(self, monkeypatch):
+        ns = make_system("a->abc,b->c,c->ac", "c|a")
+        sub = ns.substitution
+        word = rep(ns, 10**300)
+        assert sub.lengths.spans(len(word.digits))[2]
+        error = IndexError("from the fold kernel")
+
+        def fold(x, digits):
+            raise error
+
+        monkeypatch.setitem(vars(sub), "kernels", sub.kernels._replace(fold=fold))
+        with pytest.raises(IndexError) as raised:
+            val(ns, word)
+        assert raised.value is error
 
     @pytest.mark.parametrize(
         "small_budget", [None, *_SMALL_BUDGETS], ids=["default", *_SMALL_BUDGET_IDS], indirect=True
