@@ -86,8 +86,9 @@ def simplify(
     """
     nonfinal = nonfinal_letters(sub)
     # |alphabet| samples suffice, as in positionality.check_positional
-    mismatch = first_length_mismatch(sub, nonfinal, range(len(sub.alphabet)))
-    if mismatch is not None:
+    found = first_length_mismatch(sub, [(nonfinal, range(len(sub.alphabet)))])
+    if found is not None:
+        _, mismatch = found
         first, other, exponent, v0, v = mismatch
         raise NotLengthUniformError(
             f"|mu^{exponent}({first})| = {v0} but |mu^{exponent}({other})| = {v}",

@@ -18,7 +18,7 @@ from collections import Counter
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 from operator import attrgetter, itemgetter, mul
-from typing import Callable, Iterable, Literal, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Literal, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
     DigitCapExceededError,
@@ -344,10 +344,11 @@ class _LengthTable:
     block read: a block's shifted rows, or exact rows of at most about
     ``_BLOCK_BITS`` (``numeration._descend_blocks``).
 
-    ``level``, ``row``, ``spans`` and ``block_rows`` are the only reads.
-    ``level`` holds the lock for its whole search; ``row`` and ``spans``
-    take it only for a level past the front, and climb inside it: the
-    front only moves up, and is set only once every row and checkpoint
+    ``level``, ``row``, ``rows_at``, ``spans`` and ``block_rows`` are the
+    only reads. ``level`` takes no lock for an answer inside the stored
+    rows, and holds it for the rest of its search otherwise; ``row`` and
+    ``spans`` take it only for a level past the front, and climb inside
+    it: the front only moves up, and is set only once every row and checkpoint
     below it is in place, or is itself the one checkpoint not yet
     appended. So threads growing one table at once append each level
     exactly once and share the checkpoints. Growth past ``_MAX_LEVEL``
@@ -513,6 +514,30 @@ class _LengthTable:
         i = (level - base) // span
         return self._up(marks[i], level - base - i * span)
 
+    def rows_at(self, levels: Iterable[int]) -> Iterator[tuple[int, ...]]:
+        """The rows at ``levels``, which ascend, one after the other. A
+        stored row is read in place, and one at or past the front by
+        ``row``, which climbs to it; a streamed level below the front is
+        stepped up from the row read before it or from the checkpoint below
+        it, whichever is higher. So one pass steps each level at most once,
+        and holds the rows of one block at most."""
+        rows = self._rows
+        lv, row = 0, rows[0]  # the row read last
+        for level in levels:
+            front = self._front[0]  # first: the rows below it are in place
+            if level < len(rows):
+                row = rows[level]
+            elif level >= front:
+                row = self.row(level)
+            else:
+                base, span, marks = self._marks
+                i = (level - base) // span
+                if lv < base + i * span:
+                    lv, row = base + i * span, marks[i]
+                row = self._up(row, level - lv)
+            lv = level
+            yield row
+
     def spans(
         self, k: int
     ) -> tuple[list[tuple[int, ...]], int, Sequence[tuple[tuple[int, ...], int]]]:
@@ -576,14 +601,25 @@ class _LengthTable:
 
         Images are non-empty, so rows never shrink entrywise from one
         level to the next: the answer is the least level ``>= r`` whose
-        entry reaches ``need``, rounded up into the class. Under the lock,
-        the stored rows are bisected for that level; past them, the
-        streamed levels up to the front (``_scan``); past the front, the
-        table grows up to the answer and never beyond it.
+        entry reaches ``need``, rounded up into the class. The stored rows
+        are bisected for that level first, without the lock: they are
+        appended fully built and never change, so an answer inside them
+        takes no lock. Their length is read once, as another thread may
+        extend them meanwhile. Otherwise, under the lock, the bisection
+        goes on from where that first pass stopped, over the rows stored
+        by then; past them, the streamed levels up to the front
+        (``_scan``); past the front, the table grows up to the answer and
+        never beyond it.
         """
         rows = self._rows
+        n = len(rows)  # once: another thread may extend the list meanwhile
+        key = itemgetter(root)
+        j = bisect_left(rows, need, r, n, key=key)
+        k = j + (r - j) % p
+        if k < n:
+            return k
         with self._lock:
-            k = bisect_left(rows, need, r, key=itemgetter(root))
+            k = bisect_left(rows, need, j, key=key)
             front = self._front[0]
             if len(rows) <= k <= front:
                 k = self._scan(root, need, k)
@@ -939,21 +975,48 @@ def image_length(sub: Substitution, letter: str, level: int) -> int:
 
 
 def first_length_mismatch(
-    sub: Substitution, letters: Sequence[str], exponents: Iterable[int]
-) -> Optional[tuple[str, str, int, int, int]]:
-    """First ``(letters[0], other, exponent, length0, length_other)`` with
-    ``|mu^exponent|`` differing, exponents in order; None if none differs."""
-    if len(letters) < 2:
-        return None
+    sub: Substitution, checks: Sequence[tuple[Sequence[str], Sequence[int]]]
+) -> Optional[tuple[int, tuple[str, str, int, int, int]]]:
+    """The first check ``(letters, exponents)``, in order, in which some
+    ``|mu^exponent|`` differs between ``letters[0]`` and another letter, as
+    ``(index, (letters[0], other, exponent, length0, length_other))`` at
+    its least such exponent, the exponents of a check ascending and its
+    letters in order; None if none differs.
+
+    Every exponent of every check is read in one ascending pass over the
+    levels (``_LengthTable.rows_at``), so each streamed level is stepped
+    once however many checks read it. The pass stops once every check
+    before the first mismatch is read through.
+    """
     idx = sub.index
-    first = letters[0]
-    for exponent in exponents:
-        row = sub.lengths.row(exponent)
-        v0 = row[idx[first]]
-        for other in letters[1:]:
-            v = row[idx[other]]
-            if v != v0:
-                return first, other, exponent, v0, v
+    checks_at: dict[int, list[int]] = {}  # the checks reading each level
+    left = [0] * len(checks)  # the exponents of each check not yet read
+    for i, (letters, exponents) in enumerate(checks):
+        if len(letters) > 1:
+            for exponent in exponents:
+                checks_at.setdefault(exponent, []).append(i)
+            left[i] = len(exponents)
+    found: dict[int, tuple[str, str, int, int, int]] = {}
+    settled = 0  # checks[:settled] are read through and have no mismatch
+    levels = sorted(checks_at)
+    for exponent, row in zip(levels, sub.lengths.rows_at(levels)):
+        for i in checks_at[exponent]:
+            left[i] -= 1
+            if i in found:
+                continue
+            first, *others = checks[i][0]
+            v0 = row[idx[first]]
+            for other in others:
+                v = row[idx[other]]
+                if v != v0:
+                    found[i] = first, other, exponent, v0, v
+                    break
+        while settled < len(checks) and not left[settled]:
+            if settled in found:
+                break
+            settled += 1
+        if settled in found:
+            return settled, found[settled]
     return None
 
 

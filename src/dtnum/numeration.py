@@ -150,7 +150,8 @@ def _descend_digits(sub: Substitution, root: int, k: int, offset: int) -> list[i
     ``_descend_blocks``, then the stored rows, read in place, by the
     ``descend`` kernel. Its last child is taken unchecked, and level-0
     rows are all ones, so the offset is in range exactly when the
-    descent ends at offset 0.
+    descent ends at offset 0. With no block, the kernel's own list is
+    returned.
     """
     lengths = sub.lengths
     if offset < 0:
@@ -162,6 +163,8 @@ def _descend_digits(sub: Substitution, root: int, k: int, offset: int) -> list[i
     path, _, t = sub.kernels.descend(rows[:top], root, offset)
     if t:
         raise OffsetOutOfRangeError("offset beyond row width")
+    if not blocks:
+        return path
     digits += path
     return digits
 

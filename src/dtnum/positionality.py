@@ -280,17 +280,17 @@ def check_positional(ns: NumerationSystem, weight_count: int = 8) -> Positionali
         ("condition-C", ob.residue, (ob.letter,) + ob.reference, (ob.exponent,))
         for ob in rs.obligations
     ]
-    for kind, residue, letters, exponents in checks:
-        mismatch = first_length_mismatch(sub, letters, exponents)
-        if mismatch is not None:
-            a, b, exponent, la, lb = mismatch
-            return PositionalityReport(
-                positional=False,
-                residue_sets=rs,
-                weights=None,
-                counterexample=Counterexample(kind, residue, exponent, (a, b), (la, lb)),
-                notes=tuple(notes),
-            )
+    found = first_length_mismatch(sub, [check[2:] for check in checks])
+    if found is not None:
+        i, (a, b, exponent, la, lb) = found
+        kind, residue = checks[i][:2]
+        return PositionalityReport(
+            positional=False,
+            residue_sets=rs,
+            weights=None,
+            counterexample=Counterexample(kind, residue, exponent, (a, b), (la, lb)),
+            notes=tuple(notes),
+        )
 
     table = _weight_table(ns, rs, weight_count)
     return PositionalityReport(
@@ -449,11 +449,31 @@ def fit_weights_oracle(ns: NumerationSystem, lo: int, hi: int) -> FitResult:
     the solved coordinates or a contradiction certificate naming the
     witnessing integers. A solved coordinate that is negative or
     non-integral is also a contradiction: weights must be natural numbers.
+
+    A pivot row with no free coefficient and ``d == 1`` never changes
+    again, and its coordinate's value is ``rhs``; those values are also
+    kept in one map per letter, ``U`` and ``V`` by index. An equation
+    whose coordinates all have such values, and whose sum with them is
+    ``n``, is skipped: the elimination would reduce it to ``0 = 0`` and
+    add no row. Every other equation, one whose sum is not ``n`` among
+    them, is eliminated in full, so the rows, the results and the
+    contradiction texts are those of the elimination alone.
     """
     pivots: dict[tuple[str, int], _Row] = {}
+    known: dict[str, dict[int, int]] = {"U": {}, "V": {}}
+    known_u, known_v = known["U"], known["V"]
     for n in _domain_values(ns, lo, hi):
         word = rep(ns, n)
         k = len(word.digits)
+        try:
+            rest = n + known_v[k] if word.sign else n
+            for i, d in enumerate(reversed(word.digits)):
+                if d:
+                    rest -= d * known_u[i]
+        except KeyError:
+            rest = None  # a coordinate without a value yet
+        if rest == 0:
+            continue  # it restates solved values: 0 = 0 after elimination
         original: dict[tuple[str, int], int] = {}
         for i, d in enumerate(word.digits):
             if d:
@@ -484,17 +504,22 @@ def fit_weights_oracle(ns: NumerationSystem, lo: int, hi: int) -> FitResult:
             continue
         pivot_var = min(coeffs)
         new_row = _Row(coeffs.pop(pivot_var), coeffs, rhs, {n}.union(*used))
+        changed = [(pivot_var, new_row)]
         for var, prow in pivots.items():
             c = prow.coeffs.pop(pivot_var, None)
             if c:
                 prow_rhs = _eliminate(prow.coeffs, prow.rhs, c, new_row)
-                pivots[var] = _Row(
+                pivots[var] = row = _Row(
                     prow.d * new_row.d,
                     prow.coeffs,
                     prow_rhs,
                     prow.sources | new_row.sources,
                 )
+                changed.append((var, row))
         pivots[pivot_var] = new_row
+        for (name, i), row in changed:
+            if not row.coeffs and row.d == 1:
+                known[name][i] = row.rhs
 
     solved_u: dict[int, int] = {}
     solved_v: dict[int, int] = {}

@@ -8,15 +8,18 @@ oracle, which reads only the representations of -200..200.
 
     PYTHONPATH=src python tests/crosscheck_two_letters.py
 
-Prints one line per disagreement and a summary; exits 1 if any system
-disagrees. It takes about 11 s, so it runs as its own CI step rather than
-inside the tier-1 suite.
+Prints one line per disagreement and a summary with the sweep's wall
+time; exits 1 if any system disagrees. It takes about 4-7 s on a shared
+2-vCPU machine (3.6-6.6 s over six runs, against 5.2-7.3 s before the
+weight oracle skipped equations of solved weights), so it runs as its
+own CI step rather than inside the tier-1 suite.
 """
 
 from __future__ import annotations
 
 import itertools
 import sys
+import time
 
 from dtnum import (
     DOMAINS,
@@ -67,6 +70,7 @@ def two_letter_systems() -> list[NumerationSystem]:
 
 
 def main() -> int:
+    start = time.perf_counter()
     systems = two_letter_systems()
     disagreements = 0
     positional = 0
@@ -83,7 +87,7 @@ def main() -> int:
             )
     print(
         f"{len(systems)} systems, {positional} positional, "
-        f"{disagreements} disagreements"
+        f"{disagreements} disagreements; {time.perf_counter() - start:.1f} s wall"
     )
     return 1 if disagreements else 0
 

@@ -647,7 +647,9 @@ class TestLengthTable:
     def test_reads_at_or_below_the_front_take_no_lock(self):
         """``row`` and ``spans`` of a level at or below the front, stored or
         streamed, read without the lock; a level past the front takes it
-        once, to climb."""
+        once, to climb. ``level`` takes no lock for an answer inside the
+        stored rows, rounded into its class, and takes it once for an
+        answer past them, also one that only its class rounds past them."""
 
         class CountingLock:
             def __init__(self):
@@ -670,6 +672,79 @@ class TestLengthTable:
         assert lock.entered == 0
         assert table.row(front + 1) == table._front[1]
         assert lock.entered == 1
+
+        top = len(table._rows) - 1  # the top stored level
+        lock.entered = 0
+        for need, r, p, answer in [
+            (1, 0, 1, 0),
+            (table._rows[top][0], 0, 1, top),
+            (table._rows[top - 5][0], 1, 3, top - 5 + (1 - (top - 5)) % 3),
+        ]:
+            assert table.level(0, need, r, p) == answer < len(table._rows)
+        assert lock.entered == 0
+        for need, r, p, answer in [
+            (table._rows[top][0] + 1, 0, 1, top + 1),
+            (table._rows[top][0], top + 1, 2, top + 1),
+            (table._rows[top - 1][0], (top + 1) % 3, 3, top + 1),
+        ]:
+            lock.entered = 0
+            assert table.level(0, need, r, p) == answer, (need, r, p)
+            assert lock.entered == 1
+
+    def test_level_sees_rows_stored_during_its_lock_free_bisection(self, monkeypatch):
+        """Another thread extends the stored rows from level 300 to 500
+        while ``level`` bisects them without the lock (here: the bisection
+        key grows the table on its first call). An answer near 400 is still
+        the least level that reaches the need, not the old length."""
+        sub = parse_substitution("a->ab,b->a")
+        reference = _LengthTable(sub.image_idx)
+        real = core.itemgetter
+        for need, r, p in [(reference.row(400)[0], 0, 1), (reference.row(400)[0] - 1, 2, 3)]:
+            answer = next(k for k in range(r, 600, p) if reference.row(k)[0] >= need)
+            table = _LengthTable(sub.image_idx)
+            table.row(300)
+            race = [table.row]
+
+            def itemgetter(i):
+                key = real(i)
+
+                def racing(row):
+                    if race:
+                        race.pop()(500)
+                    return key(row)
+
+                return racing
+
+            monkeypatch.setattr(core, "itemgetter", itemgetter)
+            assert table.level(0, need, r, p) == answer, (r, p)
+            monkeypatch.setattr(core, "itemgetter", real)
+            assert not race and table._marks is None and len(table._rows) == 501
+
+    def test_rows_at_sees_rows_stored_after_it_reads_the_front(self):
+        """Another thread stores the rows up to level 500, still open, just
+        before ``rows_at`` reads the front: level 400, past the rows stored
+        when the pass began, is read from the stored list."""
+
+        class Racing(_LengthTable):
+            race = None
+
+            @property
+            def _front(self):
+                if self.race:
+                    race, self.race = self.race, None
+                    race()
+                return _LengthTable._front.__get__(self)
+
+            @_front.setter
+            def _front(self, value):
+                _LengthTable._front.__set__(self, value)
+
+        sub = parse_substitution("a->ab,b->a")
+        table = Racing(sub.image_idx)
+        table.row(300)
+        table.race = lambda: table.row(500)
+        assert list(table.rows_at([299, 400])) == [table._rows[299], table._rows[400]]
+        assert table.race is None and table._marks is None
 
     def test_rows_past_the_cap_are_refused_before_growing(self):
         sub = parse_substitution("a->ab,b->a")
@@ -727,6 +802,61 @@ class TestStreamedTable:
                             for x, v in enumerate(row):
                                 assert 0 <= exact[x] - (v << shift) < naive[e][x] << shift
                     lowest += count
+
+    def test_rows_at_matches_the_naive_recursion(self):
+        """Ascending levels, dense or sparse, on a cold table and on one
+        grown past them, equal the naive rows; on the grown table the pass
+        steps each level at most once."""
+        rng = random.Random(7)
+        for text in ("a->abc,b->c,c->ac", "a->ab,b->ab", "a->aab,b->a"):
+            sub = parse_substitution(text)
+            naive = PlainRows(sub)
+            for levels in (
+                list(range(600)),
+                sorted(rng.sample(range(600), 40)),
+                sorted(rng.sample(range(600), 3)),
+            ):
+                cold = _LengthTable(sub.image_idx)
+                assert as_lists(cold.rows_at(levels)) == [naive[v] for v in levels], text
+                grown = _LengthTable(sub.image_idx)
+                grown.row(700)
+                stepped, steps = [], grown._steps
+                grown._steps = lambda c, count: stepped.append(count - 1) or steps(c, count)
+                assert as_lists(grown.rows_at(levels)) == [naive[v] for v in levels], text
+                assert sum(stepped) <= levels[-1], text
+
+    def test_first_length_mismatch_matches_one_check_at_a_time(self):
+        """Random checks of random letters at ascending exponents, below
+        and past the stored rows: the one ascending pass reports the
+        mismatch that reading each check's exponents in turn, check by
+        check, finds first."""
+
+        def one_at_a_time(sub, checks):
+            idx = sub.index
+            for i, (letters, exponents) in enumerate(checks):
+                for exponent in exponents:
+                    row = sub.lengths.row(exponent)
+                    for other in letters[1:]:
+                        if row[idx[other]] != row[idx[letters[0]]]:
+                            lengths = row[idx[letters[0]]], row[idx[other]]
+                            return i, (letters[0], other, exponent, *lengths)
+            return None
+
+        rng = random.Random(8)
+        found = 0
+        for sub in random_substitutions(rng, 40):
+            for _ in range(10):
+                checks = [
+                    (
+                        tuple(rng.sample(sub.alphabet, rng.randint(1, len(sub.alphabet)))),
+                        sorted(rng.sample(range(300), rng.randint(0, 4))),
+                    )
+                    for _ in range(rng.randint(1, 5))
+                ]
+                expected = one_at_a_time(Substitution(sub.alphabet, sub.images), checks)
+                assert core.first_length_mismatch(sub, checks) == expected, (sub, checks)
+                found += expected is not None
+        assert 100 < found < 400
 
     def test_checkpoints_stay_within_the_budget(self):
         sub = parse_substitution("a->abc,b->c,c->ac")

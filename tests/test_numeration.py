@@ -983,6 +983,47 @@ class TestStoredRowsInPlace:
         finally:
             sys.setswitchinterval(interval)
 
+    def test_small_reps_while_another_thread_grows_the_table(self):
+        """Four threads ``rep`` small values of both signs, on a cold
+        table, again and again while a fifth thread grows the same table
+        past the store to 10^3000: ``level`` finds their levels in the
+        stored rows without the lock, or past them under it, while the
+        rows grow, and every word equals the word of a table that one
+        thread grew alone."""
+        text, seed = "a->abc,b->c,c->ac", "c|a"
+        values = [sign * v for v in range(1, 300) for sign in (1, -1)]
+        big = 10**3000 + 4242
+        alone = make_system(text, seed)
+        expected = {n: rep(alone, n) for n in [*values, big]}
+        ns = make_system(text, seed)
+        got: dict[int, list] = {n: [] for n in values}
+        grown = []
+
+        def small(chunk):
+            passes = 0
+            while passes < 3 or grower.is_alive():
+                for n in chunk:
+                    got[n].append(rep(ns, n))
+                passes += 1
+
+        grower = threading.Thread(target=lambda: grown.append(rep(ns, big)))
+        workers = [threading.Thread(target=small, args=(values[i::4],)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            grower.start()
+            for t in workers:
+                t.start()
+            for t in [grower, *workers]:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in [grower, *workers])
+        assert ns.substitution.lengths._marks is not None  # grown past the store
+        assert grown == [expected[big]]
+        for n in values:
+            assert got[n] and all(word == expected[n] for word in got[n]), n
+
 
 def _kernel_system(rng: random.Random, size: int, longest: int = 3) -> NumerationSystem:
     """A random two-sided system on ``size`` letters, seeded ``x0|x0``: the

@@ -11,6 +11,7 @@ from dtnum import (
     NumerationSystem,
     PositionalityReport,
     SeedSpec,
+    Substitution,
     WeightContradiction,
     check_positional,
     compute_residue_sets,
@@ -221,6 +222,51 @@ class TestCheckPositional:
             with pytest.raises(ValueError, match="exactly when"):
                 PositionalityReport(**{**vars(report), **fields})
 
+    def test_a_long_period_steps_each_level_once(self):
+        """At period 3000 on a->ab,b->ba the checks read every level up to
+        5,999, past the stored rows, in one ascending pass: the levels of
+        the table stepped stay at or below the front plus one span. The
+        only other rows stepped are the unit rows of the first jump power,
+        one span each. Read one check at a time, each level past the
+        stored rows was stepped up again from the checkpoint below it:
+        252,471 levels."""
+        from dtnum import core
+
+        ns = make_system("a->ab,b->ba", "b|a", period=3000)
+        table = ns.substitution.lengths
+        stepped, steps = [], table._steps
+        table._steps = lambda c, count: stepped.append((c, count - 1)) or steps(c, count)
+        assert check_positional(ns).positional
+        front, span = table._front[0], table._marks[1]
+        assert (front, span) == (5999, core._SPAN)
+        units = {(1, 0), (0, 1)}
+        assert sum(n for c, n in stepped if c not in units) <= front + span
+        assert sum(n for c, n in stepped if c in units) <= 2 * span
+
+    def test_long_period_reports_are_pinned(self, golden_complement):
+        """``check_positional`` at periods 2000, 3000 and 5000, residue
+        ``p - 1``, on a->ab,b->ba, the golden systems and a slice of the
+        corpus, hashed: the JSON report and the notes. The digest was
+        recorded when each check read its exponents one at a time."""
+        from helpers import corpus_systems
+
+        systems = [make_system("a->ab,b->ba", "b|a")]
+        systems += [ns for _, ns in golden_complement] + corpus_systems()[::40]
+        digest = hashlib.md5()
+        verdicts = []
+        for ns in systems:
+            for p in (2000, 3000, 5000):
+                if p % ns.period == 0:
+                    # a table of its own: the golden fixtures are shared by every test
+                    sub = Substitution(ns.substitution.alphabet, ns.substitution.images)
+                    seed = SeedSpec(ns.left, ns.right, p)
+                    report = check_positional(NumerationSystem(sub, seed, p - 1))
+                    digest.update(json.dumps(report.to_json_dict()).encode())
+                    digest.update(repr(report.notes).encode())
+                    verdicts.append(report.positional)
+        assert (len(verdicts), sum(verdicts)) == (43, 15)
+        assert digest.hexdigest() == "e2a622fee96da8a31c274ce03bf476f0"
+
 
 class TestWeights:
     def test_intertwined_weights(self):
@@ -369,10 +415,31 @@ class TestFitOracle:
 
         for ns in corpus_systems():
             assert fit_weights_oracle(ns, -60, 60) == fit_weights_reference(ns, -60, 60), ns
+            assert fit_weights_oracle(ns, -200, 200) == fit_weights_reference(ns, -200, 200), ns
         for entry, ns in golden_complement:
             assert fit_weights_oracle(ns, -300, 300) == fit_weights_reference(
                 ns, -300, 300
             ), entry["name"]
+
+    def test_contradiction_on_an_equation_of_solved_values(self):
+        """The values up to -14 solve U1, U2 and V3, and rep(-13) uses only
+        those, but its sum with them is not -13: the sum check fails, and
+        the full elimination names every value behind those weights, as
+        the ``Fraction`` reference does."""
+        from helpers import fit_weights_reference
+
+        ns = make_system("a->a,b->abb", "b|_")
+        assert rep(ns, -13).text() == "1110"
+        solved = fit_weights_oracle(ns, -20, -14)
+        assert isinstance(solved, ConsistentWeights)
+        assert solved.U[1] + solved.U[2] - solved.V[3] != -13
+        fit = fit_weights_oracle(ns, -20, 20)
+        assert fit == fit_weights_reference(ns, -20, 20)
+        assert fit == WeightContradiction(
+            (-20, -19, -18, -15, -14, -13),
+            "rep(-13) = 1110 gives U1 + U2 + -1*V3 = -13, inconsistent "
+            "with the weights forced by reps of [-20, -19, -18, -15, -14]",
+        )
 
     def test_matches_fraction_reference_on_short_windows(self):
         """Windows of 1 to 8 integers leave coordinates underdetermined, so
